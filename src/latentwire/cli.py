@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Precedence: built-in defaults < command-line flags < config file. Relative
-dataset paths resolve against $LATENTWIRE_DATA_DIR when the file is not
-found where given.
+`run` builds its grid from the flags over the ExperimentConfig defaults, or,
+with --config, from the file alone: keys the file leaves out take the
+defaults, and --out applies only when the file sets no out. Relative dataset
+paths resolve against $LATENTWIRE_DATA_DIR when the file is not found where
+given.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from .device import DeviceNode
 from .experiment import (
@@ -26,7 +26,6 @@ from .experiment import (
     run_experiment,
 )
 from .hub import Hub, HubServer
-from .network import Network
 from .train import TrainConfig, evaluate, train_classifier
 from .zoo import build_vanilla_classifier
 
@@ -107,6 +106,9 @@ def cmd_train_classifier(args):
 
 
 def _experiment_config(args):
+    if args.config:
+        cfg = load_config(args.config)
+        return cfg if cfg.out is not None else replace(cfg, out=args.out)
     cfg = ExperimentConfig()
     if args.dataset is not None:
         cfg = replace(cfg, dataset=args.dataset)
@@ -137,12 +139,7 @@ def _experiment_config(args):
         clf = replace(clf, batch_size=args.batch_size)
     if args.augment:
         clf = replace(clf, augment=True)
-    cfg = replace(cfg, ae=ae, clf=clf, out=args.out)
-    if args.config:
-        cfg = load_config(args.config)  # config file wins over flags
-        if cfg.out is None:
-            cfg = replace(cfg, out=args.out)
-    return cfg
+    return replace(cfg, ae=ae, clf=clf, out=args.out)
 
 
 def cmd_run(args):
@@ -228,7 +225,8 @@ def build_parser():
     p.set_defaults(func=cmd_train_classifier)
 
     p = sub.add_parser("run", help="run the benchmark grid and emit a report")
-    p.add_argument("--config", help="JSON config; overrides all flags")
+    p.add_argument("--config", help="JSON config; replaces the grid flags, "
+                   "--out applies when the file sets no out")
     p.add_argument("--dataset", choices=("synthetic", "cifar10"))
     p.add_argument("--cifar10-dir")
     p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000")

@@ -4,11 +4,10 @@ export through a sink (in-process hub or wire client)."""
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
 from .errors import (
     NotFittedError,
     ShapeMismatchError,
@@ -16,7 +15,13 @@ from .errors import (
     TooManyDevicesError,
 )
 from .train import TrainConfig, train_autoencoder
-from .wire import ACK_ACCEPTED, LatentRecord, encode_record, record_from_tensor
+from .wire import (
+    ACK_ACCEPTED,
+    LatentRecord,
+    decode_record,
+    encode_record,
+    record_from_tensor,
+)
 from .zoo import build_autoencoder
 
 
@@ -140,14 +145,15 @@ def make_devices(train, test, n_devices, mode="iid", rng=None):
 
 @dataclass
 class HubSink:
-    """In-process sink: serializes each record and hands the frame bytes to
-    the hub, so the wire codec is exercised even without a socket."""
+    """In-process sink: round-trips each record through the wire codec
+    before handing it to the hub, so encode, decode and their range checks
+    run even without a socket."""
 
     hub: object
     split: str
 
     def push(self, record):
-        ack = self.hub.ingest(encode_record(record), self.split)
+        ack = self.hub.ingest(decode_record(encode_record(record)), self.split)
         if ack != ACK_ACCEPTED:
             raise SinkFailure(f"hub rejected record with ack 0x{ack:02x}")
 

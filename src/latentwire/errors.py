@@ -72,9 +72,5 @@ class HeterogeneousShapeError(LatentWireError):
     """Stored latents for one split do not share a single shape."""
 
 
-class MissingBaselineError(LatentWireError):
-    """Normalization requires a compression-ratio-1 row per group."""
-
-
 class DatasetFormatError(LatentWireError):
     """Dataset file missing, short, or carrying out-of-range labels."""

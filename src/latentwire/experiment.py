@@ -1,28 +1,30 @@
 """Benchmark harness: grid of (compression ratio, seed) cells, each running
 the full device -> wire -> hub pipeline, with metric normalization against
-the ratio-1 baseline and CSV/JSON report emission."""
+the ratio-1 baseline and CSV/JSON report emission.
+
+File rules. A config file is a JSON object holding ``format`` and
+``version`` plus the :class:`ExperimentConfig` fields; nested objects hold
+the fields of ``synthetic``, ``ae`` and ``clf``. A key left out takes its
+``ExperimentConfig()`` default, at any depth, and an unknown key is an error.
+The columns of a CSV report are the :class:`ReportRow` fields in order; an
+empty cell means ``None``.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import logging
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    LabeledDataset,
-    SyntheticSpec,
-    cifar10_subset,
-    gen_synthetic,
-    load_cifar10,
-)
+from .data import SyntheticSpec, cifar10_subset, gen_synthetic, load_cifar10
 from .device import HubSink, make_devices
-from .errors import LatentWireError, MissingBaselineError
+from .errors import LatentWireError
 from .hub import Hub
 from .train import TrainConfig
 from .zoo import count_parameters
@@ -31,9 +33,6 @@ log = logging.getLogger("latentwire")
 
 CONFIG_FORMAT = "latentwire-config"
 CONFIG_VERSION = 1
-
-CSV_COLUMNS = ("dataset", "cr", "seed", "accuracy", "params", "train_s", "test_s",
-               "acc_norm", "params_norm", "train_norm", "test_norm")
 
 
 @dataclass
@@ -156,21 +155,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+_NORMALIZED = (("accuracy", "acc_norm"), ("params", "params_norm"),
+               ("train_s", "train_norm"), ("test_s", "test_norm"))
+
+
 def normalize_metrics(report: ExperimentReport) -> ExperimentReport:
-    """Divide each metric by its ratio-1 value within the (dataset, seed) group."""
+    """Divide each metric by its ratio-1 value within the (dataset, seed) group.
+
+    A row whose group has no successful ratio-1 row, or whose baseline value
+    is zero, keeps its raw metrics: the affected ``*_norm`` fields stay None
+    and a warning is logged, so a bad baseline never discards a finished grid.
+    """
     for row in report.rows:
         if row.failed:
             continue
-        base = [r for r in report.group(row.dataset, row.seed)
-                if not r.failed and r.cr == 1.0]
-        if not base:
-            raise MissingBaselineError(
-                f"no ratio-1 baseline for ({row.dataset}, seed {row.seed})")
-        b = base[0]
-        row.acc_norm = row.accuracy / b.accuracy
-        row.params_norm = row.params / b.params
-        row.train_norm = row.train_s / b.train_s
-        row.test_norm = row.test_s / b.test_s
+        base = next((r for r in report.group(row.dataset, row.seed)
+                     if not r.failed and r.cr == 1.0), None)
+        if base is None:
+            log.warning("no ratio-1 baseline for (%s, seed %d): cr=%g not normalized",
+                        row.dataset, row.seed, row.cr)
+            continue
+        for metric, norm in _NORMALIZED:
+            b = getattr(base, metric)
+            if b:
+                setattr(row, norm, getattr(row, metric) / b)
+            else:
+                log.warning("ratio-1 %s is %r for (%s, seed %d): cr=%g %s not set",
+                            metric, b, row.dataset, row.seed, row.cr, norm)
     return report
 
 
@@ -178,8 +189,14 @@ def normalize_metrics(report: ExperimentReport) -> ExperimentReport:
 # report files
 
 
-def _fmt(value, places):
-    return "" if value is None else f"{value:.{places}f}"
+def _cell_parser(hint):
+    """Parser for the CSV cells of a field typed `hint`; "" is None for an
+    optional field."""
+    args = typing.get_args(hint)
+    if type(None) not in args:
+        return hint
+    (typ,) = [a for a in args if a is not type(None)]
+    return lambda cell: None if cell == "" else typ(cell)
 
 
 def emit_report(report, path, fmt="csv"):
@@ -188,18 +205,10 @@ def emit_report(report, path, fmt="csv"):
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow(f.name for f in fields(ReportRow))
             for r in report.rows:
-                writer.writerow([
-                    r.dataset, f"{r.cr:g}", r.seed,
-                    _fmt(r.accuracy, 4),
-                    "" if r.params is None else r.params,
-                    _fmt(r.train_s, 3), _fmt(r.test_s, 3),
-                    _fmt(r.acc_norm, 4),
-                    _fmt(r.params_norm, 6),
-                    _fmt(r.train_norm, 3), _fmt(r.test_norm, 3),
-                ])
-    elif fmt in ("structured-text", "json"):
+                writer.writerow("" if v is None else v for v in asdict(r).values())
+    elif fmt == "json":
         doc = {"format": "latentwire-report", "version": 1,
                "rows": [asdict(r) for r in report.rows]}
         path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -210,25 +219,21 @@ def emit_report(report, path, fmt="csv"):
 def parse_report(path, fmt="csv") -> ExperimentReport:
     path = Path(path)
     if fmt == "csv":
+        hints = typing.get_type_hints(ReportRow)
+        names = [f.name for f in fields(ReportRow)]
+        parsers = [_cell_parser(hints[name]) for name in names]
         rows = []
         with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-                raise ValueError(f"unexpected report header {reader.fieldnames}")
-            for rec in reader:
-                rows.append(ReportRow(
-                    dataset=rec["dataset"], cr=float(rec["cr"]), seed=int(rec["seed"]),
-                    accuracy=float(rec["accuracy"]) if rec["accuracy"] else None,
-                    params=int(rec["params"]) if rec["params"] else None,
-                    train_s=float(rec["train_s"]) if rec["train_s"] else None,
-                    test_s=float(rec["test_s"]) if rec["test_s"] else None,
-                    acc_norm=float(rec["acc_norm"]) if rec["acc_norm"] else None,
-                    params_norm=float(rec["params_norm"]) if rec["params_norm"] else None,
-                    train_norm=float(rec["train_norm"]) if rec["train_norm"] else None,
-                    test_norm=float(rec["test_norm"]) if rec["test_norm"] else None,
-                ))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != names:
+                raise ValueError(f"unexpected report header {header}")
+            for cells in reader:
+                if len(cells) != len(names):
+                    raise ValueError(f"report row has {len(cells)} cells, not {len(names)}")
+                rows.append(ReportRow(*(parse(c) for parse, c in zip(parsers, cells))))
         return ExperimentReport(rows)
-    if fmt in ("structured-text", "json"):
+    if fmt == "json":
         doc = json.loads(path.read_text())
         if doc.get("format") != "latentwire-report":
             raise ValueError("not a latentwire report document")
@@ -237,36 +242,31 @@ def parse_report(path, fmt="csv") -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# config files (versioned JSON mirroring ExperimentConfig)
+# config files (versioned JSON of the ExperimentConfig fields)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "format": CONFIG_FORMAT,
-        "version": CONFIG_VERSION,
-        "dataset": cfg.dataset,
-        "cifar_dir": cfg.cifar_dir,
-        "cifar_subset": cfg.cifar_subset,
-        "synthetic": {
-            "image_size": list(cfg.synthetic.image_size),
-            "num_classes": cfg.synthetic.num_classes,
-            "samples_per_class": cfg.synthetic.samples_per_class,
-            "ratio": list(cfg.synthetic.ratio),
-            "noise": cfg.synthetic.noise,
-            "jitter": cfg.synthetic.jitter,
-            "margin": cfg.synthetic.margin,
-        },
-        "ratios": list(cfg.ratios),
-        "family": cfg.family,
-        "n_devices": cfg.n_devices,
-        "partition": cfg.partition,
-        "ae": asdict(cfg.ae),
-        "clf": asdict(cfg.clf),
-        "seeds": list(cfg.seeds),
-        "jobs": cfg.jobs,
-        "out": cfg.out,
-    }
-    return doc
+    return {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **asdict(cfg)}
+
+
+def _merge(base, doc, where):
+    """`base` with the fields named in `doc` replaced. Nested dataclasses
+    merge recursively and JSON lists become tuples; the dataclasses'
+    own checks run on the result."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {where} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(base)})
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+    changes = {}
+    for name, value in doc.items():
+        current = getattr(base, name)
+        if is_dataclass(current):
+            value = _merge(current, value, f"{where}.{name}")
+        elif isinstance(value, list):
+            value = tuple(value)
+        changes[name] = value
+    return replace(base, **changes)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -274,30 +274,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValueError(f"not a latentwire config document: {doc.get('format')!r}")
     if doc.get("version") != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {doc.get('version')!r}")
-    syn = doc.get("synthetic", {})
-    return ExperimentConfig(
-        dataset=doc.get("dataset", "synthetic"),
-        cifar_dir=doc.get("cifar_dir"),
-        cifar_subset=doc.get("cifar_subset"),
-        synthetic=SyntheticSpec(
-            image_size=tuple(syn.get("image_size", (32, 32, 3))),
-            num_classes=syn.get("num_classes", 4),
-            samples_per_class=syn.get("samples_per_class", 150),
-            ratio=tuple(syn.get("ratio", (5, 1))),
-            noise=syn.get("noise", 0.05),
-            jitter=syn.get("jitter", 0.25),
-            margin=syn.get("margin", 1.2),
-        ),
-        ratios=tuple(doc.get("ratios", (1, 4, 8, 16))),
-        family=doc.get("family", "A"),
-        n_devices=doc.get("n_devices", 4),
-        partition=doc.get("partition", "iid"),
-        ae=TrainConfig(**doc.get("ae", {})),
-        clf=TrainConfig(**doc.get("clf", {})),
-        seeds=tuple(doc.get("seeds", (0,))),
-        jobs=doc.get("jobs", 1),
-        out=doc.get("out"),
-    )
+    body = {k: v for k, v in doc.items() if k not in ("format", "version")}
+    return _merge(ExperimentConfig(), body, "config")
 
 
 def save_config(cfg, path):

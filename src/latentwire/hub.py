@@ -22,8 +22,6 @@ from .wire import (
     ACK_DUPLICATE,
     FrameScanner,
     UNLABELED,
-    WireDecodeError,
-    decode_record,
 )
 from .zoo import build_vanilla_classifier, infer_shapes
 
@@ -47,16 +45,9 @@ class Hub:
         with self._lock:
             self.decoders[int(device_id)] = decoder
 
-    def ingest(self, frame_bytes, split) -> int:
-        """Decode one frame and append the record; returns the ack code.
-
-        Invalid frames and duplicate (device id, record id) pairs leave the
-        store untouched.
-        """
-        try:
-            record = decode_record(frame_bytes)
-        except WireDecodeError as err:
-            return err.ack
+    def ingest(self, record, split) -> int:
+        """Append one decoded record; returns ACK_ACCEPTED, or ACK_DUPLICATE
+        (store untouched) for a (device id, record id) pair already seen."""
         key = (record.device_id, record.record_id)
         with self._lock:
             if key in self.seen:
@@ -140,7 +131,7 @@ def serve_stream(hub, chunks, split, ack_writer=None):
         if not chunk:
             break
         for event in scanner.feed(chunk):
-            ack = hub.ingest(event.span, split) if event.ok else event.error.ack
+            ack = hub.ingest(event.record, split) if event.ok else event.error.ack
             if ack == ACK_ACCEPTED:
                 accepted += 1
             else:

@@ -15,15 +15,15 @@ def _fans(shape):
     return n, n
 
 
-def glorot_uniform(shape, rng, dtype=np.float32):
-    """Uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
-    if not shape:
-        raise ValueError("shape must be nonempty")
-    fan_in, fan_out = _fans(tuple(shape))
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def glorot_limit(shape):
+    """L = sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(tuple(shape))
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
+
+
+def glorot_uniform(shape, rng, dtype=np.float32):
+    """Uniform on [-L, L] with L = glorot_limit(shape)."""
+    if not shape:
+        raise ValueError("shape must be nonempty")
+    limit = glorot_limit(shape)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from . import ops
 from .errors import ShapeMismatchError
 from .initializers import glorot_uniform
-from .zoo import ModelSpec, infer_shapes, load_spec, save_spec, spec_from_dict, spec_to_dict
+from .zoo import ModelSpec, infer_shapes, load_spec, save_spec
 
 
 class Network:
@@ -87,21 +86,17 @@ class Network:
     def backward(self, caches, grad):
         """Chain rule over the cached layers; returns (input_grad, grads).
 
-        ``grads`` aligns with ``self.params`` (empty dicts for layers that
-        were not run or hold no parameters). When every remaining layer
-        below the current position is frozen the walk stops early and those
-        gradients are zero.
+        ``grads`` aligns with ``self.params``: empty dicts for layers that
+        were not run, hold no parameters or are frozen. When every remaining
+        layer below the current position is frozen the walk stops early.
         """
         grads = [{} for _ in self.params]
         for i in range(len(caches) - 1, -1, -1):
             if all(self.frozen[j] for j in range(i + 1)):
-                for j in range(i + 1):
-                    grads[j] = {k: np.zeros_like(v) for k, v in self.params[j].items()}
                 return None, grads
             grad, pgrads = ops.backward(caches[i], grad)
-            if pgrads is not None:
-                grads[i] = pgrads if not self.frozen[i] else {
-                    k: np.zeros_like(v) for k, v in pgrads.items()}
+            if pgrads is not None and not self.frozen[i]:
+                grads[i] = pgrads
         return grad, grads
 
     def trainable(self, grads=None):
@@ -121,9 +116,6 @@ class Network:
             self.frozen = [frozen] * len(self.frozen)
         else:
             self.frozen = list(frozen)
-
-    def copy_params(self):
-        return [{k: v.copy() for k, v in p.items()} for p in self.params]
 
     def slice(self, start, stop, input_shape, role):
         """View over layers [start:stop); parameter arrays are shared."""

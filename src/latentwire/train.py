@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledDataset
 from .errors import (
     DivergenceError,
     ShapeMismatchError,

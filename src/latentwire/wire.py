@@ -194,17 +194,8 @@ def decode_record(buf) -> LatentRecord:
     return record
 
 
-def iter_frames(buf):
-    """Sequential decode of back-to-back frames; raises on the first bad one."""
-    offset = 0
-    while offset < len(buf):
-        record, offset = decode_frame_at(buf, offset)
-        yield record
-
-
 @dataclass
 class ScanEvent:
-    span: bytes  # the bytes this event accounts for
     record: LatentRecord | None
     error: WireDecodeError | None
 
@@ -246,10 +237,10 @@ class FrameScanner:
             except TruncatedFrameError:
                 return events  # wait for more bytes
             except WireDecodeError as err:
-                events.append(ScanEvent(bytes(self._buf[:1]), None, err))
+                events.append(ScanEvent(None, err))
                 del self._buf[:1]
                 continue
-            events.append(ScanEvent(bytes(self._buf[:end]), record, None))
+            events.append(ScanEvent(record, None))
             del self._buf[:end]
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,8 +113,6 @@ class ModelSpec:
     def output_shape(self):
         return infer_shapes(self)[-1]
 
-    def with_frozen(self, frozen):
-        return replace(self, layers=tuple(replace(l, frozen=frozen) for l in self.layers))
 
 
 def _layer_out(shape, layer, index):

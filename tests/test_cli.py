@@ -1,0 +1,34 @@
+import json
+
+from latentwire.cli import main
+from latentwire.experiment import CONFIG_FORMAT, CONFIG_VERSION, parse_report
+
+
+def test_cli_smoke(tmp_path):
+    data = str(tmp_path / "data.npz")
+    assert main(["gen-data", "--out", data, "--classes", "2",
+                 "--samples-per-class", "12", "--image-size", "8"]) == 0
+    assert main(["train-ae", "--data", data, "--cr", "4", "--ae-epochs", "1",
+                 "--out", str(tmp_path / "ae")]) == 0
+    assert (tmp_path / "ae" / "encoder.weights.npz").is_file()
+    assert (tmp_path / "ae" / "decoder.model.json").is_file()
+    assert main(["train-classifier", "--data", data, "--clf-epochs", "1",
+                 "--out", str(tmp_path / "clf")]) == 0
+    assert (tmp_path / "clf" / "classifier.weights.npz").is_file()
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "format": CONFIG_FORMAT, "version": CONFIG_VERSION,
+        "synthetic": {"image_size": [8, 8, 3], "num_classes": 2, "samples_per_class": 12},
+        "ratios": [1, 4], "n_devices": 2, "ae": {"epochs": 1}, "clf": {"epochs": 1}}))
+    report_json = tmp_path / "report.json"
+    # the file sets no out, so --out applies
+    assert main(["run", "--config", str(cfg), "--out", str(report_json),
+                 "--format", "json"]) == 0
+    report_csv = tmp_path / "report.csv"
+    assert main(["report", "--input", str(report_json), "--out", str(report_csv)]) == 0
+
+    rows = parse_report(report_csv).rows
+    assert rows == parse_report(report_json, fmt="json").rows
+    assert [(r.cr, r.failed) for r in rows] == [(1.0, False), (4.0, False)]
+    assert rows[0].acc_norm == 1.0

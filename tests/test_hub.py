@@ -1,0 +1,74 @@
+import numpy as np
+import pytest
+
+import latentwire.wire as wire
+from latentwire.device import HubSink
+from latentwire.errors import SinkFailure
+from latentwire.hub import Hub, serve_stream
+from latentwire.wire import (
+    ACK_ACCEPTED,
+    ACK_BAD_CRC,
+    ACK_DUPLICATE,
+    LatentRecord,
+    OversizeRecordError,
+    encode_record,
+)
+
+
+def make_record(record=0, device=1, label=3, seed=0):
+    payload = np.random.default_rng(seed).random(6).astype("<f4")
+    return LatentRecord(device, record, label, (2, 3), payload)
+
+
+def test_ingest_accepts_then_flags_duplicate():
+    hub = Hub()
+    rec = make_record()
+    assert hub.ingest(rec, "train") == ACK_ACCEPTED
+    assert hub.ingest(make_record(seed=1), "test") == ACK_DUPLICATE
+    assert hub.store == [(rec, "train")]
+    assert hub.counters == {1: 1}
+
+
+def test_serve_stream_decodes_each_frame_once(monkeypatch):
+    calls = []
+    decode = wire.decode_frame_at
+
+    def counting(buf, offset=0):
+        calls.append(offset)
+        return decode(buf, offset)
+
+    monkeypatch.setattr(wire, "decode_frame_at", counting)
+    recs = [make_record(record=i, seed=i) for i in range(5)]
+    hub = Hub()
+    accepted, rejected = serve_stream(
+        hub, [b"".join(encode_record(r) for r in recs)], "train")
+    assert (accepted, rejected) == (5, 0)
+    assert len(calls) == len(recs)
+    assert hub.records("train") == recs
+
+
+def test_serve_stream_ack_sequence():
+    bad = bytearray(encode_record(make_record(record=1)))
+    bad[-1] ^= 0xFF
+    first, last = encode_record(make_record(record=0)), encode_record(make_record(record=2))
+    acks = bytearray()
+    hub = Hub()
+    stream = first + first + bytes(bad) + last
+    counts = serve_stream(hub, [stream[i:i + 9] for i in range(0, len(stream), 9)],
+                          "train", ack_writer=acks.extend)
+    assert bytes(acks) == bytes([ACK_ACCEPTED, ACK_DUPLICATE, ACK_BAD_CRC, ACK_ACCEPTED])
+    assert counts == (2, 2)
+    assert [r.record_id for r in hub.records("train")] == [0, 2]
+
+
+def test_hub_sink_round_trips_through_codec():
+    hub = Hub()
+    sink = HubSink(hub, "test")
+    rec = make_record()
+    sink.push(rec)
+    stored = hub.records("test")
+    assert stored == [rec] and stored[0] is not rec
+    with pytest.raises(SinkFailure, match="0x06"):
+        sink.push(rec)
+    with pytest.raises(OversizeRecordError):
+        sink.push(make_record(record=1, label=0x10000))

@@ -23,7 +23,6 @@ from latentwire.wire import (
     WireDecodeError,
     decode_record,
     encode_record,
-    iter_frames,
     record_from_tensor,
 )
 
@@ -198,7 +197,11 @@ def test_decode_never_raises_other_exceptions():
 def test_concatenated_frames_decode_sequentially():
     recs = [make_record(record=i, seed=i) for i in range(4)]
     blob = b"".join(encode_record(r) for r in recs)
-    assert list(iter_frames(blob)) == recs
+    scanner = FrameScanner()
+    events = scanner.feed(blob)
+    assert all(e.ok for e in events)
+    assert [e.record for e in events] == recs
+    assert scanner.pending == 0
 
 
 def test_scanner_reassembles_split_chunks():
