@@ -13,19 +13,15 @@ from .train import (
     TrainConfig,
     TrainHistory,
     evaluate,
-    split_autoencoder,
     train_autoencoder,
     train_classifier,
-    two_stage_transfer_train,
 )
 from .wire import FrameScanner, LatentRecord, decode_record, encode_record
 from .zoo import (
     AutoencoderPair,
-    CompressionRatio,
     LayerSpec,
     ModelSpec,
     build_autoencoder,
-    build_transfer_model,
     build_vanilla_classifier,
     compression_ratio,
     count_parameters,

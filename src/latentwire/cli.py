@@ -84,7 +84,7 @@ def cmd_train_ae(args):
     device = DeviceNode(args.device_id, train)
     cfg = _train_config(args, "ae")
     history = device.fit_autoencoder(args.cr, cfg)
-    encoder, decoder = device.encoder_network(), device.export_decoder()
+    encoder, decoder = device.encoder_network(), device.decoder_network()
     encoder.save(Path(args.out) / "encoder")
     decoder.save(Path(args.out) / "decoder")
     final = history.losses[-1] if history.losses else 0.0

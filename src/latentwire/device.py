@@ -1,10 +1,14 @@
 """Simulated edge devices: local shards, per-device autoencoders, and latent
-export through a sink (in-process hub or wire client)."""
+export through a sink (in-process hub or wire client).
+
+Only latents leave a device. Its decoder never does: a hub holding the
+decoders could rebuild the images from the latents.
+"""
 
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +50,8 @@ def partition_dataset(data, n_devices, mode="iid", rng=None):
 
 
 class DeviceNode:
-    """One edge device: a local shard, a device-unique encoder after fit, and
-    a decoder held back for out-of-band registration at the server."""
+    """One edge device: a local shard and, after fit, a device-unique
+    encoder and decoder."""
 
     def __init__(self, device_id, train_data, test_data=None):
         self.device_id = int(device_id)
@@ -69,11 +73,7 @@ class DeviceNode:
             raise NotFittedError(f"device {self.device_id} has no local data")
         pair = build_autoencoder(local.sample_shape, cr)
         seed = int(np.random.SeedSequence([cfg.seed, self.device_id]).generate_state(1)[0])
-        trained, history = train_autoencoder(
-            pair, local.images, TrainConfig(
-                epochs=cfg.epochs, batch_size=cfg.batch_size,
-                optimizer=cfg.optimizer, lr=cfg.lr, seed=seed,
-                patience=cfg.patience))
+        trained, history = train_autoencoder(pair, local.images, replace(cfg, seed=seed))
         self._pair = pair
         self._trained = trained
         self.fitted = True
@@ -88,15 +88,14 @@ class DeviceNode:
         if not self.fitted:
             raise NotFittedError(f"device {self.device_id} is not fitted")
 
-    def export_decoder(self):
-        """Decoder network for server-side registration. This path is
-        out-of-band; decoders never ride the per-sample channel."""
-        self._require_fit()
-        return self._trained.decoder
-
     def encoder_network(self):
         self._require_fit()
         return self._trained.encoder
+
+    def decoder_network(self):
+        """The local decoder, e.g. for saving on the device; never sent."""
+        self._require_fit()
+        return self._trained.decoder
 
     def encode(self, sample, label=None) -> LatentRecord:
         """Run the encoder in inference mode and wrap the result."""

@@ -24,14 +24,6 @@ class UnachievableRatioError(LatentWireError):
     """No (stage count, latent channels) pair realizes the requested ratio."""
 
 
-class IncompatibleBaseError(LatentWireError):
-    """A base model cannot be extended into a transfer model."""
-
-
-class UntrainedModelError(LatentWireError):
-    """Operation requires a trained model."""
-
-
 class NotFittedError(LatentWireError):
     """Device encoder used before fit completed."""
 
@@ -58,10 +50,6 @@ class SinkFailure(LatentWireError):
     def __init__(self, message, emitted=0):
         super().__init__(message)
         self.emitted = emitted
-
-
-class MissingDecoderError(LatentWireError):
-    """No decoder registered for the record's device id."""
 
 
 class NoClassifierError(LatentWireError):

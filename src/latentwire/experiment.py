@@ -33,6 +33,8 @@ log = logging.getLogger("latentwire")
 
 CONFIG_FORMAT = "latentwire-config"
 CONFIG_VERSION = 1
+REPORT_FORMAT = "latentwire-report"
+REPORT_VERSION = 1
 
 
 @dataclass
@@ -111,7 +113,6 @@ def run_cell(name, train, test, cfg, cr, seed):
     hub = Hub()
     for dev in devices:
         dev.fit_autoencoder(cr, replace(cfg.ae, seed=seed))
-        hub.register_decoder(dev.device_id, dev.export_decoder())
         dev.export_latents("train", HubSink(hub, "train"))
         dev.export_latents("test", HubSink(hub, "test"))
 
@@ -121,12 +122,13 @@ def run_cell(name, train, test, cfg, cr, seed):
     accuracy, test_s = hub.evaluate("test", num_classes=train.num_classes)
     params = count_parameters(hub.classifier.spec)
 
-    for dev in devices:
-        recs = [r for r in hub.records("test") if r.device_id == dev.device_id]
-        if recs:
-            ok = sum(1 for r in recs if hub.predict(r) == r.label)
+    if log.isEnabledFor(logging.INFO):
+        test_data = hub.assemble("test", num_classes=train.num_classes)
+        owners = np.array([r.device_id for r in hub.records("test")])
+        hits = hub.classifier.forward(test_data.images).argmax(axis=-1) == test_data.labels
+        for device_id in np.unique(owners):
             log.info("cell cr=%s seed=%d device=%d accuracy=%.4f",
-                     cr, seed, dev.device_id, ok / len(recs))
+                     cr, seed, device_id, hits[owners == device_id].mean())
 
     return ReportRow(dataset=name, cr=float(cr), seed=seed, accuracy=accuracy,
                      params=params, train_s=history.train_seconds, test_s=test_s)
@@ -209,7 +211,7 @@ def emit_report(report, path, fmt="csv"):
             for r in report.rows:
                 writer.writerow("" if v is None else v for v in asdict(r).values())
     elif fmt == "json":
-        doc = {"format": "latentwire-report", "version": 1,
+        doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
                "rows": [asdict(r) for r in report.rows]}
         path.write_text(json.dumps(doc, indent=2) + "\n")
     else:
@@ -218,9 +220,9 @@ def emit_report(report, path, fmt="csv"):
 
 def parse_report(path, fmt="csv") -> ExperimentReport:
     path = Path(path)
+    names = [f.name for f in fields(ReportRow)]
     if fmt == "csv":
         hints = typing.get_type_hints(ReportRow)
-        names = [f.name for f in fields(ReportRow)]
         parsers = [_cell_parser(hints[name]) for name in names]
         rows = []
         with path.open(newline="") as fh:
@@ -235,8 +237,15 @@ def parse_report(path, fmt="csv") -> ExperimentReport:
         return ExperimentReport(rows)
     if fmt == "json":
         doc = json.loads(path.read_text())
-        if doc.get("format") != "latentwire-report":
+        if doc.get("format") != REPORT_FORMAT:
             raise ValueError("not a latentwire report document")
+        if doc.get("version") != REPORT_VERSION:
+            raise ValueError(f"unsupported report version {doc.get('version')!r}")
+        if set(doc) != {"format", "version", "rows"}:
+            raise ValueError(f"report keys {sorted(doc)} are not format, version and rows")
+        for r in doc["rows"]:
+            if not isinstance(r, dict) or set(r) != set(names):
+                raise ValueError(f"report row {r!r} does not hold exactly the ReportRow fields")
         return ExperimentReport([ReportRow(**r) for r in doc["rows"]])
     raise ValueError(f"unknown report format {fmt!r}")
 

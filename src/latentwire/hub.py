@@ -1,5 +1,9 @@
-"""Server side: framed ingestion, latent aggregation, classifier training
-and serving, and per-device decoder reconstruction."""
+"""Server side: framed ingestion, latent aggregation, and classifier training
+and serving.
+
+The hub only ever holds latents. It never receives or stores a device's
+decoder, so it has no way to rebuild the images behind the latents.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +13,7 @@ import threading
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import (
-    HeterogeneousShapeError,
-    MissingDecoderError,
-    NoClassifierError,
-    ShapeMismatchError,
-)
-from .network import Network
+from .errors import HeterogeneousShapeError, NoClassifierError, ShapeMismatchError
 from .train import evaluate, train_classifier
 from .wire import (
     ACK_ACCEPTED,
@@ -23,7 +21,7 @@ from .wire import (
     FrameScanner,
     UNLABELED,
 )
-from .zoo import build_vanilla_classifier, infer_shapes
+from .zoo import build_vanilla_classifier
 
 
 class Hub:
@@ -36,14 +34,7 @@ class Hub:
         self.store = []  # (LatentRecord, split), ingestion order
         self.seen = set()  # (device_id, record_id), global
         self.counters = {}  # device_id -> accepted count
-        self.decoders = {}  # device_id -> Network
         self.classifier = None
-
-    def register_decoder(self, device_id, decoder: Network):
-        """Out-of-band decoder registration; re-registration replaces."""
-        infer_shapes(decoder.spec)  # spec must shape-check
-        with self._lock:
-            self.decoders[int(device_id)] = decoder
 
     def ingest(self, record, split) -> int:
         """Append one decoded record; returns ACK_ACCEPTED, or ACK_DUPLICATE
@@ -80,15 +71,13 @@ class Hub:
             num_classes = int(labels.max()) + 1
         return LabeledDataset(images, labels, num_classes, split)
 
-    def train_classifier(self, model, cfg, num_classes=None):
-        """Fit a classifier on the assembled train split; `model` is a
-        family name ("A"/"B") or an explicit ModelSpec."""
+    def train_classifier(self, family, cfg, num_classes=None):
+        """Fit a classifier of `family` ("A"/"B") on the assembled train split."""
         data = self.assemble("train", num_classes)
         if len(data) == 0:
             raise NoClassifierError("no train-split latents ingested")
-        if isinstance(model, str):
-            model = build_vanilla_classifier(data.sample_shape, model, data.num_classes)
-        net, history = train_classifier(model, data, cfg)
+        spec = build_vanilla_classifier(data.sample_shape, family, data.num_classes)
+        net, history = train_classifier(spec, data, cfg)
         self.classifier = net
         return history
 
@@ -101,15 +90,6 @@ class Hub:
                 f"{self.classifier.input_shape}")
         out = self.classifier.forward(record.tensor, training=False)
         return int(np.argmax(out))
-
-    def reconstruct(self, record) -> np.ndarray:
-        decoder = self.decoders.get(record.device_id)
-        if decoder is None:
-            raise MissingDecoderError(f"no decoder for device {record.device_id}")
-        if tuple(record.shape) != tuple(decoder.input_shape):
-            raise ShapeMismatchError(
-                f"record {record.shape} vs decoder input {decoder.input_shape}")
-        return decoder.forward(record.tensor, training=False)
 
     def evaluate(self, split, num_classes=None):
         """Accuracy of the stored classifier over one assembled split."""

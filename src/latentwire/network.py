@@ -16,13 +16,11 @@ class Network:
     """Sequential chain of layers with explicit forward/backward passes.
 
     Parameters live in ``self.params``: one dict per layer ({"w","b"} for
-    conv2d/dense, empty otherwise). Layers marked frozen in the spec do not
-    receive updates; ``set_frozen`` flips that at stage boundaries.
+    conv2d/dense, empty otherwise).
     """
 
     def __init__(self, spec: ModelSpec, params=None, rng=None, dtype=np.float32):
         self.spec = spec
-        self.frozen = [layer.frozen for layer in spec.layers]
         if params is not None:
             self.params = params
         else:
@@ -48,10 +46,6 @@ class Network:
     @property
     def input_shape(self):
         return self.spec.input_shape
-
-    @property
-    def output_shape(self):
-        return infer_shapes(self.spec)[-1]
 
     def _check_input(self, x):
         sample = self.spec.input_shape
@@ -87,15 +81,12 @@ class Network:
         """Chain rule over the cached layers; returns (input_grad, grads).
 
         ``grads`` aligns with ``self.params``: empty dicts for layers that
-        were not run, hold no parameters or are frozen. When every remaining
-        layer below the current position is frozen the walk stops early.
+        were not run or hold no parameters.
         """
         grads = [{} for _ in self.params]
         for i in range(len(caches) - 1, -1, -1):
-            if all(self.frozen[j] for j in range(i + 1)):
-                return None, grads
             grad, pgrads = ops.backward(caches[i], grad)
-            if pgrads is not None and not self.frozen[i]:
+            if pgrads is not None:
                 grads[i] = pgrads
         return grad, grads
 
@@ -103,19 +94,11 @@ class Network:
         """Flat lists of trainable parameter arrays (and matching grads)."""
         params, flat_grads = [], []
         for i, p in enumerate(self.params):
-            if self.frozen[i] or not p:
-                continue
             for key in sorted(p):
                 params.append(p[key])
                 if grads is not None:
                     flat_grads.append(grads[i][key])
         return (params, flat_grads) if grads is not None else params
-
-    def set_frozen(self, frozen):
-        if isinstance(frozen, bool):
-            self.frozen = [frozen] * len(self.frozen)
-        else:
-            self.frozen = list(frozen)
 
     def slice(self, start, stop, input_shape, role):
         """View over layers [start:stop); parameter arrays are shared."""

@@ -1,18 +1,14 @@
 """Training loops: unsupervised autoencoder fit, supervised classifier fit
-with optional augmentation, the 2-stage transfer procedure, and evaluation."""
+with optional augmentation, and evaluation."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    ShapeMismatchError,
-    UntrainedModelError,
-)
+from .errors import DivergenceError, ShapeMismatchError
 from .losses import cross_entropy_loss, mse_loss
 from .network import Network
 from .optim import make_optimizer, optimizer_step
@@ -67,16 +63,6 @@ class TrainedAutoencoder:
             return Network(self.pair.decoder, params=[])
         return self.chain.slice(self.split_index, len(self.chain.spec.layers),
                                 self.pair.latent_shape, "decoder")
-
-
-def split_autoencoder(trained):
-    """Standalone encoder and decoder; parameter arrays are shared, so the
-    composition reproduces the full chain bitwise."""
-    if isinstance(trained, AutoencoderPair):
-        raise UntrainedModelError("autoencoder pair has not been trained")
-    if not isinstance(trained, TrainedAutoencoder):
-        raise UntrainedModelError(f"cannot split {type(trained).__name__}")
-    return trained.encoder, trained.decoder
 
 
 def _check_finite(value, epoch):
@@ -140,20 +126,16 @@ def _has_softmax_tail(spec):
             and spec.layers[-1].fn == "softmax")
 
 
-def train_classifier(model, data, cfg):
+def train_classifier(spec, data, cfg):
     """Minimize softmax cross entropy on a labeled dataset.
 
-    `model` may be a ModelSpec (weights drawn fresh from cfg.seed) or an
-    existing Network (trained in place; used by the transfer stages).
-    Augmentation, when enabled, touches training batches of image-shaped
-    samples only. A trailing softmax layer is bypassed during training and
-    the loss is taken on logits; inference still applies it.
+    Weights are drawn fresh from cfg.seed. Augmentation, when enabled,
+    touches training batches of image-shaped samples only. A trailing
+    softmax layer is bypassed during training and the loss is taken on
+    logits; inference still applies it.
     """
     rng = np.random.default_rng(cfg.seed)
-    if isinstance(model, Network):
-        net = model
-    else:
-        net = Network(model, rng=rng)
+    net = Network(spec, rng=rng)
     if tuple(data.sample_shape) != net.input_shape:
         raise ShapeMismatchError(
             f"samples {data.sample_shape} vs model input {net.input_shape}")
@@ -179,8 +161,7 @@ def train_classifier(model, data, cfg):
             _check_finite(loss.value, epoch)
             _, grads = net.backward(caches, loss.gradient)
             params, gflat = net.trainable(grads)
-            if params:
-                optimizer_step(opt, params, gflat)
+            optimizer_step(opt, params, gflat)
             epoch_loss += loss.value * len(xb)
             correct += int((logits.argmax(axis=-1) == yb).sum())
         hist.losses.append(epoch_loss / n)
@@ -189,41 +170,6 @@ def train_classifier(model, data, cfg):
             break
     hist.train_seconds = time.perf_counter() - start
     return net, hist
-
-
-def two_stage_transfer_train(net, data, cfg_stage1, cfg_stage2):
-    """Head-only training (adam) followed by full fine-tuning (sgd-momentum).
-
-    The network must arrive with its base layers frozen; stage 1 leaves them
-    bitwise untouched, stage 2 unfreezes everything.
-    """
-    if not any(net.frozen):
-        raise UntrainedModelError("stage 1 requires a frozen base")
-    base_idx = [i for i, f in enumerate(net.frozen) if f]
-    before = [{k: v.copy() for k, v in net.params[i].items()} for i in base_idx]
-
-    cfg1 = replace(cfg_stage1, optimizer=cfg_stage1.optimizer or "adam")
-    _, hist1 = train_classifier(net, data, cfg1)
-
-    for i, saved in zip(base_idx, before):
-        for key, value in saved.items():
-            if value.tobytes() != net.params[i][key].tobytes():
-                raise AssertionError(f"frozen layer {i} changed during stage 1")
-
-    net.set_frozen(False)
-    cfg2 = replace(cfg_stage2, optimizer=cfg_stage2.optimizer or "sgd-momentum")
-    _, hist2 = train_classifier(net, data, cfg2)
-    return net, hist1, hist2
-
-
-def extract_base(net, input_shape=None):
-    """Trunk of a trained classifier (everything before flatten), for use as
-    a locally pretrained transfer base."""
-    kinds = [l.kind for l in net.spec.layers]
-    if "flatten" not in kinds:
-        raise UntrainedModelError("classifier has no flatten boundary")
-    stop = kinds.index("flatten")
-    return net.slice(0, stop, input_shape or net.input_shape, "base")
 
 
 def evaluate(net, data):

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import (
-    IncompatibleBaseError,
-    InvalidGeometryError,
-    UnachievableRatioError,
-)
+from .errors import InvalidGeometryError, UnachievableRatioError
 from .ops import ACTIVATIONS
 
 SPEC_FORMAT = "latentwire-model"
@@ -50,7 +46,6 @@ class LayerSpec:
     width: int | None = None
     fn: str | None = None
     rate: float | None = None
-    frozen: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -70,9 +65,9 @@ class LayerSpec:
             raise ValueError(f"dropout rate must be in [0,1), got {self.rate}")
 
 
-def conv(filters, kernel=3, stride=1, padding="valid", frozen=False):
+def conv(filters, kernel=3, stride=1, padding="valid"):
     return LayerSpec("conv2d", kernel=kernel, filters=filters, stride=stride,
-                     padding=padding, frozen=frozen)
+                     padding=padding)
 
 
 def maxpool(pool=2, stride=2):
@@ -83,8 +78,8 @@ def upsample(factor=2):
     return LayerSpec("upsample", factor=factor)
 
 
-def dense(width, frozen=False):
-    return LayerSpec("dense", width=width, frozen=frozen)
+def dense(width):
+    return LayerSpec("dense", width=width)
 
 
 def act(fn):
@@ -108,11 +103,6 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-
-    @property
-    def output_shape(self):
-        return infer_shapes(self)[-1]
-
 
 
 def _layer_out(shape, layer, index):
@@ -175,16 +165,6 @@ def compression_ratio(input_shape, latent_shape):
     return Fraction(math.prod(input_shape), math.prod(latent_shape))
 
 
-@dataclass(frozen=True)
-class CompressionRatio:
-    requested: Fraction
-    achieved: Fraction
-
-    @property
-    def is_identity(self):
-        return self.achieved == 1
-
-
 def _as_fraction(cr):
     frac = Fraction(cr)
     if frac <= 0:
@@ -197,11 +177,11 @@ class AutoencoderPair:
     encoder: ModelSpec
     decoder: ModelSpec
     latent_shape: tuple
-    ratio: CompressionRatio
+    ratio: Fraction
 
     @property
     def is_identity(self):
-        return self.ratio.is_identity
+        return self.ratio == 1
 
 
 def build_autoencoder(input_shape, cr, hidden_width=32):
@@ -216,8 +196,7 @@ def build_autoencoder(input_shape, cr, hidden_width=32):
     if requested == 1:
         enc = ModelSpec((), (h, w, c), role="encoder")
         dec = ModelSpec((), (h, w, c), role="decoder")
-        ratio = CompressionRatio(requested, Fraction(1))
-        return AutoencoderPair(enc, dec, (h, w, c), ratio)
+        return AutoencoderPair(enc, dec, (h, w, c), requested)
 
     stages, c_z = None, None
     s = 1
@@ -250,7 +229,7 @@ def build_autoencoder(input_shape, cr, hidden_width=32):
             f"built ratio {achieved} != requested {requested}")
     assert infer_shapes(enc)[-1] == latent
     assert infer_shapes(dec)[-1] == (h, w, c)
-    return AutoencoderPair(enc, dec, latent, CompressionRatio(requested, achieved))
+    return AutoencoderPair(enc, dec, latent, achieved)
 
 
 def _feasible_prefix(trunk, input_shape):
@@ -266,7 +245,7 @@ def _feasible_prefix(trunk, input_shape):
     return kept, shape
 
 
-def build_vanilla_classifier(input_shape, family, num_classes, pool_stride=2):
+def build_vanilla_classifier(input_shape, family, num_classes):
     """From-scratch CNN classifiers.
 
     Family A: three valid-padding conv/pool blocks, dense 64 head.
@@ -280,7 +259,7 @@ def build_vanilla_classifier(input_shape, family, num_classes, pool_stride=2):
     if family == "A":
         trunk = []
         for _ in range(3):
-            trunk += [conv(32, padding="valid"), act("relu"), maxpool(2, pool_stride)]
+            trunk += [conv(32, padding="valid"), act("relu"), maxpool(2, 2)]
         head = [flatten(), dense(64), act("relu"), dropout(0.5),
                 dense(num_classes), act("softmax")]
     elif family == "B":
@@ -288,7 +267,7 @@ def build_vanilla_classifier(input_shape, family, num_classes, pool_stride=2):
         for filters in (32, 64):
             trunk += [conv(filters, padding="same"), act("relu"),
                       conv(filters, padding="same"), act("relu"),
-                      maxpool(2, pool_stride), dropout(0.25)]
+                      maxpool(2, 2), dropout(0.25)]
         head = [flatten(), dense(512), act("relu"), dropout(0.5),
                 dense(num_classes), act("softmax")]
     else:
@@ -304,25 +283,6 @@ def build_vanilla_classifier(input_shape, family, num_classes, pool_stride=2):
     return ModelSpec(tuple(kept + head), (h, w, c), role="classifier")
 
 
-def build_transfer_model(base, head_width, num_classes):
-    """Frozen feature base plus a trainable dense head."""
-    if head_width < num_classes:
-        raise IncompatibleBaseError(
-            f"head width {head_width} < {num_classes} classes")
-    if base.layers and base.layers[-1].kind == "activation" and base.layers[-1].fn == "softmax":
-        raise IncompatibleBaseError("base must end in a feature tensor, not softmax")
-    try:
-        out = infer_shapes(base)[-1]
-    except InvalidGeometryError as exc:
-        raise IncompatibleBaseError(f"base does not shape-check: {exc}") from exc
-    if math.prod(out) < num_classes:
-        raise IncompatibleBaseError(f"base emits only {math.prod(out)} features")
-    frozen_base = tuple(replace(l, frozen=True) for l in base.layers)
-    head = (flatten(), dense(head_width), act("relu"),
-            dense(num_classes), act("softmax"))
-    return ModelSpec(frozen_base + head, base.input_shape, role="classifier")
-
-
 def spec_to_dict(spec):
     layers = []
     for layer in spec.layers:
@@ -331,8 +291,6 @@ def spec_to_dict(spec):
             value = getattr(layer, name)
             if value is not None:
                 entry[name] = value
-        if layer.frozen:
-            entry["frozen"] = True
         layers.append(entry)
     return {
         "format": SPEC_FORMAT,
@@ -348,11 +306,16 @@ def spec_from_dict(doc):
         raise ValueError(f"not a model spec document: {doc.get('format')!r}")
     if doc.get("version") != SPEC_VERSION:
         raise ValueError(f"unsupported model spec version {doc.get('version')!r}")
+    if set(doc) != {"format", "version", "role", "input_shape", "layers"}:
+        raise ValueError(f"model spec keys {sorted(doc)} are not the expected ones")
     layers = []
-    for entry in doc["layers"]:
-        fields = dict(entry)
-        kind = fields.pop("kind")
-        layers.append(LayerSpec(kind, **fields))
+    for i, entry in enumerate(doc["layers"]):
+        if "kind" not in entry:
+            raise ValueError(f"layer {i} has no kind")
+        unknown = sorted(set(entry) - {"kind", *_GEOMETRY})
+        if unknown:
+            raise ValueError(f"unknown key(s) in layer {i}: {', '.join(unknown)}")
+        layers.append(LayerSpec(**entry))
     return ModelSpec(tuple(layers), tuple(doc["input_shape"]), role=doc["role"])
 
 

@@ -1,3 +1,4 @@
+import json
 import logging
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from latentwire.experiment import (
     load_config,
     normalize_metrics,
     parse_report,
+    run_experiment,
     save_config,
 )
 from latentwire.train import TrainConfig
@@ -114,6 +116,33 @@ def test_csv_report_rejects_ragged_row(tmp_path):
         parse_report(path)
 
 
+def _edited_json_report(tmp_path, edit):
+    path = tmp_path / "report.json"
+    emit_report(ExperimentReport(ROWS[:1]), path, fmt="json")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_json_report_version_checked(tmp_path):
+    path = _edited_json_report(tmp_path, lambda doc: doc.update(version=7))
+    with pytest.raises(ValueError, match="version"):
+        parse_report(path, fmt="json")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["rows"][0].update(acc=0.5),
+    lambda doc: doc["rows"][0].pop("seed"),
+    lambda doc: doc.update(notes="x"),
+    lambda doc: doc.pop("rows"),
+], ids=["unknown-row-key", "missing-row-key", "unknown-key", "missing-rows"])
+def test_json_report_keys_checked(tmp_path, edit):
+    path = _edited_json_report(tmp_path, edit)
+    with pytest.raises(ValueError, match="keys|fields"):
+        parse_report(path, fmt="json")
+
+
 def test_unknown_report_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         emit_report(ExperimentReport(list(ROWS)), tmp_path / "r.txt", fmt="structured-text")
@@ -162,3 +191,35 @@ def test_normalize_missing_baseline_leaves_other_groups(caplog):
     assert report.rows[1].acc_norm == pytest.approx(0.5)
     assert report.rows[2].accuracy == 0.4 and report.rows[2].acc_norm is None
     assert "seed 1" in caplog.text
+
+
+# --- determinism -------------------------------------------------------------------
+
+TINY_GRID = ExperimentConfig(
+    synthetic=SyntheticSpec(image_size=(8, 8, 3), num_classes=2, samples_per_class=12),
+    ratios=(1, 4), n_devices=2, ae=TrainConfig(epochs=1), clf=TrainConfig(epochs=1),
+    seeds=(0, 1))
+
+
+def _cells(report):
+    return [(r.cr, r.seed, r.accuracy, r.params, r.acc_norm, r.params_norm)
+            for r in report.rows]
+
+
+def test_run_experiment_is_deterministic():
+    first = _cells(run_experiment(TINY_GRID))
+    assert len(first) == 4 and all(cell[2] is not None for cell in first)
+    assert _cells(run_experiment(TINY_GRID)) == first
+    assert _cells(run_experiment(replace(TINY_GRID, jobs=2))) == first
+
+
+def test_per_device_accuracy_logged_only_at_info(caplog):
+    with caplog.at_level(logging.WARNING, logger="latentwire"):
+        run_experiment(replace(TINY_GRID, seeds=(0,)))
+    assert not [r for r in caplog.records if "device=" in r.getMessage()]
+    with caplog.at_level(logging.INFO, logger="latentwire"):
+        run_experiment(replace(TINY_GRID, seeds=(0,)))
+    logged = [r.args for r in caplog.records if "device=" in r.getMessage()]
+    assert sorted((cr, device) for cr, _, device, _ in logged) == [
+        (1, 0), (1, 1), (4, 0), (4, 1)]
+    assert all(0.0 <= acc <= 1.0 for *_, acc in logged)

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,50 @@ def unused_imports(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# Definitions that nothing in the package reads but that stay, with the reason.
+ENTRY_POINTS = {
+    "WireClientSink": "the wire's TCP client; the benchmark drives it",
+    "Hub.predict": "the hub's per-sample serving call; the benchmark drives it",
+    "save_config": "the writer for load_config's file format",
+    "FrameScanner.pending": "bytes still buffered; the wire tests check resync by it",
+    "_Handler.handle": "hook that socketserver calls per connection",
+}
+
+
+def definitions(tree, prefix=""):
+    """(qualified name, node) for every function, class and method below
+    `tree`, dunders excepted."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield name, node
+            yield from definitions(node, name + ".")
+        else:
+            yield from definitions(node, prefix)
+
+
+def reads(tree):
+    """Names read through Name or Attribute nodes, with their counts."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            counts[node.attr] += 1
+    return counts
+
+
+def unreached(paths):
+    """Qualified names of the definitions in `paths` that no code outside the
+    definition itself reads."""
+    trees = [ast.parse(p.read_text()) for p in paths]
+    total = sum((reads(t) for t in trees), Counter())
+    return sorted(name for tree in trees for name, node in definitions(tree)
+                  if total[node.name] - reads(node)[node.name] <= 0)
+
+
+def test_every_definition_is_reached():
+    assert unreached(sorted(PACKAGE.glob("*.py"))) == sorted(ENTRY_POINTS)

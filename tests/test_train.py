@@ -2,25 +2,22 @@ import numpy as np
 import pytest
 
 from latentwire.data import LabeledDataset, SyntheticSpec, gen_synthetic
-from latentwire.errors import DivergenceError, ShapeMismatchError, UntrainedModelError
+from latentwire.errors import DivergenceError, ShapeMismatchError
 from latentwire.network import Network
 from latentwire.train import (
     AugmentPolicy,
     TrainConfig,
     augment,
     evaluate,
-    extract_base,
     hflip,
     shift2d,
     train_autoencoder,
     train_classifier,
-    two_stage_transfer_train,
 )
 from latentwire.zoo import (
     ModelSpec,
     act,
     build_autoencoder,
-    build_transfer_model,
     build_vanilla_classifier,
     conv,
     dense,
@@ -164,84 +161,6 @@ def test_evaluate_pure_and_deterministic():
     after = [p["w"].tobytes() for p in net.params if p]
     assert a1 == a2
     assert before == after
-
-
-# --- two-stage transfer ----------------------------------------------------------------
-
-def _transfer_setup(seed=0):
-    syn = SyntheticSpec(image_size=(16, 16, 3), num_classes=3, samples_per_class=30)
-    pre_train, _ = gen_synthetic(syn, seed=10 + seed)
-    spec = build_vanilla_classifier((16, 16, 3), "A", 3)
-    base_net, _ = train_classifier(spec, pre_train, TrainConfig(epochs=6, seed=seed))
-    base = extract_base(base_net)
-    tspec = build_transfer_model(base.spec, 32, 3)
-    net = Network(tspec, rng=rng(seed))
-    for i, p in enumerate(base.params):  # adopt pretrained base weights
-        for k, v in p.items():
-            net.params[i][k] = v.copy()
-    train, test = gen_synthetic(syn, seed=20 + seed)
-    return net, train, test
-
-
-def test_stage1_keeps_base_bitwise():
-    net, train, _ = _transfer_setup()
-    frozen_idx = [i for i, f in enumerate(net.frozen) if f]
-    before = [{k: v.copy() for k, v in net.params[i].items()} for i in frozen_idx]
-    two_stage_transfer_train(net, train,
-                             TrainConfig(epochs=2, seed=0),
-                             TrainConfig(epochs=0, seed=0))
-    # stage 2 ran zero epochs, so any base drift must come from stage 1
-    for i, saved in zip(frozen_idx, before):
-        for k, v in saved.items():
-            assert v.tobytes() == net.params[i][k].tobytes()
-
-
-def test_zero_epoch_stages_leave_model_unchanged():
-    net, train, _ = _transfer_setup()
-    before = [{k: v.copy() for k, v in p.items()} for p in net.params]
-    two_stage_transfer_train(net, train, TrainConfig(epochs=0), TrainConfig(epochs=0))
-    for p, saved in zip(net.params, before):
-        for k in saved:
-            assert p[k].tobytes() == saved[k].tobytes()
-
-
-def test_stage1_frozen_grads_are_zero():
-    net, train, _ = _transfer_setup()
-    from latentwire.losses import cross_entropy_loss
-    xb = train.images[:8]
-    yb = train.labels[:8]
-    logits, caches = net.forward(xb, training=True, rng=rng(0),
-                                 upto=len(net.spec.layers) - 1, return_caches=True)
-    loss = cross_entropy_loss(logits, yb)
-    _, grads = net.backward(caches, loss.gradient)
-    for i, frozen in enumerate(net.frozen):
-        if frozen and grads[i]:
-            assert all(np.all(g == 0) for g in grads[i].values())
-
-
-def test_two_stage_requires_frozen_base():
-    data = _separable_dataset(8)
-    net = Network(_mlp_spec(), rng=rng(0))
-    with pytest.raises(UntrainedModelError):
-        two_stage_transfer_train(net, data, TrainConfig(epochs=1), TrainConfig(epochs=1))
-
-
-def test_two_stage_accuracy_not_degraded_much():
-    deltas = []
-    for seed in range(2):
-        net1, train, test = _transfer_setup(seed)
-        two_stage_transfer_train(net1, train,
-                                 TrainConfig(epochs=6, seed=seed),
-                                 TrainConfig(epochs=0, seed=seed))
-        stage1_acc, _ = evaluate(net1, test)
-
-        net2, train, test = _transfer_setup(seed)
-        two_stage_transfer_train(net2, train,
-                                 TrainConfig(epochs=6, seed=seed),
-                                 TrainConfig(epochs=4, seed=seed))
-        full_acc, _ = evaluate(net2, test)
-        deltas.append(full_acc - stage1_acc)
-    assert np.mean(deltas) >= -0.02
 
 
 # --- augmentation -------------------------------------------------------------------

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentwire.errors import (
-    IncompatibleBaseError,
-    InvalidGeometryError,
-    UnachievableRatioError,
-    UntrainedModelError,
-)
+from latentwire.errors import InvalidGeometryError, UnachievableRatioError
 from latentwire.network import Network
-from latentwire.train import TrainConfig, split_autoencoder, train_autoencoder
+from latentwire.train import TrainConfig, train_autoencoder
 from latentwire.zoo import (
     ModelSpec,
-    act,
     build_autoencoder,
-    build_transfer_model,
     build_vanilla_classifier,
     compression_ratio,
     conv,
@@ -24,8 +17,9 @@ from latentwire.zoo import (
     dense,
     infer_shapes,
     load_spec,
-    maxpool,
     save_spec,
+    spec_from_dict,
+    spec_to_dict,
 )
 
 from oracles import count_parameters_oracle
@@ -37,7 +31,7 @@ def test_cifar_shape_cr4_latent():
     pair = build_autoencoder((32, 32, 3), 4)
     assert pair.latent_shape == (16, 16, 3)
     assert int(np.prod(pair.latent_shape)) == 3072 // 4
-    assert pair.ratio.achieved == 4
+    assert pair.ratio == 4
 
 
 def test_cifar_shape_cr8_needs_two_stages():
@@ -89,18 +83,12 @@ def test_achieved_ratio_always_exact(shape, cr):
 
 # --- split/compose -----------------------------------------------------------
 
-def test_split_requires_training():
-    pair = build_autoencoder((8, 8, 3), 4)
-    with pytest.raises(UntrainedModelError):
-        split_autoencoder(pair)
-
-
 def test_split_compose_bitwise():
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((20, 8, 8, 3)).astype(np.float32)
     trained, _ = train_autoencoder(pair, images, TrainConfig(epochs=2, seed=0))
-    encoder, decoder = split_autoencoder(trained)
-    assert encoder.output_shape == pair.latent_shape
+    encoder, decoder = trained.encoder, trained.decoder
+    assert infer_shapes(encoder.spec)[-1] == pair.latent_shape
     for x in images[:5]:
         full = trained.chain.forward(x)
         split = decoder.forward(encoder.forward(x))
@@ -111,9 +99,8 @@ def test_decoder_rejects_non_latent_shape():
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((10, 8, 8, 3)).astype(np.float32)
     trained, _ = train_autoencoder(pair, images, TrainConfig(epochs=1, seed=0))
-    _, decoder = split_autoencoder(trained)
     with pytest.raises(Exception):
-        decoder.forward(np.zeros((8, 8, 3), np.float32))
+        trained.decoder.forward(np.zeros((8, 8, 3), np.float32))
 
 
 # --- classifier builders -------------------------------------------------------
@@ -212,43 +199,6 @@ def test_compression_ratio_values():
     assert compression_ratio((256, 256, 3), (64, 64, 6)) == 8
 
 
-# --- transfer assembly ---------------------------------------------------------------
-
-def _toy_base():
-    return ModelSpec((conv(8, padding="same"), act("relu"), maxpool(2, 2)), (8, 8, 3),
-                     role="base")
-
-
-def test_transfer_head_shapes():
-    spec = build_transfer_model(_toy_base(), 256, 10)
-    dense_layers = [l for l in spec.layers if l.kind == "dense"]
-    assert [l.width for l in dense_layers] == [256, 10]
-    shapes = infer_shapes(spec)
-    assert shapes[-1] == (10,)
-
-
-def test_transfer_head_width_50_variant():
-    spec = build_transfer_model(_toy_base(), 50, 10)
-    assert [l.width for l in spec.layers if l.kind == "dense"] == [50, 10]
-
-
-def test_transfer_base_layers_frozen():
-    spec = build_transfer_model(_toy_base(), 32, 10)
-    assert all(l.frozen for l in spec.layers[:3])
-    assert not any(l.frozen for l in spec.layers[3:])
-
-
-def test_transfer_rejects_softmax_base():
-    bad = ModelSpec((dense(4), act("softmax")), (6,))
-    with pytest.raises(IncompatibleBaseError):
-        build_transfer_model(bad, 16, 4)
-
-
-def test_transfer_rejects_narrow_head():
-    with pytest.raises(IncompatibleBaseError):
-        build_transfer_model(_toy_base(), 4, 10)
-
-
 # --- spec serialization ----------------------------------------------------------------
 
 def test_spec_roundtrip(tmp_path):
@@ -258,6 +208,35 @@ def test_spec_roundtrip(tmp_path):
     loaded = load_spec(path)
     assert loaded == spec
     assert "latentwire-model" in path.read_text()
+
+
+def _spec_doc():
+    return spec_to_dict(build_vanilla_classifier((8, 8, 3), "A", 2))
+
+
+@pytest.mark.parametrize("key", ["frozen", "strides"])
+def test_spec_rejects_unknown_layer_key(key):
+    doc = _spec_doc()
+    doc["layers"][0][key] = True
+    with pytest.raises(ValueError, match=key):
+        spec_from_dict(doc)
+
+
+def test_spec_rejects_layer_without_kind():
+    doc = _spec_doc()
+    del doc["layers"][1]["kind"]
+    with pytest.raises(ValueError, match="no kind"):
+        spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit", [lambda doc: doc.pop("layers"),
+                                  lambda doc: doc.update(name="a")],
+                         ids=["missing", "unknown"])
+def test_spec_document_keys_checked(edit):
+    doc = _spec_doc()
+    edit(doc)
+    with pytest.raises(ValueError, match="keys"):
+        spec_from_dict(doc)
 
 
 def test_builders_are_pure():
