@@ -4,7 +4,8 @@
 with --config, from the file alone: keys the file leaves out take the
 defaults, and --out applies only when the file sets no out. Relative dataset
 paths resolve against $LATENTWIRE_DATA_DIR when the file is not found where
-given.
+given. A program error ends the command with one ``latentwire: error:``
+line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import argparse
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 from .data import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from .device import DeviceNode
+from .errors import LatentWireError
 from .experiment import (
     ExperimentConfig,
     emit_report,
@@ -166,8 +169,6 @@ def cmd_serve(args):
     print(f"ingesting {args.split} latents on {host}:{port} (ctrl-c to stop)")
     try:
         while True:
-            import time
-
             time.sleep(1)
     except KeyboardInterrupt:
         pass
@@ -264,7 +265,11 @@ def main(argv=None):
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LatentWireError, ValueError, OSError) as exc:
+        print(f"latentwire: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     NotFittedError,
-    ShapeMismatchError,
     SinkFailure,
     TooManyDevicesError,
 )
@@ -97,30 +96,29 @@ class DeviceNode:
         self._require_fit()
         return self._trained.decoder
 
-    def encode(self, sample, label=None) -> LatentRecord:
-        """Run the encoder in inference mode and wrap the result."""
-        self._require_fit()
-        sample = np.asarray(sample, dtype=np.float32)
-        if tuple(sample.shape) != tuple(self.data["train"].sample_shape):
-            raise ShapeMismatchError(
-                f"sample {sample.shape} vs encoder input "
-                f"{self.data['train'].sample_shape}")
-        latent = self._trained.encoder.forward(sample, training=False)
+    def _record(self, latent, label):
         rec = record_from_tensor(self.device_id, self._next_record_id, label, latent)
         self._next_record_id += 1
         return rec
 
+    def encode(self, sample, label=None) -> LatentRecord:
+        """Run the encoder in inference mode on one sample and wrap the result."""
+        self._require_fit()
+        batch = np.asarray(sample, dtype=np.float32)[None]
+        return self._record(self._trained.encoder.forward(batch)[0], label)
+
     def export_latents(self, split, sink) -> int:
-        """Encode every sample of a split and push the records in dataset
-        order; returns the emitted count. A sink failure aborts the export
-        and reports how many records made it out."""
+        """Encode every sample of a split in batches and push the records in
+        dataset order; returns the emitted count. A sink failure aborts the
+        export and reports how many records made it out."""
         self._require_fit()
         data = self.data[split]
         if data is None:
             raise ValueError(f"device {self.device_id} holds no {split!r} split")
+        latents = self._trained.encoder.infer(np.asarray(data.images, dtype=np.float32))
         emitted = 0
-        for i in range(len(data)):
-            rec = self.encode(data.images[i], int(data.labels[i]))
+        for latent, label in zip(latents, data.labels):
+            rec = self._record(latent, int(label))
             try:
                 sink.push(rec)
             except Exception as exc:
@@ -136,8 +134,7 @@ def make_devices(train, test, n_devices, mode="iid", rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     train_shards = partition_dataset(train, n_devices, mode, rng)
-    test_shards = (partition_dataset(test, n_devices, mode, rng)
-                   if test is not None and len(test) >= n_devices else [None] * n_devices)
+    test_shards = partition_dataset(test, n_devices, mode, rng)
     return [DeviceNode(i, tr, te)
             for i, (tr, te) in enumerate(zip(train_shards, test_shards))]
 

@@ -125,7 +125,7 @@ def run_cell(name, train, test, cfg, cr, seed):
     if log.isEnabledFor(logging.INFO):
         test_data = hub.assemble("test", num_classes=train.num_classes)
         owners = np.array([r.device_id for r in hub.records("test")])
-        hits = hub.classifier.forward(test_data.images).argmax(axis=-1) == test_data.labels
+        hits = hub.classifier.infer(test_data.images).argmax(axis=-1) == test_data.labels
         for device_id in np.unique(owners):
             log.info("cell cr=%s seed=%d device=%d accuracy=%.4f",
                      cr, seed, device_id, hits[owners == device_id].mean())

@@ -33,7 +33,6 @@ class Hub:
         self._lock = threading.Lock()
         self.store = []  # (LatentRecord, split), ingestion order
         self.seen = set()  # (device_id, record_id), global
-        self.counters = {}  # device_id -> accepted count
         self.classifier = None
 
     def ingest(self, record, split) -> int:
@@ -45,7 +44,6 @@ class Hub:
                 return ACK_DUPLICATE
             self.seen.add(key)
             self.store.append((record, split))
-            self.counters[record.device_id] = self.counters.get(record.device_id, 0) + 1
         return ACK_ACCEPTED
 
     def records(self, split):
@@ -84,12 +82,7 @@ class Hub:
     def predict(self, record) -> int:
         if self.classifier is None:
             raise NoClassifierError("train a classifier before predicting")
-        if record.shape != self.classifier.input_shape:
-            raise ShapeMismatchError(
-                f"record {record.shape} vs classifier input "
-                f"{self.classifier.input_shape}")
-        out = self.classifier.forward(record.tensor, training=False)
-        return int(np.argmax(out))
+        return int(self.classifier.forward(record.tensor[None]).argmax())
 
     def evaluate(self, split, num_classes=None):
         """Accuracy of the stored classifier over one assembled split."""

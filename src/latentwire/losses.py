@@ -31,14 +31,13 @@ def mse_loss(prediction, target):
 def cross_entropy_loss(logits, labels):
     """Softmax cross entropy averaged over the batch.
 
-    logits: (K,) or (B,K); labels: int or (B,) ints in [0,K).
+    logits: (B,K); labels: (B,) ints in [0,K).
     Gradient is (softmax - onehot)/B, so rows sum to zero.
     """
     lg = np.asarray(logits)
-    single = lg.ndim == 1
-    if single:
-        lg = lg[None, :]
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    lab = np.asarray(labels, dtype=np.int64)
+    if lg.ndim != 2:
+        raise ShapeMismatchError(f"logits must be (B,K), got {lg.shape}")
     b, k = lg.shape
     if lab.shape != (b,):
         raise ShapeMismatchError(f"{b} logit rows vs labels {lab.shape}")
@@ -50,6 +49,4 @@ def cross_entropy_loss(logits, labels):
     grad = softmax(lg, axis=1)
     grad[np.arange(b), lab] -= 1.0
     grad /= b
-    if single:
-        grad = grad[0]
     return LossResult(value, grad.astype(lg.dtype, copy=False))

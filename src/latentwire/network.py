@@ -11,6 +11,8 @@ from .errors import ShapeMismatchError
 from .initializers import glorot_uniform
 from .zoo import ModelSpec, infer_shapes, load_spec, save_spec
 
+INFER_BATCH = 32  # samples per forward in bulk inference: one training batch
+
 
 class Network:
     """Sequential chain of layers with explicit forward/backward passes.
@@ -48,13 +50,12 @@ class Network:
         return self.spec.input_shape
 
     def _check_input(self, x):
-        sample = self.spec.input_shape
-        if x.shape != sample and x.shape[1:] != sample:
+        if x.shape[1:] != self.spec.input_shape:
             raise ShapeMismatchError(
-                f"input {x.shape} does not match model input {sample}")
+                f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
 
     def forward(self, x, training=False, rng=None, upto=None, return_caches=False):
-        """Run the chain; ``upto`` stops before layer index ``upto``."""
+        """Run the chain over a batch; ``upto`` stops before layer index ``upto``."""
         self._check_input(x)
         layers = self.spec.layers if upto is None else self.spec.layers[:upto]
         caches = [] if return_caches else None
@@ -76,6 +77,14 @@ class Network:
             if return_caches:
                 caches.append(cache)
         return (x, caches) if return_caches else x
+
+    def infer(self, x):
+        """Inference-mode forward over a batch, INFER_BATCH samples at a time.
+
+        An empty batch still runs one forward, so its output keeps its shape.
+        """
+        return np.concatenate([self.forward(x[lo:lo + INFER_BATCH])
+                               for lo in range(0, max(len(x), 1), INFER_BATCH)])
 
     def backward(self, caches, grad):
         """Chain rule over the cached layers; returns (input_grad, grads).

@@ -2,9 +2,9 @@
 
 Every forward op returns ``(output, cache)``; ``backward(cache, grad)``
 dispatches on the cache kind and returns ``(input_grad, param_grads)``.
-Spatial tensors are channels-last ``(H, W, C)``; every op also accepts a
-leading batch dimension. All math preserves the input dtype, so suites that
-need double precision simply pass float64 arrays.
+Ops take batches only: spatial tensors are channels-last ``(N, H, W, C)``
+and dense inputs ``(N, D)``. All math preserves the input dtype, so suites
+that need double precision simply pass float64 arrays.
 """
 
 from __future__ import annotations
@@ -34,15 +34,9 @@ class LayerCache:
         return self.data
 
 
-def _as_batch(x, sample_ndim):
-    """Promote a single sample to a batch of one; report whether we did."""
-    if x.ndim == sample_ndim:
-        return x[None, ...], True
-    if x.ndim == sample_ndim + 1:
-        return x, False
-    raise ShapeMismatchError(
-        f"expected rank {sample_ndim} or {sample_ndim + 1}, got {x.ndim}"
-    )
+def _check_rank(x, ndim):
+    if x.ndim != ndim:
+        raise ShapeMismatchError(f"expected a rank-{ndim} batch, got shape {x.shape}")
 
 
 def _same_pad(size, kernel, stride):
@@ -54,12 +48,12 @@ def _same_pad(size, kernel, stride):
 def conv2d(x, w, b, stride=1, padding="valid"):
     """2-D cross-correlation with per-filter bias.
 
-    x: (H,W,C) or (N,H,W,C); w: (K,K,C,F); b: (F,).
+    x: (N,H,W,C); w: (K,K,C,F); b: (F,).
     """
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeMismatchError(f"conv weights must be (K,K,C,F), got {w.shape}")
-    xb, squeeze = _as_batch(x, 3)
-    n, h, wd, c = xb.shape
+    _check_rank(x, 4)
+    n, h, wd, c = x.shape
     k, _, wc, f = w.shape
     if wc != c:
         raise ShapeMismatchError(f"input has {c} channels, weights expect {wc}")
@@ -74,7 +68,7 @@ def conv2d(x, w, b, stride=1, padding="valid"):
         raise ValueError(f"unknown padding {padding!r}")
     if k > h + pt + pb or k > wd + pl + pr:
         raise InvalidGeometryError(f"kernel {k} exceeds padded input {h}x{wd}")
-    xp = np.pad(xb, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     ho = (xp.shape[1] - k) // stride + 1
     wo = (xp.shape[2] - k) // stride + 1
     if ho < 1 or wo < 1:
@@ -85,7 +79,7 @@ def conv2d(x, w, b, stride=1, padding="valid"):
         y = np.einsum("nhwckl,klcf->nhwf", win, w, optimize=True)
     else:
         # wide input: accumulate k*k shifted GEMMs, no window materialization
-        y = np.zeros((xb.shape[0], ho, wo, f), dtype=xb.dtype)
+        y = np.zeros((n, ho, wo, f), dtype=x.dtype)
         for a in range(k):
             for bb in range(k):
                 xs = _shift_slice(xp, a, bb, ho, wo, stride)
@@ -93,9 +87,9 @@ def conv2d(x, w, b, stride=1, padding="valid"):
     y += b
     cache = LayerCache(
         "conv2d", xp=xp, w=w, stride=stride, out_hw=(ho, wo),
-        pads=(pt, pb, pl, pr), in_shape=xb.shape, squeeze=squeeze,
+        pads=(pt, pb, pl, pr), in_shape=x.shape,
     )
-    return (y[0] if squeeze else y), cache
+    return y, cache
 
 
 def _shift_slice(xp, a, b, ho, wo, stride):
@@ -106,61 +100,47 @@ def _shift_slice(xp, a, b, ho, wo, stride):
 def _conv2d_backward(data, g):
     xp, w, stride = data["xp"], data["w"], data["stride"]
     pt, _, pl, _ = data["pads"]
-    n, h, wd, c = data["in_shape"]
+    _, h, wd, _ = data["in_shape"]
     k = w.shape[0]
     ho, wo = data["out_hw"]
-    gb = g[None, ...] if data["squeeze"] else g
-    db = gb.sum(axis=(0, 1, 2))
+    db = g.sum(axis=(0, 1, 2))
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp)
-    wide_in = c > w.shape[3]  # let einsum buffer the smaller operand
     for a in range(k):
         for bb in range(k):
             xs = _shift_slice(xp, a, bb, ho, wo, stride)
-            if wide_in:
-                dw[a, bb] = np.einsum("nhwc,nhwf->cf", xs, gb, optimize=True)
-            else:
-                dw[a, bb] = np.tensordot(xs, gb, axes=([0, 1, 2], [0, 1, 2]))
-            _shift_slice(dxp, a, bb, ho, wo, stride)[...] += gb @ w[a, bb].T
-    dx = dxp[:, pt : pt + h, pl : pl + wd]
-    if data["squeeze"]:
-        dx = dx[0]
-    return dx, {"w": dw, "b": db}
+            dw[a, bb] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
+            _shift_slice(dxp, a, bb, ho, wo, stride)[...] += g @ w[a, bb].T
+    return dxp[:, pt : pt + h, pl : pl + wd], {"w": dw, "b": db}
 
 
 def maxpool2d(x, pool, stride):
     """Max pooling over pool x pool windows; cache records argmax positions."""
-    xb, squeeze = _as_batch(x, 3)
-    n, h, wd, c = xb.shape
+    _check_rank(x, 4)
+    n, h, wd, c = x.shape
     if pool > h or pool > wd:
         raise InvalidGeometryError(f"pool {pool} exceeds input {h}x{wd}")
-    win = sliding_window_view(xb, (pool, pool), axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(x, (pool, pool), axis=(1, 2))[:, ::stride, ::stride]
     ho, wo = win.shape[1], win.shape[2]
     flat = win.reshape(n, ho, wo, c, pool * pool)
     idx = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    cache = LayerCache(
-        "maxpool2d", idx=idx, pool=pool, stride=stride,
-        in_shape=xb.shape, squeeze=squeeze,
-    )
-    return (y[0] if squeeze else y), cache
+    cache = LayerCache("maxpool2d", idx=idx, pool=pool, stride=stride, in_shape=x.shape)
+    return y, cache
 
 
 def _maxpool2d_backward(data, g):
     idx, pool, stride = data["idx"], data["pool"], data["stride"]
     n, h, wd, c = data["in_shape"]
-    gb = g[None, ...] if data["squeeze"] else g
     ho, wo = idx.shape[1], idx.shape[2]
-    dx = np.zeros((n, h, wd, c), dtype=gb.dtype)
+    dx = np.zeros((n, h, wd, c), dtype=g.dtype)
     ni = np.arange(n)[:, None, None, None]
     ii = np.arange(ho)[None, :, None, None]
     ji = np.arange(wo)[None, None, :, None]
     ci = np.arange(c)[None, None, None, :]
     rows = ii * stride + idx // pool
     cols = ji * stride + idx % pool
-    np.add.at(dx, (ni, rows, cols, ci), gb)
-    if data["squeeze"]:
-        dx = dx[0]
+    np.add.at(dx, (ni, rows, cols, ci), g)
     return dx, None
 
 
@@ -168,43 +148,30 @@ def upsample2d(x, factor):
     """Nearest-neighbour upsampling by an integer factor."""
     if factor < 1:
         raise InvalidGeometryError(f"upsample factor must be >= 1, got {factor}")
-    xb, squeeze = _as_batch(x, 3)
-    y = xb.repeat(factor, axis=1).repeat(factor, axis=2)
-    cache = LayerCache("upsample2d", factor=factor, in_shape=xb.shape, squeeze=squeeze)
-    return (y[0] if squeeze else y), cache
+    _check_rank(x, 4)
+    y = x.repeat(factor, axis=1).repeat(factor, axis=2)
+    return y, LayerCache("upsample2d", factor=factor, in_shape=x.shape)
 
 
 def _upsample2d_backward(data, g):
     f = data["factor"]
     n, h, wd, c = data["in_shape"]
-    gb = g[None, ...] if data["squeeze"] else g
-    dx = gb.reshape(n, h, f, wd, f, c).sum(axis=(2, 4))
-    if data["squeeze"]:
-        dx = dx[0]
-    return dx, None
+    return g.reshape(n, h, f, wd, f, c).sum(axis=(2, 4)), None
 
 
 def dense(x, w, b):
-    """Affine map x @ w + b; x is (D,) or (N,D), w is (D,M)."""
-    xb, squeeze = _as_batch(x, 1)
-    if w.ndim != 2 or xb.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"dense input {xb.shape[1]} vs weights {w.shape}")
+    """Affine map x @ w + b; x is (N,D), w is (D,M)."""
+    _check_rank(x, 2)
+    if w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"dense input {x.shape[1]} vs weights {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeMismatchError(f"bias shape {b.shape} != ({w.shape[1]},)")
-    y = xb @ w + b
-    cache = LayerCache("dense", x=xb, w=w, squeeze=squeeze)
-    return (y[0] if squeeze else y), cache
+    return x @ w + b, LayerCache("dense", x=x, w=w)
 
 
 def _dense_backward(data, g):
-    xb, w = data["x"], data["w"]
-    gb = g[None, ...] if data["squeeze"] else g
-    dw = xb.T @ gb
-    db = gb.sum(axis=0)
-    dx = gb @ w.T
-    if data["squeeze"]:
-        dx = dx[0]
-    return dx, {"w": dw, "b": db}
+    x, w = data["x"], data["w"]
+    return g @ w.T, {"w": x.T @ g, "b": g.sum(axis=0)}
 
 
 def _sigmoid(x):
@@ -269,17 +236,13 @@ def _dropout_backward(data, g):
     return g * data["mask"] * np.asarray(data["scale"], dtype=g.dtype), None
 
 
-def flatten(x, sample_ndim=3):
-    xb, squeeze = _as_batch(x, sample_ndim) if x.ndim != 1 else (x[None], True)
-    y = xb.reshape(xb.shape[0], -1)
-    cache = LayerCache("flatten", in_shape=xb.shape, squeeze=squeeze)
-    return (y[0] if squeeze else y), cache
+def flatten(x):
+    """(N, ...) -> (N, D)."""
+    return x.reshape(x.shape[0], -1), LayerCache("flatten", in_shape=x.shape)
 
 
 def _flatten_backward(data, g):
-    gb = g[None, ...] if data["squeeze"] else g
-    dx = gb.reshape(data["in_shape"])
-    return (dx[0] if data["squeeze"] else dx), None
+    return g.reshape(data["in_shape"]), None
 
 
 _BACKWARD = {

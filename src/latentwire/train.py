@@ -175,8 +175,7 @@ def train_classifier(spec, data, cfg):
 def evaluate(net, data):
     """(accuracy, wall seconds); inference mode, parameters untouched."""
     start = time.perf_counter()
-    out = net.forward(data.images, training=False)
-    pred = out.argmax(axis=-1)
+    pred = net.infer(data.images).argmax(axis=-1)
     acc = float((pred == data.labels).mean()) if len(data) else 0.0
     return acc, time.perf_counter() - start
 

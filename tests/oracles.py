@@ -193,7 +193,7 @@ def gradient_trial(kind, rng):
         stride = int(rng.integers(1, 3))
         padding = ("valid", "same")[rng.integers(0, 2)]
         arrays = {
-            "x": rng.standard_normal((h, w, c)),
+            "x": rng.standard_normal((1, h, w, c)),
             "w": rng.standard_normal((3, 3, c, f)) * 0.5,
             "b": rng.standard_normal(f) * 0.1,
         }
@@ -203,17 +203,17 @@ def gradient_trial(kind, rng):
         c = int(rng.integers(1, 4))
         pool = int(rng.integers(2, min(h, w) + 1))
         stride = int(rng.integers(1, 3))
-        arrays = {"x": _sep_values(rng, (h, w, c))}
+        arrays = {"x": _sep_values(rng, (1, h, w, c))}
         fwd = lambda: ops.maxpool2d(arrays["x"], pool, stride)
     elif kind == "upsample2d":
         h, w, c = rng.integers(1, 5, 3)
         factor = int(rng.integers(1, 4))
-        arrays = {"x": rng.standard_normal((h, w, c))}
+        arrays = {"x": rng.standard_normal((1, h, w, c))}
         fwd = lambda: ops.upsample2d(arrays["x"], factor)
     elif kind == "dense":
         n, m = rng.integers(1, 7, 2)
         arrays = {
-            "x": rng.standard_normal(n),
+            "x": rng.standard_normal((1, n)),
             "w": rng.standard_normal((n, m)) * 0.5,
             "b": rng.standard_normal(m) * 0.1,
         }

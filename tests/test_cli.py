@@ -32,3 +32,13 @@ def test_cli_smoke(tmp_path):
     assert rows == parse_report(report_json, fmt="json").rows
     assert [(r.cr, r.failed) for r in rows] == [(1.0, False), (4.0, False)]
     assert rows[0].acc_norm == 1.0
+
+
+def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": CONFIG_FORMAT, "version": CONFIG_VERSION,
+                               "ratio": [1, 4]}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latentwire: error: ") and "ratio" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

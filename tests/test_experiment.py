@@ -223,3 +223,12 @@ def test_per_device_accuracy_logged_only_at_info(caplog):
     assert sorted((cr, device) for cr, _, device, _ in logged) == [
         (1, 0), (1, 1), (4, 0), (4, 1)]
     assert all(0.0 <= acc <= 1.0 for *_, acc in logged)
+
+
+def test_test_split_smaller_than_devices_fails_every_cell():
+    # 6 samples per class at 5:1 leave 2 test samples for 4 devices
+    cfg = replace(TINY_GRID, n_devices=4, seeds=(0,), synthetic=SyntheticSpec(
+        image_size=(8, 8, 3), num_classes=2, samples_per_class=6))
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 2
+    assert all(r.failed and "4 devices" in r.error for r in rows)

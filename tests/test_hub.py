@@ -26,7 +26,6 @@ def test_ingest_accepts_then_flags_duplicate():
     assert hub.ingest(rec, "train") == ACK_ACCEPTED
     assert hub.ingest(make_record(seed=1), "test") == ACK_DUPLICATE
     assert hub.store == [(rec, "train")]
-    assert hub.counters == {1: 1}
 
 
 def test_serve_stream_decodes_each_frame_once(monkeypatch):

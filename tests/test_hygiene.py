@@ -30,6 +30,7 @@ def test_every_import_is_used(path):
 # Definitions that nothing in the package reads but that stay, with the reason.
 ENTRY_POINTS = {
     "WireClientSink": "the wire's TCP client; the benchmark drives it",
+    "DeviceNode.encode": "the device's per-sample encode call; the serve workload drives it",
     "Hub.predict": "the hub's per-sample serving call; the benchmark drives it",
     "save_config": "the writer for load_config's file format",
     "FrameScanner.pending": "bytes still buffered; the wire tests check resync by it",

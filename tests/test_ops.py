@@ -18,14 +18,14 @@ def rng(seed=0):
 # --- conv2d ---------------------------------------------------------------
 
 def test_conv_shape_table_row():
-    x = rng().random((32, 32, 3))
+    x = rng().random((1, 32, 32, 3))
     w = rng().random((3, 3, 3, 32))
     y, _ = ops.conv2d(x, w, np.zeros(32), 1, "valid")
-    assert y.shape == (30, 30, 32)
+    assert y.shape == (1, 30, 30, 32)
 
 
 def test_conv_zero_weights_zero_output():
-    x = rng().random((8, 8, 2))
+    x = rng().random((1, 8, 8, 2))
     y, _ = ops.conv2d(x, np.zeros((3, 3, 2, 4)), np.zeros(4), 1, "same")
     assert np.all(y == 0)
 
@@ -35,8 +35,8 @@ def test_conv_matches_direct_loop_oracle():
     x = r.random((5, 5, 2))
     w = r.random((3, 3, 2, 4))
     b = r.random(4)
-    y, _ = ops.conv2d(x, w, b, 1, "valid")
-    assert np.abs(y - conv2d_oracle(x, w, b)).max() < 1e-12
+    y, _ = ops.conv2d(x[None], w, b, 1, "valid")
+    assert np.abs(y[0] - conv2d_oracle(x, w, b)).max() < 1e-12
 
 
 def test_conv_wide_input_path_matches_oracle():
@@ -46,18 +46,18 @@ def test_conv_wide_input_path_matches_oracle():
     w = r.random((3, 3, 16, 4))
     b = r.random(4)
     for stride, padding in [(1, "valid"), (2, "same")]:
-        y, _ = ops.conv2d(x, w, b, stride, padding)
-        assert np.abs(y - conv2d_oracle(x, w, b, stride, padding)).max() < 1e-11
+        y, _ = ops.conv2d(x[None], w, b, stride, padding)
+        assert np.abs(y[0] - conv2d_oracle(x, w, b, stride, padding)).max() < 1e-11
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeMismatchError):
-        ops.conv2d(rng().random((6, 6, 3)), rng().random((3, 3, 2, 4)), np.zeros(4))
+        ops.conv2d(rng().random((1, 6, 6, 3)), rng().random((3, 3, 2, 4)), np.zeros(4))
 
 
 def test_conv_too_small_input():
     with pytest.raises(InvalidGeometryError):
-        ops.conv2d(rng().random((2, 2, 1)), rng().random((3, 3, 1, 2)), np.zeros(2))
+        ops.conv2d(rng().random((1, 2, 2, 1)), rng().random((3, 3, 1, 2)), np.zeros(2))
 
 
 def test_conv_batched_equals_per_sample():
@@ -67,20 +67,20 @@ def test_conv_batched_equals_per_sample():
     b = r.random(5).astype(np.float32)
     yb, _ = ops.conv2d(xs, w, b, 1, "same")
     for i in range(4):
-        yi, _ = ops.conv2d(xs[i], w, b, 1, "same")
-        np.testing.assert_allclose(yb[i], yi, rtol=1e-6)
+        yi, _ = ops.conv2d(xs[i:i + 1], w, b, 1, "same")
+        np.testing.assert_allclose(yb[i], yi[0], rtol=1e-6)
 
 
 # --- maxpool ---------------------------------------------------------------
 
 def test_maxpool_known_windows():
-    x = np.arange(1, 17, dtype=float).reshape(4, 4, 1)
+    x = np.arange(1, 17, dtype=float).reshape(1, 4, 4, 1)
     y, _ = ops.maxpool2d(x, 2, 2)
-    assert y[..., 0].tolist() == [[6, 8], [14, 16]]
+    assert y[0, ..., 0].tolist() == [[6, 8], [14, 16]]
 
 
 def test_maxpool_constant_input():
-    x = np.full((5, 5, 2), 3.5)
+    x = np.full((1, 5, 5, 2), 3.5)
     y, _ = ops.maxpool2d(x, 2, 2)
     assert np.all(y == 3.5)
 
@@ -88,33 +88,33 @@ def test_maxpool_constant_input():
 def test_maxpool_matches_window_oracle():
     r = rng(4)
     x = r.random((7, 7, 3))
-    y, _ = ops.maxpool2d(x, 2, 1)
-    assert y.shape == (6, 6, 3)
-    assert np.abs(y - maxpool2d_oracle(x, 2, 1)).max() == 0
+    y, _ = ops.maxpool2d(x[None], 2, 1)
+    assert y.shape == (1, 6, 6, 3)
+    assert np.abs(y[0] - maxpool2d_oracle(x, 2, 1)).max() == 0
 
 
 def test_maxpool_pool_exceeds_input():
     with pytest.raises(InvalidGeometryError):
-        ops.maxpool2d(rng().random((3, 3, 1)), 4, 1)
+        ops.maxpool2d(rng().random((1, 3, 3, 1)), 4, 1)
 
 
 # --- upsample ---------------------------------------------------------------
 
 def test_upsample_replication():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
+    x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
     y, _ = ops.upsample2d(x, 2)
     expect = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
-    assert y[..., 0].tolist() == expect
+    assert y[0, ..., 0].tolist() == expect
 
 
 def test_upsample_factor_one_identity():
-    x = rng().random((3, 4, 2))
+    x = rng().random((1, 3, 4, 2))
     y, _ = ops.upsample2d(x, 1)
     np.testing.assert_array_equal(y, x)
 
 
 def test_pool_then_upsample_constant_roundtrip():
-    x = np.full((6, 6, 2), 0.7)
+    x = np.full((1, 6, 6, 2), 0.7)
     pooled, _ = ops.maxpool2d(x, 2, 2)
     y, _ = ops.upsample2d(pooled, 2)
     np.testing.assert_array_equal(y, x)
@@ -123,26 +123,26 @@ def test_pool_then_upsample_constant_roundtrip():
 # --- dense -------------------------------------------------------------------
 
 def test_dense_identity():
-    x = rng().random(5)
+    x = rng().random((1, 5))
     y, _ = ops.dense(x, np.eye(5), np.zeros(5))
     np.testing.assert_array_equal(y, x)
 
 
 def test_dense_hand_arithmetic():
-    y, _ = ops.dense(np.array([1.0, 2.0]), np.eye(2), np.array([3.0, 4.0]))
-    assert y.tolist() == [4.0, 6.0]
+    y, _ = ops.dense(np.array([[1.0, 2.0]]), np.eye(2), np.array([3.0, 4.0]))
+    assert y[0].tolist() == [4.0, 6.0]
 
 
 def test_dense_matches_dot_oracle():
     r = rng(5)
     x, w, b = r.random(8), r.random((8, 5)), r.random(5)
-    y, _ = ops.dense(x, w, b)
-    assert np.abs(y - dense_oracle(x, w, b)).max() < 1e-12
+    y, _ = ops.dense(x[None], w, b)
+    assert np.abs(y[0] - dense_oracle(x, w, b)).max() < 1e-12
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        ops.dense(rng().random(4), rng().random((5, 2)), np.zeros(2))
+        ops.dense(rng().random((1, 4)), rng().random((5, 2)), np.zeros(2))
 
 
 # --- activations ---------------------------------------------------------------
@@ -246,10 +246,10 @@ def test_cross_entropy_gradient_rows_sum_zero(b, k, seed):
 # --- cache discipline -------------------------------------------------------------
 
 def test_cache_consumed_once():
-    y, cache = ops.dense(rng().random(4), rng().random((4, 3)), np.zeros(3))
-    ops.backward(cache, np.ones(3))
+    y, cache = ops.dense(rng().random((1, 4)), rng().random((4, 3)), np.zeros(3))
+    ops.backward(cache, np.ones((1, 3)))
     with pytest.raises(CacheError):
-        ops.backward(cache, np.ones(3))
+        ops.backward(cache, np.ones((1, 3)))
 
 
 def test_backward_requires_cache():
@@ -264,9 +264,9 @@ def test_relu_backward_definition():
 
 
 def test_dense_backward_zero_upstream():
-    x, w = rng().random(4), rng().random((4, 3))
+    x, w = rng().random((1, 4)), rng().random((4, 3))
     _, cache = ops.dense(x, w, np.zeros(3))
-    dx, pg = ops.backward(cache, np.zeros(3))
+    dx, pg = ops.backward(cache, np.zeros((1, 3)))
     assert np.all(dx == 0) and np.all(pg["w"] == 0) and np.all(pg["b"] == 0)
 
 

@@ -70,7 +70,7 @@ def test_identity_pair_trains_to_zero_loss():
                                       TrainConfig(epochs=5))
     assert trained.is_identity
     assert hist.losses == [0.0] * 5
-    x = rng().random((8, 8, 3)).astype(np.float32)
+    x = rng().random((1, 8, 8, 3)).astype(np.float32)
     assert trained.encoder.forward(x).tobytes() == x.tobytes()
 
 
@@ -198,3 +198,18 @@ def test_shift2d_zero_padding():
 def test_augment_rejects_flat_input():
     with pytest.raises(ShapeMismatchError):
         augment(np.zeros(10), AugmentPolicy(), rng(0))
+
+
+def test_forward_rejects_unbatched_sample():
+    net = Network(_mlp_spec(), rng=rng(0))
+    x = rng().random(12).astype(np.float32)
+    with pytest.raises(ShapeMismatchError):
+        net.forward(x)
+    assert net.forward(x[None]).shape == (1, 2)
+
+
+def test_infer_matches_forward_across_batch_boundaries():
+    net = Network(_mlp_spec(), rng=rng(0))
+    x = rng(1).random((70, 12)).astype(np.float32)
+    np.testing.assert_allclose(net.infer(x), net.forward(x), rtol=1e-6)
+    assert net.infer(x[:0]).shape == (0, 2)

@@ -90,8 +90,8 @@ def test_split_compose_bitwise():
     encoder, decoder = trained.encoder, trained.decoder
     assert infer_shapes(encoder.spec)[-1] == pair.latent_shape
     for x in images[:5]:
-        full = trained.chain.forward(x)
-        split = decoder.forward(encoder.forward(x))
+        full = trained.chain.forward(x[None])
+        split = decoder.forward(encoder.forward(x[None]))
         assert full.tobytes() == split.tobytes()
 
 
@@ -100,7 +100,7 @@ def test_decoder_rejects_non_latent_shape():
     images = np.random.default_rng(0).random((10, 8, 8, 3)).astype(np.float32)
     trained, _ = train_autoencoder(pair, images, TrainConfig(epochs=1, seed=0))
     with pytest.raises(Exception):
-        trained.decoder.forward(np.zeros((8, 8, 3), np.float32))
+        trained.decoder.forward(np.zeros((1, 8, 8, 3), np.float32))
 
 
 # --- classifier builders -------------------------------------------------------
