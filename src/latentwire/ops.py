@@ -115,32 +115,36 @@ def _conv2d_backward(data, g):
 
 
 def maxpool2d(x, pool, stride):
-    """Max pooling over pool x pool windows; cache records argmax positions."""
+    """Max pooling over pool x pool windows every `stride` pixels, dropping the
+    edge no whole window covers; the cache keeps the input and the output."""
     _check_rank(x, 4)
-    n, h, wd, c = x.shape
+    h, wd = x.shape[1], x.shape[2]
     if pool > h or pool > wd:
         raise InvalidGeometryError(f"pool {pool} exceeds input {h}x{wd}")
-    win = sliding_window_view(x, (pool, pool), axis=(1, 2))[:, ::stride, ::stride]
-    ho, wo = win.shape[1], win.shape[2]
-    flat = win.reshape(n, ho, wo, c, pool * pool)
-    idx = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    cache = LayerCache("maxpool2d", idx=idx, pool=pool, stride=stride, in_shape=x.shape)
-    return y, cache
+    ho, wo = (h - pool) // stride + 1, (wd - pool) // stride + 1
+    y = _shift_slice(x, 0, 0, ho, wo, stride).copy()
+    for a, b in _window_offsets(pool)[1:]:
+        np.maximum(y, _shift_slice(x, a, b, ho, wo, stride), out=y)
+    return y, LayerCache("maxpool2d", x=x, y=y, pool=pool, stride=stride)
+
+
+def _window_offsets(pool):
+    return [(a, b) for a in range(pool) for b in range(pool)]
 
 
 def _maxpool2d_backward(data, g):
-    idx, pool, stride = data["idx"], data["pool"], data["stride"]
-    n, h, wd, c = data["in_shape"]
-    ho, wo = idx.shape[1], idx.shape[2]
-    dx = np.zeros((n, h, wd, c), dtype=g.dtype)
-    ni = np.arange(n)[:, None, None, None]
-    ii = np.arange(ho)[None, :, None, None]
-    ji = np.arange(wo)[None, None, :, None]
-    ci = np.arange(c)[None, None, None, :]
-    rows = ii * stride + idx // pool
-    cols = ji * stride + idx % pool
-    np.add.at(dx, (ni, rows, cols, ci), g)
+    # Offsets in row-major window order claim the maxima still unclaimed: each
+    # window's gradient reaches its first maximum, and overlaps accumulate.
+    x, y, pool, stride = data["x"], data["y"], data["pool"], data["stride"]
+    ho, wo = y.shape[1], y.shape[2]
+    dx = np.zeros(x.shape, dtype=g.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for a, b in _window_offsets(pool):
+        hit = _shift_slice(x, a, b, ho, wo, stride) == y
+        hit &= free
+        free ^= hit
+        # a product, not a masked add: np.add(where=) is ~6x slower here
+        _shift_slice(dx, a, b, ho, wo, stride)[...] += g * hit
     return dx, None
 
 
@@ -191,27 +195,22 @@ def softmax(x, axis=-1):
 def activation(x, kind):
     if kind == "relu":
         y = np.maximum(x, 0)
-        cache = LayerCache("activation", fn=kind, x=x)
     elif kind == "sigmoid":
         y = _sigmoid(x)
-        cache = LayerCache("activation", fn=kind, y=y)
     elif kind == "softmax":
         y = softmax(x, axis=-1)
-        cache = LayerCache("activation", fn=kind, y=y)
     else:
         raise ValueError(f"unknown activation {kind!r}")
-    return y, cache
+    return y, LayerCache("activation", fn=kind, y=y)
 
 
 def _activation_backward(data, g):
-    kind = data["fn"]
+    kind, y = data["fn"], data["y"]
     if kind == "relu":
-        dx = g * (data["x"] > 0)
+        dx = g * (y > 0)
     elif kind == "sigmoid":
-        y = data["y"]
         dx = g * y * (1.0 - y)
     else:  # softmax along last axis
-        y = data["y"]
         dx = (g - (g * y).sum(axis=-1, keepdims=True)) * y
     return dx, None
 

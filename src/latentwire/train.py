@@ -175,8 +175,9 @@ def train_classifier(spec, data, cfg):
 def evaluate(net, data):
     """(accuracy, wall seconds); inference mode, parameters untouched."""
     start = time.perf_counter()
-    pred = net.infer(data.images).argmax(axis=-1)
-    acc = float((pred == data.labels).mean()) if len(data) else 0.0
+    acc = 0.0
+    if len(data):  # an empty split has no sample shape to run a forward on
+        acc = float((net.infer(data.images).argmax(axis=-1) == data.labels).mean())
     return acc, time.perf_counter() - start
 
 

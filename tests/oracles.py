@@ -49,6 +49,27 @@ def maxpool2d_oracle(x, pool, stride):
     return out
 
 
+def maxpool2d_backward_oracle(x, g, pool, stride):
+    """Input gradient of max pooling for one (h, w, c) sample: each window's
+    gradient goes to its first maximal element in row-major window order,
+    and elements shared by overlapping windows sum what they receive."""
+    h, w, c = x.shape
+    ho, wo = g.shape[0], g.shape[1]
+    xs, gs = x.tolist(), g.tolist()
+    dx = [[[0.0] * c for _ in range(w)] for _ in range(h)]
+    for i in range(ho):
+        for j in range(wo):
+            for cc in range(c):
+                best, at = None, None
+                for a in range(pool):
+                    for bb in range(pool):
+                        v = xs[i * stride + a][j * stride + bb][cc]
+                        if best is None or v > best:
+                            best, at = v, (i * stride + a, j * stride + bb)
+                dx[at[0]][at[1]][cc] += gs[i][j][cc]
+    return np.array(dx, dtype=x.dtype)
+
+
 def dense_oracle(x, w, b):
     n, m = w.shape
     out = np.zeros(m, dtype=x.dtype)

@@ -5,6 +5,7 @@ import latentwire.wire as wire
 from latentwire.device import HubSink
 from latentwire.errors import SinkFailure
 from latentwire.hub import Hub, serve_stream
+from latentwire.train import TrainConfig
 from latentwire.wire import (
     ACK_ACCEPTED,
     ACK_BAD_CRC,
@@ -71,3 +72,13 @@ def test_hub_sink_round_trips_through_codec():
         sink.push(rec)
     with pytest.raises(OversizeRecordError):
         sink.push(make_record(record=1, label=0x10000))
+
+
+def test_evaluate_empty_split_scores_zero():
+    hub = Hub()
+    r = np.random.default_rng(0)
+    for i in range(8):
+        payload = r.random(32).astype("<f4")
+        hub.ingest(LatentRecord(1, i, i % 2, (4, 4, 2), payload), "train")
+    hub.train_classifier("A", TrainConfig(epochs=1, batch_size=4))
+    assert hub.evaluate("test")[0] == 0.0

@@ -8,7 +8,12 @@ from latentwire.initializers import glorot_limit, glorot_uniform
 from latentwire.losses import cross_entropy_loss, mse_loss
 from latentwire.errors import LabelRangeError
 
-from oracles import conv2d_oracle, dense_oracle, maxpool2d_oracle
+from oracles import (
+    conv2d_oracle,
+    dense_oracle,
+    maxpool2d_backward_oracle,
+    maxpool2d_oracle,
+)
 
 
 def rng(seed=0):
@@ -91,6 +96,37 @@ def test_maxpool_matches_window_oracle():
     y, _ = ops.maxpool2d(x[None], 2, 1)
     assert y.shape == (1, 6, 6, 3)
     assert np.abs(y[0] - maxpool2d_oracle(x, 2, 1)).max() == 0
+
+
+def _relu_with_ties(r, shape, dtype):
+    # coarse values: most windows are all zero, and many others tie at a
+    # positive maximum
+    return np.maximum(np.round(2 * r.standard_normal(shape)) / 2 - 0.5, 0).astype(dtype)
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 32, 32), (32, 30, 30, 32), (32, 13, 13, 32)])
+def test_maxpool_backward_first_max_bitwise_on_ties(shape):
+    r = rng(7)
+    x = _relu_with_ties(r, shape, np.float32)
+    y, cache = ops.maxpool2d(x, 2, 2)
+    g = r.standard_normal(y.shape).astype(np.float32)
+    dx, _ = ops.backward(cache, g)
+    assert dx.dtype == np.float32 and dx.shape == x.shape
+    windows = x[:, :y.shape[1] * 2, :y.shape[2] * 2].reshape(
+        len(x), y.shape[1], 2, y.shape[2], 2, -1)
+    assert (windows.max(axis=(2, 4)) == 0).mean() > 0.2  # the ties are there
+    for i in range(len(x)):
+        assert dx[i].tobytes() == maxpool2d_backward_oracle(x[i], g[i], 2, 2).tobytes()
+
+
+def test_maxpool_backward_overlapping_windows_accumulate():
+    r = rng(8)
+    x = _relu_with_ties(r, (3, 9, 12, 4), np.float64)
+    y, cache = ops.maxpool2d(x, 3, 2)
+    g = r.standard_normal(y.shape)
+    dx, _ = ops.backward(cache, g)
+    for i in range(len(x)):
+        assert np.abs(dx[i] - maxpool2d_backward_oracle(x[i], g[i], 3, 2)).max() < 1e-12
 
 
 def test_maxpool_pool_exceeds_input():

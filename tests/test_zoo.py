@@ -95,6 +95,20 @@ def test_split_compose_bitwise():
         assert full.tobytes() == split.tobytes()
 
 
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_maxpool_cache_shares_the_relu_output(family):
+    # the pool keeps its input for the backward; were it a copy of the relu
+    # output and not the same array, every training batch would hold both
+    net = Network(build_vanilla_classifier((16, 16, 3), family, 4))
+    x = np.random.default_rng(0).random((4, 16, 16, 3)).astype(np.float32)
+    _, caches = net.forward(x, return_caches=True)
+    pools = [i for i, layer in enumerate(net.spec.layers) if layer.kind == "maxpool"]
+    assert pools
+    for i in pools:
+        assert net.spec.layers[i - 1].fn == "relu"
+        assert np.shares_memory(caches[i].data["x"], caches[i - 1].data["y"])
+
+
 def test_decoder_rejects_non_latent_shape():
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((10, 8, 8, 3)).astype(np.float32)
