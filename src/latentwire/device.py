@@ -55,10 +55,8 @@ class DeviceNode:
     def __init__(self, device_id, train_data, test_data=None):
         self.device_id = int(device_id)
         self.data = {"train": train_data, "test": test_data}
-        self._pair = None
         self._trained = None
         self._next_record_id = 0
-        self.fitted = False
 
     def fit_autoencoder(self, cr, cfg: TrainConfig):
         """Build and train this device's autoencoder on its local shard only.
@@ -73,18 +71,11 @@ class DeviceNode:
         pair = build_autoencoder(local.sample_shape, cr)
         seed = int(np.random.SeedSequence([cfg.seed, self.device_id]).generate_state(1)[0])
         trained, history = train_autoencoder(pair, local.images, replace(cfg, seed=seed))
-        self._pair = pair
         self._trained = trained
-        self.fitted = True
         return history
 
-    @property
-    def latent_shape(self):
-        self._require_fit()
-        return self._pair.latent_shape
-
     def _require_fit(self):
-        if not self.fitted:
+        if self._trained is None:
             raise NotFittedError(f"device {self.device_id} is not fitted")
 
     def encoder_network(self):

@@ -61,23 +61,18 @@ def make_optimizer(algorithm, **overrides):
 
 
 def optimizer_step(state, params, grads):
-    """Apply one update step in place; returns the parameter list.
-
-    ``params``/``grads`` may be single arrays or aligned lists of arrays.
-    """
-    single = isinstance(params, np.ndarray)
-    plist = [params] if single else list(params)
-    glist = [grads] if single else list(grads)
-    if len(plist) != len(glist):
-        raise ShapeMismatchError(f"{len(plist)} params vs {len(glist)} grads")
-    for p, g in zip(plist, glist):
+    """Apply one update step in place to aligned lists of parameter and
+    gradient arrays."""
+    if len(params) != len(grads):
+        raise ShapeMismatchError(f"{len(params)} params vs {len(grads)} grads")
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError(f"param {p.shape} vs grad {g.shape}")
-    state._ensure_slots(plist)
+    state._ensure_slots(params)
     state.step += 1
     h = state.hyper
     if state.algorithm == "rmsprop":
-        for p, g, slot in zip(plist, glist, state.slots):
+        for p, g, slot in zip(params, grads, state.slots):
             v = slot["v"]
             v *= h["rho"]
             v += (1.0 - h["rho"]) * g * g
@@ -86,7 +81,7 @@ def optimizer_step(state, params, grads):
         t = state.step
         c1 = 1.0 - h["beta1"] ** t
         c2 = 1.0 - h["beta2"] ** t
-        for p, g, slot in zip(plist, glist, state.slots):
+        for p, g, slot in zip(params, grads, state.slots):
             m, v = slot["m"], slot["v"]
             m *= h["beta1"]
             m += (1.0 - h["beta1"]) * g
@@ -94,9 +89,8 @@ def optimizer_step(state, params, grads):
             v += (1.0 - h["beta2"]) * g * g
             p -= h["lr"] * (m / c1) / (np.sqrt(v / c2) + h["eps"])
     else:  # sgd-momentum
-        for p, g, slot in zip(plist, glist, state.slots):
+        for p, g, slot in zip(params, grads, state.slots):
             u = slot["u"]
             u *= h["momentum"]
             u += g
             p -= h["lr"] * u
-    return params if single else plist

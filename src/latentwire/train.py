@@ -1,10 +1,14 @@
-"""Training loops: unsupervised autoencoder fit, supervised classifier fit
-with optional augmentation, and evaluation."""
+"""Training: one epoch loop behind the unsupervised autoencoder fit and the
+supervised classifier fit (with optional augmentation), and evaluation.
+
+A ratio-1 autoencoder is a network with no layers; it runs the same loop
+and its reconstruction loss is exactly zero."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,31 +41,21 @@ class TrainHistory:
     losses: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
     train_seconds: float = 0.0
-    eval_seconds: float = 0.0
 
 
 @dataclass
 class TrainedAutoencoder:
     pair: AutoencoderPair
-    chain: Network | None  # encoder+decoder as one network; None for identity
-    split_index: int
+    chain: Network  # encoder+decoder as one network; no layers at ratio 1
 
-    @property
-    def is_identity(self):
-        return self.chain is None
-
-    @property
+    @cached_property
     def encoder(self):
-        if self.is_identity:
-            return Network(self.pair.encoder, params=[])
-        return self.chain.slice(0, self.split_index,
+        return self.chain.slice(0, len(self.pair.encoder.layers),
                                 self.pair.encoder.input_shape, "encoder")
 
-    @property
+    @cached_property
     def decoder(self):
-        if self.is_identity:
-            return Network(self.pair.decoder, params=[])
-        return self.chain.slice(self.split_index, len(self.chain.spec.layers),
+        return self.chain.slice(len(self.pair.encoder.layers), len(self.chain.spec.layers),
                                 self.pair.latent_shape, "decoder")
 
 
@@ -70,54 +64,74 @@ def _check_finite(value, epoch):
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
 
 
-def train_autoencoder(pair, images, cfg):
-    """Minimize reconstruction MSE of decoder(encoder(x)) over `images`.
+def _should_stop(losses, patience):
+    if patience is None or len(losses) <= patience:
+        return False
+    best = min(losses[:-patience])
+    return all(l >= best for l in losses[-patience:])
 
-    Returns (TrainedAutoencoder, TrainHistory); history carries the
-    per-epoch mean reconstruction MSE. A ratio-1 pair trains nothing and
-    reports zero loss.
+
+def _fit(spec, images, labels, cfg, optimizer, upto=None, augment_batches=False):
+    """The epoch loop both trainers share; returns (Network, TrainHistory).
+
+    With ``labels`` None the targets are the inputs themselves: the loss is
+    reconstruction MSE and the metric repeats it. Otherwise the loss is
+    cross entropy on the output of layers [0:upto) and the metric is
+    training accuracy. ``optimizer`` names the algorithm used when cfg sets
+    none. The rng draws in a fixed order, so a seed fixes the run: weight
+    init, then per epoch one permutation, then per batch augmentation and
+    dropout.
     """
-    if pair.is_identity:
-        hist = TrainHistory(losses=[0.0] * cfg.epochs, metrics=[0.0] * cfg.epochs)
-        return TrainedAutoencoder(pair, None, 0), hist
-
-    if tuple(images.shape[1:]) != pair.encoder.input_shape:
-        raise ShapeMismatchError(
-            f"images {images.shape[1:]} vs encoder input {pair.encoder.input_shape}")
-
     rng = np.random.default_rng(cfg.seed)
-    chain_spec = ModelSpec(pair.encoder.layers + pair.decoder.layers,
-                           pair.encoder.input_shape, role="autoencoder")
-    net = Network(chain_spec, rng=rng)
-    opt = make_optimizer(cfg.optimizer or "rmsprop", lr=cfg.lr)
+    net = Network(spec, rng=rng)
+    opt = make_optimizer(cfg.optimizer or optimizer, lr=cfg.lr)
     hist = TrainHistory()
     n = len(images)
     start = time.perf_counter()
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
+        correct = 0
         for lo in range(0, n, cfg.batch_size):
-            xb = images[order[lo:lo + cfg.batch_size]]
-            out, caches = net.forward(xb, training=True, rng=rng, return_caches=True)
-            loss = mse_loss(out, xb)
+            idx = order[lo:lo + cfg.batch_size]
+            xb = images[idx]
+            if augment_batches:
+                xb = augment_batch(xb, rng)
+            out, caches = net.forward(xb, training=True, rng=rng,
+                                      upto=upto, return_caches=True)
+            # losses and optimizer_step are module globals read per call, so a
+            # tracer that patches them by name sees every call
+            if labels is None:
+                loss = mse_loss(out, xb)
+            else:
+                yb = labels[idx]
+                loss = cross_entropy_loss(out, yb)
+                correct += int((out.argmax(axis=-1) == yb).sum())
             _check_finite(loss.value, epoch)
             _, grads = net.backward(caches, loss.gradient)
-            params, gflat = net.trainable(grads)
-            optimizer_step(opt, params, gflat)
+            optimizer_step(opt, *net.trainable(grads))
             epoch_loss += loss.value * len(xb)
         hist.losses.append(epoch_loss / n)
-        hist.metrics.append(hist.losses[-1])
+        hist.metrics.append(hist.losses[-1] if labels is None else correct / n)
         if _should_stop(hist.losses, cfg.patience):
             break
     hist.train_seconds = time.perf_counter() - start
-    return TrainedAutoencoder(pair, net, len(pair.encoder.layers)), hist
+    return net, hist
 
 
-def _should_stop(losses, patience):
-    if patience is None or len(losses) <= patience:
-        return False
-    best = min(losses[:-patience])
-    return all(l >= best for l in losses[-patience:])
+def train_autoencoder(pair, images, cfg):
+    """Minimize reconstruction MSE of decoder(encoder(x)) over `images`.
+
+    Returns (TrainedAutoencoder, TrainHistory); history carries the
+    per-epoch mean reconstruction MSE.
+    """
+    if tuple(images.shape[1:]) != pair.encoder.input_shape:
+        raise ShapeMismatchError(
+            f"images {images.shape[1:]} vs encoder input {pair.encoder.input_shape}")
+    chain_spec = ModelSpec(pair.encoder.layers + pair.decoder.layers,
+                           pair.encoder.input_shape, role="autoencoder")
+    net, hist = _fit(chain_spec, images, None, cfg, "rmsprop")
+    return TrainedAutoencoder(pair, net), hist
 
 
 def _has_softmax_tail(spec):
@@ -134,42 +148,12 @@ def train_classifier(spec, data, cfg):
     softmax layer is bypassed during training and the loss is taken on
     logits; inference still applies it.
     """
-    rng = np.random.default_rng(cfg.seed)
-    net = Network(spec, rng=rng)
-    if tuple(data.sample_shape) != net.input_shape:
+    if tuple(data.sample_shape) != spec.input_shape:
         raise ShapeMismatchError(
-            f"samples {data.sample_shape} vs model input {net.input_shape}")
-    upto = len(net.spec.layers) - 1 if _has_softmax_tail(net.spec) else None
-    opt = make_optimizer(cfg.optimizer or "adam", lr=cfg.lr)
-    hist = TrainHistory()
-    n = len(data)
-    do_augment = cfg.augment and data.images.ndim == 4
-    start = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        correct = 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            xb = data.images[idx]
-            yb = data.labels[idx]
-            if do_augment:
-                xb = augment_batch(xb, AugmentPolicy(), rng)
-            logits, caches = net.forward(xb, training=True, rng=rng,
-                                         upto=upto, return_caches=True)
-            loss = cross_entropy_loss(logits, yb)
-            _check_finite(loss.value, epoch)
-            _, grads = net.backward(caches, loss.gradient)
-            params, gflat = net.trainable(grads)
-            optimizer_step(opt, params, gflat)
-            epoch_loss += loss.value * len(xb)
-            correct += int((logits.argmax(axis=-1) == yb).sum())
-        hist.losses.append(epoch_loss / n)
-        hist.metrics.append(correct / n)
-        if _should_stop(hist.losses, cfg.patience):
-            break
-    hist.train_seconds = time.perf_counter() - start
-    return net, hist
+            f"samples {data.sample_shape} vs model input {spec.input_shape}")
+    upto = len(spec.layers) - 1 if _has_softmax_tail(spec) else None
+    return _fit(spec, data.images, data.labels, cfg, "adam", upto=upto,
+                augment_batches=cfg.augment and data.images.ndim == 4)
 
 
 def evaluate(net, data):
@@ -185,11 +169,8 @@ def evaluate(net, data):
 # augmentation
 
 
-@dataclass
-class AugmentPolicy:
-    enabled: bool = True
-    flip_prob: float = 0.5
-    max_shift_frac: float = 0.1
+FLIP_PROB = 0.5
+MAX_SHIFT_FRAC = 0.1  # of each spatial extent
 
 
 def hflip(image):
@@ -208,18 +189,16 @@ def shift2d(image, dy, dx):
     return out
 
 
-def augment(image, policy, rng):
+def augment(image, rng):
     """Random horizontal flip then a bounded random shift with zero fill."""
     if image.ndim != 3:
         raise ShapeMismatchError(f"augment expects HxWxC images, got {image.shape}")
-    if not policy.enabled:
-        return image
     out = image
-    if rng.random() < policy.flip_prob:
+    if rng.random() < FLIP_PROB:
         out = hflip(out)
     h, w, _ = image.shape
-    sy = int(policy.max_shift_frac * h)
-    sx = int(policy.max_shift_frac * w)
+    sy = int(MAX_SHIFT_FRAC * h)
+    sx = int(MAX_SHIFT_FRAC * w)
     dy = int(rng.integers(-sy, sy + 1)) if sy else 0
     dx = int(rng.integers(-sx, sx + 1)) if sx else 0
     if dy or dx:
@@ -227,5 +206,5 @@ def augment(image, policy, rng):
     return out
 
 
-def augment_batch(images, policy, rng):
-    return np.stack([augment(img, policy, rng) for img in images])
+def augment_batch(images, rng):
+    return np.stack([augment(img, rng) for img in images])

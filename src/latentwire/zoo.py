@@ -177,11 +177,6 @@ class AutoencoderPair:
     encoder: ModelSpec
     decoder: ModelSpec
     latent_shape: tuple
-    ratio: Fraction
-
-    @property
-    def is_identity(self):
-        return self.ratio == 1
 
 
 def build_autoencoder(input_shape, cr, hidden_width=32):
@@ -196,7 +191,7 @@ def build_autoencoder(input_shape, cr, hidden_width=32):
     if requested == 1:
         enc = ModelSpec((), (h, w, c), role="encoder")
         dec = ModelSpec((), (h, w, c), role="decoder")
-        return AutoencoderPair(enc, dec, (h, w, c), requested)
+        return AutoencoderPair(enc, dec, (h, w, c))
 
     stages, c_z = None, None
     s = 1
@@ -229,7 +224,7 @@ def build_autoencoder(input_shape, cr, hidden_width=32):
             f"built ratio {achieved} != requested {requested}")
     assert infer_shapes(enc)[-1] == latent
     assert infer_shapes(dec)[-1] == (h, w, c)
-    return AutoencoderPair(enc, dec, latent, achieved)
+    return AutoencoderPair(enc, dec, latent)
 
 
 def _feasible_prefix(trunk, input_shape):

@@ -73,3 +73,41 @@ def unreached(paths):
 
 def test_every_definition_is_reached():
     assert unreached(sorted(PACKAGE.glob("*.py"))) == sorted(ENTRY_POINTS)
+
+
+def dataclass_fields(tree):
+    """(qualified name, field name) for every annotated field of a
+    @dataclass class."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield f"{cls.name}.{stmt.target.id}", stmt.target.id
+
+
+def field_reads(tree):
+    """Attribute loads, and string constants, which reach fields by name
+    through getattr or setattr."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unread_fields(paths):
+    trees = [ast.parse(p.read_text()) for p in paths]
+    read = set().union(*map(field_reads, trees))
+    return sorted(name for tree in trees for name, attr in dataclass_fields(tree)
+                  if attr not in read)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(sorted(PACKAGE.glob("*.py"))) == []

@@ -9,23 +9,23 @@ def test_zero_gradient_leaves_params_unchanged():
     for algo in ("rmsprop", "adam", "sgd-momentum"):
         p = np.array([1.0, -2.0, 3.0])
         before = p.copy()
-        optimizer_step(make_optimizer(algo), p, np.zeros(3))
+        optimizer_step(make_optimizer(algo), [p], [np.zeros(3)])
         np.testing.assert_array_equal(p, before)
 
 
 def test_sgd_momentum_two_steps_scalar():
     opt = make_optimizer("sgd-momentum", lr=0.1, momentum=0.9)
     p = np.array([0.0])
-    optimizer_step(opt, p, np.array([1.0]))
+    optimizer_step(opt, [p], [np.array([1.0])])
     assert abs(p[0] - (-0.1)) < 1e-12  # velocity 1.0
-    optimizer_step(opt, p, np.array([1.0]))
+    optimizer_step(opt, [p], [np.array([1.0])])
     assert abs(p[0] - (-0.29)) < 1e-12  # velocity 1.9, update 0.19
 
 
 def test_rmsprop_first_step_magnitude():
     opt = make_optimizer("rmsprop", lr=1e-3, rho=0.9, eps=1e-7)
     p = np.array([0.0])
-    optimizer_step(opt, p, np.array([1.0]))
+    optimizer_step(opt, [p], [np.array([1.0])])
     expect = 1e-3 / (np.sqrt(0.1) + 1e-7)
     assert abs(-p[0] - expect) < 1e-9
     assert abs(expect - 0.0031623) < 1e-6
@@ -35,7 +35,7 @@ def test_adam_first_step_is_lr_sized():
     # bias correction makes the first update ~lr regardless of gradient scale
     opt = make_optimizer("adam", lr=1e-3)
     p = np.array([0.0])
-    optimizer_step(opt, p, np.array([123.0]))
+    optimizer_step(opt, [p], [np.array([123.0])])
     assert abs(-p[0] - 1e-3) < 1e-6
 
 
@@ -43,14 +43,14 @@ def test_step_counter_increments():
     opt = make_optimizer("adam")
     p = np.zeros(2)
     for i in range(1, 4):
-        optimizer_step(opt, p, np.ones(2))
+        optimizer_step(opt, [p], [np.ones(2)])
         assert opt.step == i
 
 
 def test_shape_mismatch_rejected():
     opt = make_optimizer("rmsprop")
     with pytest.raises(ShapeMismatchError):
-        optimizer_step(opt, np.zeros(3), np.zeros(4))
+        optimizer_step(opt, [np.zeros(3)], [np.zeros(4)])
 
 
 def test_accumulators_track_parameter_shapes():
@@ -69,11 +69,3 @@ def test_unknown_algorithm_and_hyper():
     with pytest.raises(ValueError):
         make_optimizer("sgd-momentum", beta1=0.5)
 
-
-def test_list_and_single_tensor_forms_agree():
-    a = np.array([1.0, 2.0])
-    b = a.copy()
-    g = np.array([0.3, -0.4])
-    optimizer_step(make_optimizer("rmsprop"), a, g)
-    optimizer_step(make_optimizer("rmsprop"), [b], [g])
-    np.testing.assert_array_equal(a, b)
