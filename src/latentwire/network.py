@@ -87,17 +87,21 @@ class Network:
                                for lo in range(0, max(len(x), 1), INFER_BATCH)])
 
     def backward(self, caches, grad):
-        """Chain rule over the cached layers; returns (input_grad, grads).
+        """Chain rule over the cached layers; returns the parameter grads.
 
         ``grads`` aligns with ``self.params``: empty dicts for layers that
-        were not run or hold no parameters.
+        were not run or hold no parameters. The pass stops at the first
+        layer with parameters, which computes no input gradient, and the
+        layers below it do not run, since no caller needs the gradient of
+        the network's input.
         """
         grads = [{} for _ in self.params]
-        for i in range(len(caches) - 1, -1, -1):
-            grad, pgrads = ops.backward(caches[i], grad)
+        first = next((i for i, p in enumerate(self.params) if p), len(caches))
+        for i in range(len(caches) - 1, first - 1, -1):
+            grad, pgrads = ops.backward(caches[i], grad, need_dx=i > first)
             if pgrads is not None:
                 grads[i] = pgrads
-        return grad, grads
+        return grads
 
     def trainable(self, grads=None):
         """Flat lists of trainable parameter arrays (and matching grads)."""

@@ -1,7 +1,8 @@
 """Layer forward/backward primitives.
 
-Every forward op returns ``(output, cache)``; ``backward(cache, grad)``
-dispatches on the cache kind and returns ``(input_grad, param_grads)``.
+Every forward op returns ``(output, cache)``; ``backward(cache, grad,
+need_dx=True)`` dispatches on the cache kind and returns ``(input_grad,
+param_grads)``, with ``input_grad`` None when ``need_dx`` is False.
 Ops take batches only: spatial tensors are channels-last ``(N, H, W, C)``
 and dense inputs ``(N, D)``. All math preserves the input dtype, so suites
 that need double precision simply pass float64 arrays.
@@ -15,6 +16,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CacheError, InvalidGeometryError, ShapeMismatchError
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax")
+# up to this many channels * K * K, one contraction over the materialized
+# K x K windows beats K*K shifted GEMMs
+_WINDOW_MAX = 72
 
 
 class LayerCache:
@@ -53,7 +57,7 @@ def conv2d(x, w, b, stride=1, padding="valid"):
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeMismatchError(f"conv weights must be (K,K,C,F), got {w.shape}")
     _check_rank(x, 4)
-    n, h, wd, c = x.shape
+    _, h, wd, c = x.shape
     k, _, wc, f = w.shape
     if wc != c:
         raise ShapeMismatchError(f"input has {c} channels, weights expect {wc}")
@@ -73,17 +77,7 @@ def conv2d(x, w, b, stride=1, padding="valid"):
     wo = (xp.shape[2] - k) // stride + 1
     if ho < 1 or wo < 1:
         raise InvalidGeometryError(f"conv output {ho}x{wo} would be empty")
-    if c * k * k <= 72:
-        # narrow input: one contraction over the window view is fastest
-        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-        y = np.einsum("nhwckl,klcf->nhwf", win, w, optimize=True)
-    else:
-        # wide input: accumulate k*k shifted GEMMs, no window materialization
-        y = np.zeros((n, ho, wo, f), dtype=x.dtype)
-        for a in range(k):
-            for bb in range(k):
-                xs = _shift_slice(xp, a, bb, ho, wo, stride)
-                y += xs @ w[a, bb]
+    y = _correlate(xp, w, stride, ho, wo)
     y += b
     cache = LayerCache(
         "conv2d", xp=xp, w=w, stride=stride, out_hw=(ho, wo),
@@ -97,21 +91,60 @@ def _shift_slice(xp, a, b, ho, wo, stride):
               b : b + (wo - 1) * stride + 1 : stride, :]
 
 
-def _conv2d_backward(data, g):
-    xp, w, stride = data["xp"], data["w"], data["stride"]
-    pt, _, pl, _ = data["pads"]
-    _, h, wd, _ = data["in_shape"]
+def _correlate(xp, w, stride, ho, wo, g=None):
+    """The conv's one contraction over the ho x wo windows of xp (N,H,W,C)
+    that start every `stride` pixels, each K x K for w (K,K,C,F).
+
+    Without `g` it returns the correlation (N,ho,wo,F); given the output
+    gradient g (N,ho,wo,F) it returns the weight gradient (K,K,C,F). Narrow
+    windows (C*K*K <= _WINDOW_MAX) are one contraction over the window view;
+    wide ones loop over the K*K offsets and never materialize the windows.
+    """
     k = w.shape[0]
-    ho, wo = data["out_hw"]
-    db = g.sum(axis=(0, 1, 2))
+    if xp.shape[3] * k * k <= _WINDOW_MAX:
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        if g is None:
+            return np.einsum("nhwckl,klcf->nhwf", win, w, optimize=True)
+        # g first: with the window view first einsum runs 2-4x slower
+        return np.einsum("nhwf,nhwckl->klcf", g, win, optimize=True)
+    if g is None:
+        y = np.zeros((xp.shape[0], ho, wo, w.shape[3]), dtype=xp.dtype)
+        for a, b in _window_offsets(k):
+            y += _shift_slice(xp, a, b, ho, wo, stride) @ w[a, b]
+        return y
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
-    for a in range(k):
-        for bb in range(k):
-            xs = _shift_slice(xp, a, bb, ho, wo, stride)
-            dw[a, bb] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
-            _shift_slice(dxp, a, bb, ho, wo, stride)[...] += g @ w[a, bb].T
-    return dxp[:, pt : pt + h, pl : pl + wd], {"w": dw, "b": db}
+    for a, b in _window_offsets(k):
+        xs = _shift_slice(xp, a, b, ho, wo, stride)
+        dw[a, b] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
+    return dw
+
+
+def _conv2d_backward(data, g, need_dx):
+    # gp is g stride-stuffed onto the input's grid with K-1 zeros in front:
+    # the K x K window at each input pixel holds, flipped, every output that
+    # read it (none for rows the forward never read). So dx is gp correlated
+    # with the flipped kernel, its C and F axes swapped, and dW may contract
+    # the windows of gp in place of those of the input.
+    xp, w, stride = data["xp"], data["w"], data["stride"]
+    ho, wo = data["out_hw"]
+    pt, _, pl, _ = data["pads"]
+    n, h, wd, c = data["in_shape"]
+    k, f = w.shape[0], w.shape[3]
+    # wt stays a strided view: a contiguous copy runs the wide dx's matmuls
+    # about twice as fast, but rounds differently (see ROADMAP)
+    wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
+    dw_from_gp = f * k * k <= _WINDOW_MAX < c * k * k  # e.g. a decoder's last conv
+    if need_dx or dw_from_gp:
+        gp = np.zeros((n, h + k - 1, wd + k - 1, f), dtype=g.dtype)
+        gp[:, k - 1 - pt : k - pt + (ho - 1) * stride : stride,
+           k - 1 - pl : k - pl + (wo - 1) * stride : stride] = g
+    if dw_from_gp:
+        x = xp[:, pt : pt + h, pl : pl + wd]
+        dw = _correlate(gp, wt, 1, h, wd, x)[::-1, ::-1].transpose(0, 1, 3, 2)
+    else:
+        dw = _correlate(xp, w, stride, ho, wo, g)
+    dx = _correlate(gp, wt, 1, h, wd) if need_dx else None
+    return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
 
 
 def maxpool2d(x, pool, stride):
@@ -158,9 +191,13 @@ def upsample2d(x, factor):
 
 
 def _upsample2d_backward(data, g):
+    # strided slices, not a reshape: a reshape of a channel-major g (as the
+    # conv backward's einsum can return) would copy all of it first
     f = data["factor"]
-    n, h, wd, c = data["in_shape"]
-    return g.reshape(n, h, f, wd, f, c).sum(axis=(2, 4)), None
+    dx = g[:, ::f, ::f].copy()
+    for a, b in _window_offsets(f)[1:]:
+        dx += g[:, a::f, b::f]
+    return dx, None
 
 
 def dense(x, w, b):
@@ -173,9 +210,9 @@ def dense(x, w, b):
     return x @ w + b, LayerCache("dense", x=x, w=w)
 
 
-def _dense_backward(data, g):
+def _dense_backward(data, g, need_dx):
     x, w = data["x"], data["w"]
-    return g @ w.T, {"w": x.T @ g, "b": g.sum(axis=0)}
+    return g @ w.T if need_dx else None, {"w": x.T @ g, "b": g.sum(axis=0)}
 
 
 def _sigmoid(x):
@@ -255,13 +292,19 @@ _BACKWARD = {
 }
 
 
-def backward(cache, grad):
+def backward(cache, grad, need_dx=True):
     """Chain-rule step for one layer.
 
     Returns ``(input_grad, param_grads)`` where param_grads is None for
     parameter-free layers and a dict with keys matching the forward
-    parameters otherwise. A cache may be consumed once.
+    parameters otherwise. With ``need_dx=False`` the input gradient is not
+    computed and comes back None: a parameter-free layer then does no work,
+    and conv2d and dense compute their parameter gradients only. A cache
+    may be consumed once.
     """
     if not isinstance(cache, LayerCache):
         raise CacheError("backward needs a LayerCache from a forward call")
-    return _BACKWARD[cache.kind](cache.take(), grad)
+    data = cache.take()
+    if cache.kind in ("conv2d", "dense"):
+        return _BACKWARD[cache.kind](data, grad, need_dx)
+    return _BACKWARD[cache.kind](data, grad) if need_dx else (None, None)

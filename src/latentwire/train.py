@@ -108,7 +108,7 @@ def _fit(spec, images, labels, cfg, optimizer, upto=None, augment_batches=False)
                 loss = cross_entropy_loss(out, yb)
                 correct += int((out.argmax(axis=-1) == yb).sum())
             _check_finite(loss.value, epoch)
-            _, grads = net.backward(caches, loss.gradient)
+            grads = net.backward(caches, loss.gradient)
             optimizer_step(opt, *net.trainable(grads))
             epoch_loss += loss.value * len(xb)
         hist.losses.append(epoch_loss / n)

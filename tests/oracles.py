@@ -34,6 +34,30 @@ def conv2d_oracle(x, w, b, stride=1, padding="valid"):
     return out
 
 
+def conv2d_backward_oracle(x, w, g, stride=1, padding="valid"):
+    """Weight and input gradients of conv2d_oracle for one (h, w, c) sample
+    and its output gradient g (ho, wo, f): every output position adds its
+    window's share to both, one kernel offset at a time."""
+    k = w.shape[0]
+    h, wd, c = x.shape
+    ho, wo, f = g.shape
+    pt = pl = 0
+    if padding == "same":
+        pt = max((ho - 1) * stride + k - h, 0) // 2
+        pl = max((wo - 1) * stride + k - wd, 0) // 2
+    dw = np.zeros((k, k, c, f))
+    dx = np.zeros((h, wd, c))
+    for i in range(ho):
+        for j in range(wo):
+            for a in range(k):
+                for bb in range(k):
+                    r, q = i * stride + a - pt, j * stride + bb - pl
+                    if 0 <= r < h and 0 <= q < wd:
+                        dw[a, bb] += np.outer(x[r, q], g[i, j])
+                        dx[r, q] += w[a, bb] @ g[i, j]
+    return dw, dx
+
+
 def maxpool2d_oracle(x, pool, stride):
     h, w, c = x.shape
     ho, wo = (h - pool) // stride + 1, (w - pool) // stride + 1
@@ -208,9 +232,11 @@ def _away_from_zero(rng, shape, margin=0.05):
 
 def gradient_trial(kind, rng):
     """One randomized finite-difference trial; returns the max rel error."""
-    if kind == "conv2d":
+    if kind in ("conv2d", "conv2d-wide"):
+        # "conv2d-wide" draws c, f >= 9, so c*k*k and f*k*k exceed 72 and
+        # the forward, dW and dx all loop over the kernel offsets
         h, w = rng.integers(3, 7, 2)
-        c, f = rng.integers(1, 4, 2)
+        c, f = rng.integers(*((1, 4) if kind == "conv2d" else (9, 12)), 2)
         stride = int(rng.integers(1, 3))
         padding = ("valid", "same")[rng.integers(0, 2)]
         arrays = {

@@ -9,6 +9,7 @@ from latentwire.losses import cross_entropy_loss, mse_loss
 from latentwire.errors import LabelRangeError
 
 from oracles import (
+    conv2d_backward_oracle,
     conv2d_oracle,
     dense_oracle,
     maxpool2d_backward_oracle,
@@ -74,6 +75,36 @@ def test_conv_batched_equals_per_sample():
     for i in range(4):
         yi, _ = ops.conv2d(xs[i:i + 1], w, b, 1, "same")
         np.testing.assert_allclose(yb[i], yi[0], rtol=1e-6)
+
+
+# channels (3, 32) and (32, 3) put one side of the backward below the
+# c*k*k <= 72 window-contraction rule and the other above it (for k >= 3);
+# (32, 32) keeps both above. Under "valid", 8x10 with stride 2 leaves a last
+# row and column that no window reads.
+@pytest.mark.parametrize("c,f", [(3, 32), (32, 3), (32, 32)])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("hw", [(8, 10), (7, 9)])
+def test_conv_backward_matches_loop_oracle(c, f, padding, stride, k, hw):
+    r = rng(k * 100 + stride * 10 + c + f)
+    x = r.standard_normal((2, *hw, c))
+    w = r.standard_normal((k, k, c, f))
+    y, cache = ops.conv2d(x, w, r.standard_normal(f), stride, padding)
+    g = r.standard_normal(y.shape)
+    dx, pg = ops.backward(cache, g)
+    _, cache = ops.conv2d(x, w, np.zeros(f), stride, padding)
+    no_dx, pg_only = ops.backward(cache, g, need_dx=False)
+    assert no_dx is None
+    dw = np.zeros_like(w)
+    for i in range(len(x)):
+        dw_i, dx_i = conv2d_backward_oracle(x[i], w, g[i], stride, padding)
+        dw += dw_i
+        assert dx[i].shape == dx_i.shape
+        assert np.abs(dx[i] - dx_i).max() < 1e-10
+    assert np.abs(pg["w"] - dw).max() < 1e-10
+    assert np.abs(pg["b"] - g.sum(axis=(0, 1, 2))).max() < 1e-10
+    assert np.array_equal(pg_only["w"], pg["w"]) and np.array_equal(pg_only["b"], pg["b"])
 
 
 # --- maxpool ---------------------------------------------------------------
@@ -147,6 +178,21 @@ def test_upsample_factor_one_identity():
     x = rng().random((1, 3, 4, 2))
     y, _ = ops.upsample2d(x, 1)
     np.testing.assert_array_equal(y, x)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_upsample_backward_same_for_any_gradient_layout(factor):
+    x = rng().random((4, 5, 6, 3)).astype(np.float32)
+    y, _ = ops.upsample2d(x, factor)
+    g = rng(1).standard_normal(y.shape).astype(np.float32)
+    # the same values stored channel-major, as an einsum may return them
+    g_cm = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    assert not g_cm.flags.c_contiguous
+    expect = g.reshape(4, 5, factor, 6, factor, 3).sum(axis=(2, 4))
+    for grad in (g, g_cm):
+        _, cache = ops.upsample2d(x, factor)
+        dx, _ = ops.backward(cache, grad)
+        assert dx.tobytes() == expect.tobytes()
 
 
 def test_pool_then_upsample_constant_roundtrip():
@@ -297,6 +343,20 @@ def test_relu_backward_definition():
     _, cache = ops.activation(np.array([-1.0, 2.0]), "relu")
     dx, _ = ops.backward(cache, np.array([5.0, 5.0]))
     assert dx.tolist() == [0.0, 5.0]
+
+
+def test_parameter_free_backward_without_dx_does_nothing():
+    _, cache = ops.activation(np.array([[-1.0, 2.0]]), "relu")
+    assert ops.backward(cache, np.ones((1, 2)), need_dx=False) == (None, None)
+
+
+def test_dense_backward_without_dx_keeps_parameter_grads():
+    x, w, g = rng().random((3, 4)), rng(1).random((4, 2)), rng(2).random((3, 2))
+    _, cache = ops.dense(x, w, np.zeros(2))
+    dx, pg = ops.backward(cache, g, need_dx=False)
+    assert dx is None
+    np.testing.assert_allclose(pg["w"], x.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(pg["b"], g.sum(axis=0), rtol=1e-12)
 
 
 def test_dense_backward_zero_upstream():

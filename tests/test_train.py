@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latentwire import ops
 from latentwire.data import LabeledDataset, SyntheticSpec, gen_synthetic
 from latentwire.errors import DivergenceError, ShapeMismatchError
 from latentwire.network import Network
@@ -236,3 +237,47 @@ def test_infer_matches_forward_across_batch_boundaries():
     x = rng(1).random((70, 12)).astype(np.float32)
     np.testing.assert_allclose(net.infer(x), net.forward(x), rtol=1e-6)
     assert net.infer(x[:0]).shape == (0, 2)
+
+
+def _ae_chain(input_shape, cr):
+    pair = build_autoencoder(input_shape, cr)
+    return ModelSpec(pair.encoder.layers + pair.decoder.layers, input_shape)
+
+
+@pytest.mark.parametrize("spec", [
+    build_vanilla_classifier((16, 16, 3), "A", 4),
+    build_vanilla_classifier((16, 16, 3), "B", 4),
+    _ae_chain((16, 16, 3), 4),
+    # the first layer with weights sits behind two parameter-free layers
+    ModelSpec((maxpool(2, 2), act("relu"), conv(4), act("relu"), flatten(), dense(3)),
+              (10, 10, 2)),
+], ids=["family-A", "family-B", "ae-cr4", "pool-first"])
+def test_backward_stops_at_the_first_weighted_layer(spec, monkeypatch):
+    net = Network(spec, rng=rng(0))
+    x = rng(1).random((4, *spec.input_shape)).astype(np.float32)
+    out, caches = net.forward(x, return_caches=True)
+    g = rng(2).standard_normal(out.shape).astype(np.float32)
+    full_backward = ops.backward
+    layer_of = {id(cache): i for i, cache in enumerate(caches)}
+    calls = []
+
+    def recording(cache, grad, need_dx=True):
+        calls.append((layer_of[id(cache)], need_dx))
+        return full_backward(cache, grad, need_dx=need_dx)
+
+    monkeypatch.setattr(ops, "backward", recording)
+    grads = net.backward(caches, g)
+    first = next(i for i, l in enumerate(spec.layers) if l.kind in ("conv2d", "dense"))
+    assert calls == [(i, i > first) for i in range(len(caches) - 1, first - 1, -1)]
+
+    # a full backward to the input gives the same parameter gradients
+    _, caches = net.forward(x, return_caches=True)
+    grad, expect = g, [{} for _ in caches]
+    for i in range(len(caches) - 1, -1, -1):
+        grad, pgrads = full_backward(caches[i], grad)
+        expect[i] = pgrads or {}
+    assert grad.shape == x.shape
+    assert [sorted(p) for p in grads] == [sorted(p) for p in expect]
+    for got, want in zip(grads, expect):
+        for key in got:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-6, atol=1e-7)
