@@ -19,9 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
-from .device import DeviceNode
+from .device import PARTITIONS, DeviceNode
 from .errors import LatentWireError
 from .experiment import (
+    DATASETS,
     ExperimentConfig,
     emit_report,
     load_config,
@@ -30,7 +31,7 @@ from .experiment import (
 )
 from .hub import Hub, HubServer
 from .train import TrainConfig, evaluate, train_classifier
-from .zoo import build_vanilla_classifier
+from .zoo import FAMILIES, build_vanilla_classifier
 
 DATA_DIR_ENV = "LATENTWIRE_DATA_DIR"
 
@@ -215,7 +216,7 @@ def build_parser():
 
     p = sub.add_parser("train-classifier", help="train a vanilla classifier")
     p.add_argument("--data", required=True)
-    p.add_argument("--family", choices=("A", "B"), default="A")
+    p.add_argument("--family", choices=FAMILIES, default="A")
     p.add_argument("--out", required=True)
     p.add_argument("--clf-epochs", dest="clf_epochs", type=int)
     p.add_argument("--clf-batch-size", dest="clf_batch_size", type=int)
@@ -228,13 +229,13 @@ def build_parser():
     p = sub.add_parser("run", help="run the benchmark grid and emit a report")
     p.add_argument("--config", help="JSON config; replaces the grid flags, "
                    "--out applies when the file sets no out")
-    p.add_argument("--dataset", choices=("synthetic", "cifar10"))
+    p.add_argument("--dataset", choices=DATASETS)
     p.add_argument("--cifar10-dir")
     p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000")
     p.add_argument("--ratios", type=_float_list)
-    p.add_argument("--family", choices=("A", "B"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--devices", type=int)
-    p.add_argument("--partition", choices=("iid", "label-shard"))
+    p.add_argument("--partition", choices=PARTITIONS)
     p.add_argument("--seeds", type=_int_list)
     p.add_argument("--ae-epochs", type=int)
     p.add_argument("--clf-epochs", type=int)

@@ -19,7 +19,6 @@ class LabeledDataset:
     images: np.ndarray  # (N, ...) float32
     labels: np.ndarray  # (N,) int64
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -38,8 +37,7 @@ class LabeledDataset:
         return tuple(self.images.shape[1:])
 
     def subset(self, indices):
-        return LabeledDataset(self.images[indices], self.labels[indices],
-                              self.num_classes, self.split)
+        return LabeledDataset(self.images[indices], self.labels[indices], self.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +128,8 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
                 te_imgs.append(img)
                 te_lab.append(cls)
 
-    train = LabeledDataset(np.stack(tr_imgs), np.array(tr_lab), spec.num_classes, "train")
-    test = LabeledDataset(np.stack(te_imgs), np.array(te_lab), spec.num_classes, "test")
+    train = LabeledDataset(np.stack(tr_imgs), np.array(tr_lab), spec.num_classes)
+    test = LabeledDataset(np.stack(te_imgs), np.array(te_lab), spec.num_classes)
     _check_separation(train, spec.margin)
     return train, test
 
@@ -185,9 +183,9 @@ def load_cifar10(directory):
         i, l = load_cifar10_batch(directory / name)
         imgs.append(i)
         labs.append(l)
-    train = LabeledDataset(np.concatenate(imgs), np.concatenate(labs), 10, "train")
+    train = LabeledDataset(np.concatenate(imgs), np.concatenate(labs), 10)
     ti, tl = load_cifar10_batch(directory / CIFAR_TEST_FILE)
-    test = LabeledDataset(ti, tl, 10, "test")
+    test = LabeledDataset(ti, tl, 10)
     return train, test
 
 
@@ -200,7 +198,7 @@ def cifar10_subset(train, test, num_classes, per_class):
             idx = np.flatnonzero(data.labels == cls)[:n]
             keep.append(idx)
         idx = np.concatenate(keep)
-        return LabeledDataset(data.images[idx], data.labels[idx], num_classes, data.split)
+        return LabeledDataset(data.images[idx], data.labels[idx], num_classes)
     return cut(train, per_class), cut(test, max(per_class // 5, 1))
 
 
@@ -223,6 +221,6 @@ def load_dataset(path):
         raise DatasetFormatError(f"missing dataset file {path}")
     with np.load(path) as d:
         nc = int(d["num_classes"])
-        train = LabeledDataset(d["train_images"], d["train_labels"], nc, "train")
-        test = LabeledDataset(d["test_images"], d["test_labels"], nc, "test")
+        train = LabeledDataset(d["train_images"], d["train_labels"], nc)
+        test = LabeledDataset(d["test_images"], d["test_labels"], nc)
     return train, test

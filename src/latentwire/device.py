@@ -27,8 +27,10 @@ from .wire import (
 )
 from .zoo import build_autoencoder
 
+PARTITIONS = ("iid", "label-shard")
 
-def partition_dataset(data, n_devices, mode="iid", rng=None):
+
+def partition_dataset(data, n_devices, mode, rng):
     """Disjoint covering shards.
 
     iid: shuffled near-equal split (sizes differ by at most 1);
@@ -38,8 +40,6 @@ def partition_dataset(data, n_devices, mode="iid", rng=None):
         raise TooManyDevicesError(
             f"cannot split {len(data)} samples across {n_devices} devices")
     if mode == "iid":
-        if rng is None:
-            rng = np.random.default_rng(0)
         order = rng.permutation(len(data))
     elif mode == "label-shard":
         order = np.argsort(data.labels, kind="stable")
@@ -120,10 +120,8 @@ class DeviceNode:
         return emitted
 
 
-def make_devices(train, test, n_devices, mode="iid", rng=None):
+def make_devices(train, test, n_devices, mode, rng):
     """Partition both splits the same way and wrap them in DeviceNodes."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     train_shards = partition_dataset(train, n_devices, mode, rng)
     test_shards = partition_dataset(test, n_devices, mode, rng)
     return [DeviceNode(i, tr, te)

@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import SyntheticSpec, cifar10_subset, gen_synthetic, load_cifar10
-from .device import HubSink, make_devices
+from .device import PARTITIONS, HubSink, make_devices
 from .errors import LatentWireError
 from .hub import Hub
 from .train import TrainConfig
-from .zoo import count_parameters
+from .zoo import FAMILIES, count_parameters
 
 log = logging.getLogger("latentwire")
 
@@ -35,11 +35,12 @@ CONFIG_FORMAT = "latentwire-config"
 CONFIG_VERSION = 1
 REPORT_FORMAT = "latentwire-report"
 REPORT_VERSION = 1
+DATASETS = ("synthetic", "cifar10")
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = "synthetic"  # "synthetic" | "cifar10"
+    dataset: str = "synthetic"
     cifar_dir: str | None = None
     cifar_subset: str | None = None  # "CLASSESxPER_CLASS", e.g. "2x1000"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -58,6 +59,11 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(r <= 0 for r in self.ratios):
             raise ValueError("ratios must be positive")
+        for name, choices in (("dataset", DATASETS), ("family", FAMILIES),
+                              ("partition", PARTITIONS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -93,16 +99,14 @@ def load_experiment_data(cfg):
     if cfg.dataset == "synthetic":
         train, test = gen_synthetic(cfg.synthetic, seed=0)
         return "synthetic", train, test
-    if cfg.dataset == "cifar10":
-        if not cfg.cifar_dir:
-            raise ValueError("cifar10 dataset needs cifar_dir")
-        train, test = load_cifar10(cfg.cifar_dir)
-        if cfg.cifar_subset:
-            classes, per_class = (int(v) for v in cfg.cifar_subset.lower().split("x"))
-            train, test = cifar10_subset(train, test, classes, per_class)
-            return f"cifar10-{cfg.cifar_subset}", train, test
-        return "cifar10", train, test
-    raise ValueError(f"unknown dataset source {cfg.dataset!r}")
+    if not cfg.cifar_dir:
+        raise ValueError("cifar10 dataset needs cifar_dir")
+    train, test = load_cifar10(cfg.cifar_dir)
+    if cfg.cifar_subset:
+        classes, per_class = (int(v) for v in cfg.cifar_subset.lower().split("x"))
+        train, test = cifar10_subset(train, test, classes, per_class)
+        return f"cifar10-{cfg.cifar_subset}", train, test
+    return "cifar10", train, test
 
 
 def run_cell(name, train, test, cfg, cr, seed):

@@ -55,7 +55,7 @@ class Hub:
         records = self.records(split)
         if not records:
             return LabeledDataset(np.zeros((0, 1), np.float32), np.zeros(0, np.int64),
-                                  num_classes or 1, split)
+                                  num_classes or 1)
         shape = records[0].shape
         for rec in records:
             if rec.shape != shape:
@@ -67,7 +67,7 @@ class Hub:
             raise ShapeMismatchError("split contains unlabeled records")
         if num_classes is None:
             num_classes = int(labels.max()) + 1
-        return LabeledDataset(images, labels, num_classes, split)
+        return LabeledDataset(images, labels, num_classes)
 
     def train_classifier(self, family, cfg, num_classes=None):
         """Fit a classifier of `family` ("A"/"B") on the assembled train split."""

@@ -9,7 +9,7 @@ import numpy as np
 from . import ops
 from .errors import ShapeMismatchError
 from .initializers import glorot_uniform
-from .zoo import ModelSpec, infer_shapes, load_spec, save_spec
+from .zoo import ModelSpec, infer_shapes, save_spec
 
 INFER_BATCH = 32  # samples per forward in bulk inference: one training batch
 
@@ -21,33 +21,29 @@ class Network:
     conv2d/dense, empty otherwise).
     """
 
-    def __init__(self, spec: ModelSpec, params=None, rng=None, dtype=np.float32):
+    def __init__(self, spec: ModelSpec, params=None, rng=None):
         self.spec = spec
         if params is not None:
             self.params = params
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
-            self.params = self._init_params(rng, dtype)
+            self.params = self._init_params(rng)
 
-    def _init_params(self, rng, dtype):
+    def _init_params(self, rng):
         shapes = infer_shapes(self.spec)
         params = []
         for layer, shape_in in zip(self.spec.layers, shapes):
             if layer.kind == "conv2d":
                 w = glorot_uniform(
-                    (layer.kernel, layer.kernel, shape_in[2], layer.filters), rng, dtype)
-                params.append({"w": w, "b": np.zeros(layer.filters, dtype=dtype)})
+                    (layer.kernel, layer.kernel, shape_in[2], layer.filters), rng)
+                params.append({"w": w, "b": np.zeros(layer.filters, np.float32)})
             elif layer.kind == "dense":
-                w = glorot_uniform((shape_in[0], layer.width), rng, dtype)
-                params.append({"w": w, "b": np.zeros(layer.width, dtype=dtype)})
+                w = glorot_uniform((shape_in[0], layer.width), rng)
+                params.append({"w": w, "b": np.zeros(layer.width, np.float32)})
             else:
                 params.append({})
         return params
-
-    @property
-    def input_shape(self):
-        return self.spec.input_shape
 
     def _check_input(self, x):
         if x.shape[1:] != self.spec.input_shape:
@@ -103,15 +99,14 @@ class Network:
                 grads[i] = pgrads
         return grads
 
-    def trainable(self, grads=None):
-        """Flat lists of trainable parameter arrays (and matching grads)."""
+    def trainable(self, grads):
+        """Flat lists of the trainable parameter arrays and their grads."""
         params, flat_grads = [], []
-        for i, p in enumerate(self.params):
+        for p, g in zip(self.params, grads):
             for key in sorted(p):
                 params.append(p[key])
-                if grads is not None:
-                    flat_grads.append(grads[i][key])
-        return (params, flat_grads) if grads is not None else params
+                flat_grads.append(g[key])
+        return params, flat_grads
 
     def slice(self, start, stop, input_shape, role):
         """View over layers [start:stop); parameter arrays are shared."""
@@ -127,18 +122,3 @@ class Network:
             for key, value in p.items():
                 arrays[f"layer{i}_{key}"] = value
         np.savez(prefix.with_suffix(".weights.npz"), **arrays)
-
-    @classmethod
-    def load(cls, prefix):
-        prefix = Path(prefix)
-        spec = load_spec(prefix.with_suffix(".model.json"))
-        with np.load(prefix.with_suffix(".weights.npz")) as data:
-            params = []
-            for i, layer in enumerate(spec.layers):
-                p = {}
-                for key in ("w", "b"):
-                    name = f"layer{i}_{key}"
-                    if name in data:
-                        p[key] = data[name]
-                params.append(p)
-        return cls(spec, params=params)

@@ -21,6 +21,8 @@ SPEC_FORMAT = "latentwire-model"
 SPEC_VERSION = 1
 
 KINDS = ("conv2d", "maxpool", "upsample", "dense", "activation", "dropout", "flatten")
+FAMILIES = ("A", "B")  # classifier families
+HIDDEN_WIDTH = 32  # channels of the autoencoder's inner convs
 
 _REQUIRED = {
     "conv2d": ("kernel", "filters", "stride", "padding"),
@@ -138,9 +140,9 @@ def _layer_out(shape, layer, index):
     return tuple(shape)  # activation, dropout
 
 
-def infer_shapes(spec, input_shape=None):
+def infer_shapes(spec):
     """Shape walk; returns [input_shape, out_1, ..., out_n]."""
-    shape = tuple(input_shape if input_shape is not None else spec.input_shape)
+    shape = spec.input_shape
     out = [shape]
     for i, layer in enumerate(spec.layers):
         shape = _layer_out(shape, layer, i)
@@ -148,9 +150,9 @@ def infer_shapes(spec, input_shape=None):
     return out
 
 
-def count_parameters(spec, input_shape=None):
+def count_parameters(spec):
     """conv: (K*K*C_in+1)*F; dense: (N+1)*M; everything else contributes 0."""
-    shapes = infer_shapes(spec, input_shape)
+    shapes = infer_shapes(spec)
     total = 0
     for layer, shape_in in zip(spec.layers, shapes):
         if layer.kind == "conv2d":
@@ -179,7 +181,7 @@ class AutoencoderPair:
     latent_shape: tuple
 
 
-def build_autoencoder(input_shape, cr, hidden_width=32):
+def build_autoencoder(input_shape, cr):
     """Conv/pool encoder and conv/upsample decoder realizing ratio ``cr`` exactly.
 
     The encoder halves the spatial extent s times and maps to c_z latent
@@ -207,13 +209,13 @@ def build_autoencoder(input_shape, cr, hidden_width=32):
 
     enc_layers = []
     for _ in range(stages):
-        enc_layers += [conv(hidden_width, padding="same"), act("relu"), maxpool(2, 2)]
+        enc_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), maxpool(2, 2)]
     enc_layers += [conv(c_z, padding="same"), act("relu")]
     latent = (h // 2 ** stages, w // 2 ** stages, c_z)
 
     dec_layers = []
     for _ in range(stages):
-        dec_layers += [conv(hidden_width, padding="same"), act("relu"), upsample(2)]
+        dec_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), upsample(2)]
     dec_layers += [conv(c, padding="same"), act("sigmoid")]
 
     enc = ModelSpec(tuple(enc_layers), (h, w, c), role="encoder")
@@ -296,27 +298,5 @@ def spec_to_dict(spec):
     }
 
 
-def spec_from_dict(doc):
-    if doc.get("format") != SPEC_FORMAT:
-        raise ValueError(f"not a model spec document: {doc.get('format')!r}")
-    if doc.get("version") != SPEC_VERSION:
-        raise ValueError(f"unsupported model spec version {doc.get('version')!r}")
-    if set(doc) != {"format", "version", "role", "input_shape", "layers"}:
-        raise ValueError(f"model spec keys {sorted(doc)} are not the expected ones")
-    layers = []
-    for i, entry in enumerate(doc["layers"]):
-        if "kind" not in entry:
-            raise ValueError(f"layer {i} has no kind")
-        unknown = sorted(set(entry) - {"kind", *_GEOMETRY})
-        if unknown:
-            raise ValueError(f"unknown key(s) in layer {i}: {', '.join(unknown)}")
-        layers.append(LayerSpec(**entry))
-    return ModelSpec(tuple(layers), tuple(doc["input_shape"]), role=doc["role"])
-
-
 def save_spec(spec, path):
     Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n")
-
-
-def load_spec(path):
-    return spec_from_dict(json.loads(Path(path).read_text()))

@@ -1,7 +1,13 @@
 import json
+from dataclasses import replace
 
-from latentwire.cli import main
-from latentwire.experiment import CONFIG_FORMAT, CONFIG_VERSION, parse_report
+from latentwire.cli import DATA_DIR_ENV, _experiment_config, build_parser, main
+from latentwire.experiment import (
+    CONFIG_FORMAT,
+    CONFIG_VERSION,
+    ExperimentConfig,
+    parse_report,
+)
 
 
 def test_cli_smoke(tmp_path):
@@ -42,3 +48,19 @@ def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("latentwire: error: ") and "ratio" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_flags_set_the_config(tmp_path, monkeypatch):
+    (tmp_path / "batches").mkdir()
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    args = build_parser().parse_args([
+        "run", "--cifar10-dir", "batches", "--batch-size", "8", "--augment",
+        "--family", "B", "--partition", "label-shard", "--jobs", "3"])
+    cfg = _experiment_config(args)
+    default = ExperimentConfig()
+    assert (cfg.dataset, cfg.cifar_dir) == ("cifar10", str(tmp_path / "batches"))
+    assert cfg.ae == replace(default.ae, batch_size=8)
+    assert cfg.clf == replace(default.clf, batch_size=8, augment=True)
+    assert (cfg.family, cfg.partition, cfg.jobs) == ("B", "label-shard", 3)

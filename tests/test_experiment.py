@@ -79,6 +79,14 @@ def test_config_values_still_checked(doc):
         config_from_dict({**HEADER, **doc})
 
 
+@pytest.mark.parametrize("doc", [{"family": "C"}, {"partition": "shuffled"},
+                                 {"dataset": "mnist"}], ids=["family", "partition", "dataset"])
+def test_unknown_choice_rejected_on_load(doc):
+    (name,) = doc
+    with pytest.raises(ValueError, match=f"{name} must be one of"):
+        config_from_dict({**HEADER, **doc})
+
+
 @pytest.mark.parametrize("header", [
     {"format": "other", "version": CONFIG_VERSION},
     {"format": CONFIG_FORMAT, "version": CONFIG_VERSION + 1},

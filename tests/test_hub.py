@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import latentwire.wire as wire
-from latentwire.device import HubSink
+from latentwire.device import HubSink, WireClientSink
 from latentwire.errors import SinkFailure
-from latentwire.hub import Hub, serve_stream
+from latentwire.hub import Hub, HubServer, serve_stream
 from latentwire.train import TrainConfig
 from latentwire.wire import (
     ACK_ACCEPTED,
@@ -72,6 +72,18 @@ def test_hub_sink_round_trips_through_codec():
         sink.push(rec)
     with pytest.raises(OversizeRecordError):
         sink.push(make_record(record=1, label=0x10000))
+
+
+def test_wire_client_pushes_over_loopback():
+    recs = [make_record(record=i, seed=i) for i in range(3)]
+    hub = Hub()
+    with HubServer(hub, split="test") as server, WireClientSink(*server.address) as sink:
+        for rec in recs:
+            sink.push(rec)
+        assert hub.records("test") == recs
+        with pytest.raises(SinkFailure, match="0x06"):
+            sink.push(recs[1])
+    assert hub.records("test") == recs
 
 
 def test_evaluate_empty_split_scores_zero():

@@ -10,13 +10,18 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "latentwire"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def modules(tree):
+    """Names bound by ``import X`` statements: other packages' modules."""
+    return {a.asname or a.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for a in node.names}
+
+
 def unused_imports(tree):
     """Names bound by import statements that no Name node reads."""
-    imported = set()
+    imported = modules(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
@@ -51,13 +56,16 @@ def definitions(tree, prefix=""):
             yield from definitions(node, prefix)
 
 
-def reads(tree):
-    """Names read through Name or Attribute nodes, with their counts."""
+def reads(tree, skip=frozenset()):
+    """Names read through Name or Attribute nodes, with their counts. An
+    attribute of a name in `skip` is not counted: ``np.load`` reads numpy's
+    ``load``, not one of ours."""
     counts = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             counts[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and not (isinstance(node.value, ast.Name) and node.value.id in skip)):
             counts[node.attr] += 1
     return counts
 
@@ -65,10 +73,10 @@ def reads(tree):
 def unreached(paths):
     """Qualified names of the definitions in `paths` that no code outside the
     definition itself reads."""
-    trees = [ast.parse(p.read_text()) for p in paths]
-    total = sum((reads(t) for t in trees), Counter())
-    return sorted(name for tree in trees for name, node in definitions(tree)
-                  if total[node.name] - reads(node)[node.name] <= 0)
+    trees = [(t, modules(t)) for t in (ast.parse(p.read_text()) for p in paths)]
+    total = sum((reads(t, m) for t, m in trees), Counter())
+    return sorted(name for tree, m in trees for name, node in definitions(tree)
+                  if total[node.name] - reads(node, m)[node.name] <= 0)
 
 
 def test_every_definition_is_reached():

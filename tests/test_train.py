@@ -30,14 +30,14 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _separable_dataset(n_per_class=40, seed=0, split="train"):
+def _separable_dataset(n_per_class=40, seed=0):
     """Two blob classes in a flat 12-dim space, trivially separable."""
     r = rng(seed)
     a = r.normal(0.2, 0.05, (n_per_class, 12)).astype(np.float32)
     b = r.normal(0.8, 0.05, (n_per_class, 12)).astype(np.float32)
     images = np.concatenate([a, b])
     labels = np.array([0] * n_per_class + [1] * n_per_class)
-    return LabeledDataset(images, labels, 2, split)
+    return LabeledDataset(images, labels, 2)
 
 
 def _mlp_spec(in_dim=12, classes=2):

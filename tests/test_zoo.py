@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +18,6 @@ from latentwire.zoo import (
     count_parameters,
     dense,
     infer_shapes,
-    load_spec,
-    save_spec,
-    spec_from_dict,
-    spec_to_dict,
 )
 
 from oracles import count_parameters_oracle
@@ -214,42 +212,16 @@ def test_compression_ratio_values():
 
 # --- spec serialization ----------------------------------------------------------------
 
-def test_spec_roundtrip(tmp_path):
-    spec = build_vanilla_classifier((32, 32, 3), "B", 10)
-    path = tmp_path / "model.json"
-    save_spec(spec, path)
-    loaded = load_spec(path)
-    assert loaded == spec
-    assert "latentwire-model" in path.read_text()
-
-
-def _spec_doc():
-    return spec_to_dict(build_vanilla_classifier((8, 8, 3), "A", 2))
-
-
-@pytest.mark.parametrize("key", ["frozen", "strides"])
-def test_spec_rejects_unknown_layer_key(key):
-    doc = _spec_doc()
-    doc["layers"][0][key] = True
-    with pytest.raises(ValueError, match=key):
-        spec_from_dict(doc)
-
-
-def test_spec_rejects_layer_without_kind():
-    doc = _spec_doc()
-    del doc["layers"][1]["kind"]
-    with pytest.raises(ValueError, match="no kind"):
-        spec_from_dict(doc)
-
-
-@pytest.mark.parametrize("edit", [lambda doc: doc.pop("layers"),
-                                  lambda doc: doc.update(name="a")],
-                         ids=["missing", "unknown"])
-def test_spec_document_keys_checked(edit):
-    doc = _spec_doc()
-    edit(doc)
-    with pytest.raises(ValueError, match="keys"):
-        spec_from_dict(doc)
+def test_saved_model_file_names_every_layer(tmp_path):
+    spec = build_vanilla_classifier((16, 16, 3), "B", 4)
+    Network(spec).save(tmp_path / "classifier")
+    doc = json.loads((tmp_path / "classifier.model.json").read_text())
+    assert (doc["format"], doc["version"]) == ("latentwire-model", 1)
+    assert (doc["role"], doc["input_shape"]) == ("classifier", [16, 16, 3])
+    assert doc["layers"] == [{k: v for k, v in asdict(layer).items() if v is not None}
+                             for layer in spec.layers]
+    assert {"conv2d", "maxpool", "dropout", "flatten", "dense", "activation"} == {
+        entry["kind"] for entry in doc["layers"]}
 
 
 def test_builders_are_pure():
