@@ -5,6 +5,7 @@ and shares no code with the library implementations it checks.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
 from latentwire.losses import cross_entropy_loss, mse_loss
@@ -56,6 +57,19 @@ def conv2d_backward_oracle(x, w, g, stride=1, padding="valid"):
                         dw[a, bb] += np.outer(x[r, q], g[i, j])
                         dx[r, q] += w[a, bb] @ g[i, j]
     return dw, dx
+
+
+def einsum_correlate(xp, w, stride, g=None):
+    """The narrow conv contraction as einsums over the K x K window view of
+    xp (N,H,W,C) every `stride` pixels: without g the correlation with w
+    (K,K,C,F), given the output gradient g the weight gradient. At the
+    channel pairings the zoo builds, the library's column GEMM must equal
+    these bit for bit."""
+    k = w.shape[0]
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    if g is None:
+        return np.einsum("nhwckl,klcf->nhwf", win, w, optimize=True)
+    return np.einsum("nhwf,nhwckl->klcf", g, win, optimize=True)
 
 
 def maxpool2d_oracle(x, pool, stride):

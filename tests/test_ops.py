@@ -12,6 +12,7 @@ from oracles import (
     conv2d_backward_oracle,
     conv2d_oracle,
     dense_oracle,
+    einsum_correlate,
     maxpool2d_backward_oracle,
     maxpool2d_oracle,
 )
@@ -46,7 +47,7 @@ def test_conv_matches_direct_loop_oracle():
 
 
 def test_conv_wide_input_path_matches_oracle():
-    # channel count above the einsum/shift dispatch threshold
+    # channel count above the column-matrix/shift dispatch threshold
     r = rng(2)
     x = r.random((6, 7, 16))
     w = r.random((3, 3, 16, 4))
@@ -105,6 +106,47 @@ def test_conv_backward_matches_loop_oracle(c, f, padding, stride, k, hw):
     assert np.abs(pg["w"] - dw).max() < 1e-10
     assert np.abs(pg["b"] - g.sum(axis=(0, 1, 2))).max() < 1e-10
     assert np.array_equal(pg_only["w"], pg["w"]) and np.array_equal(pg_only["b"], pg["b"])
+
+
+# In float32 the narrow column GEMM must round as the window einsums did, at
+# the pairings the zoo builds. (c, 32) runs the forward and dW over narrow
+# input windows; (32, c), a decoder's last conv, has a narrow dx and takes
+# its dW from the windows of the stuffed gradient.
+@pytest.mark.parametrize("n", [32, 29, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("size", [32, 16, 8])
+@pytest.mark.parametrize("c", [3, 6])
+def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
+    r = rng(size + c + stride)
+    for cin, f in ((c, 32), (32, c)):
+        x = r.standard_normal((n, size, size, cin)).astype(np.float32)
+        w = (0.1 * r.standard_normal((3, 3, cin, f))).astype(np.float32)
+        b = r.standard_normal(f).astype(np.float32)
+        y, cache = ops.conv2d(x, w, b, stride, padding)
+        xp, (pt, _, pl, _) = cache.data["xp"], cache.data["pads"]
+        g = r.standard_normal(y.shape).astype(np.float32)
+        dx, grads = ops.backward(cache, g)
+        ho, wo = y.shape[1:3]
+        gp = np.zeros((n, size + 2, size + 2, f), np.float32)
+        gp[:, 2 - pt : 3 - pt + (ho - 1) * stride : stride,
+           2 - pl : 3 - pl + (wo - 1) * stride : stride] = g
+        wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
+        if cin == c:
+            assert np.array_equal(y, einsum_correlate(xp, w, stride) + b)
+            assert np.array_equal(grads["w"], einsum_correlate(xp, w, stride, g))
+        else:
+            x_in = xp[:, pt : pt + size, pl : pl + size]
+            dw = einsum_correlate(gp, wt, 1, x_in)[::-1, ::-1].transpose(0, 1, 3, 2)
+            assert np.array_equal(grads["w"], dw)
+            assert np.array_equal(dx, einsum_correlate(gp, wt, 1))
+
+
+def test_valid_conv_caches_its_input_uncopied():
+    x = rng().random((2, 8, 8, 3)).astype(np.float32)
+    _, cache = ops.conv2d(x, rng(1).random((3, 3, 3, 4)).astype(np.float32),
+                          np.zeros(4, np.float32), 1, "valid")
+    assert np.shares_memory(cache.data["xp"], x)
 
 
 # --- maxpool ---------------------------------------------------------------
@@ -185,7 +227,7 @@ def test_upsample_backward_same_for_any_gradient_layout(factor):
     x = rng().random((4, 5, 6, 3)).astype(np.float32)
     y, _ = ops.upsample2d(x, factor)
     g = rng(1).standard_normal(y.shape).astype(np.float32)
-    # the same values stored channel-major, as an einsum may return them
+    # the same values stored channel-major: the sum must not depend on layout
     g_cm = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
     assert not g_cm.flags.c_contiguous
     expect = g.reshape(4, 5, factor, 6, factor, 3).sum(axis=(2, 4))

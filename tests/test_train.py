@@ -281,3 +281,40 @@ def test_backward_stops_at_the_first_weighted_layer(spec, monkeypatch):
     for got, want in zip(grads, expect):
         for key in got:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("model", ["ae-cr4", "ae-cr8", "ae-cr16", "family-A", "family-B"])
+def test_one_training_step_keeps_every_array_c_contiguous(model, monkeypatch):
+    # every op returns C-order arrays, so none of its successors strides
+    # through another layout
+    recorded = []
+
+    def recording(name, fn):
+        def op(*args, **kwargs):
+            out, cache = fn(*args, **kwargs)
+            recorded.append((name, out))
+            return out, cache
+        return op
+
+    for name in ("conv2d", "maxpool2d", "upsample2d", "dense", "activation",
+                 "dropout", "flatten"):
+        monkeypatch.setattr(ops, name, recording(name, getattr(ops, name)))
+    full_backward = ops.backward
+
+    def backward(cache, grad, need_dx=True):
+        dx, pgrads = full_backward(cache, grad, need_dx=need_dx)
+        if dx is not None:
+            recorded.append((cache.kind + " dx", dx))
+        return dx, pgrads
+
+    monkeypatch.setattr(ops, "backward", backward)
+    images = rng(1).random((8, 32, 32, 3)).astype(np.float32)
+    cfg = TrainConfig(epochs=1, batch_size=8)
+    if model.startswith("ae"):
+        train_autoencoder(build_autoencoder((32, 32, 3), int(model[5:])), images, cfg)
+    else:
+        spec = build_vanilla_classifier((32, 32, 3), model[-1], 4)
+        train_classifier(spec, LabeledDataset(images, np.arange(8) % 4, 4), cfg)
+    kinds = {name for name, _ in recorded}
+    assert {"conv2d", "conv2d dx", "activation", "activation dx"} <= kinds
+    assert [name for name, a in recorded if not a.flags.c_contiguous] == []
