@@ -139,7 +139,12 @@ def run_cell(name, train, test, cfg, cr, seed):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the full grid; a failing cell is recorded and the rest continue."""
+    """Run the full grid; a failing cell is recorded and the rest continue.
+
+    The trained bits are reproducible only at a fixed BLAS thread count: the
+    same config and seeds train other float32 weights (with the same
+    accuracies so far) at another thread count, so pin it to compare runs.
+    """
     name, train, test = load_experiment_data(cfg)
     cells = [(cr, seed) for seed in cfg.seeds for cr in cfg.ratios]
 

@@ -8,12 +8,19 @@ and dense inputs ``(N, D)``. Every forward output and input gradient is
 C-contiguous, so the element-wise ops that follow run over contiguous
 memory. All math preserves the input dtype, so suites that need double
 precision simply pass float64 arrays.
+
+Results are bit-reproducible only at a fixed BLAS thread count: the same
+inputs give other float32 bits at another thread count. A speed change to
+these kernels must hand every GEMM the same operands, in the same layout
+and summation order, or the trained networks change.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CacheError, InvalidGeometryError, ShapeMismatchError
 
@@ -92,9 +99,16 @@ def conv2d(x, w, b, stride=1, padding="valid"):
     return y, cache
 
 
-def _shift_slice(xp, a, b, ho, wo, stride):
-    return xp[:, a : a + (ho - 1) * stride + 1 : stride,
-              b : b + (wo - 1) * stride + 1 : stride, :]
+def _windows(xp, k, stride, ho, wo):
+    """Read-only view (N,ho,wo,K,K,C) of the K x K windows of xp (N,H,W,C)
+    every `stride` pixels, in w's own (k, l, c) order."""
+    n, h, wd, c = xp.shape
+    if (ho - 1) * stride + k > h or (wo - 1) * stride + k > wd:
+        raise InvalidGeometryError(
+            f"{ho}x{wo} windows of {k} every {stride} overrun {h}x{wd}")
+    s0, s1, s2, s3 = xp.strides
+    return as_strided(xp, (n, ho, wo, k, k, c),
+                      (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
 
 
 def _correlate(xp, w, stride, ho, wo, g=None):
@@ -103,27 +117,27 @@ def _correlate(xp, w, stride, ho, wo, g=None):
 
     Without `g` it returns the correlation (N,ho,wo,F); given the output
     gradient g (N,ho,wo,F) it returns the weight gradient (K,K,C,F). Narrow
-    windows (C*K*K <= _WINDOW_MAX) are copied into one column matrix, a row
-    per output pixel in w's own (k, l, c) order, and the contraction is one
-    GEMM against it; wide ones loop over the K*K offsets and never
-    materialize the windows.
+    windows (C*K*K <= _WINDOW_MAX) are copied from their strided view into
+    one column matrix, a row per output pixel in w's own (k, l, c) order,
+    and the contraction is one GEMM against it; wide ones loop over the K*K
+    offsets and never materialize the windows, a GEMM per offset.
     """
+    n, c = xp.shape[0], xp.shape[3]
     k, f = w.shape[0], w.shape[3]
-    if xp.shape[3] * k * k <= _WINDOW_MAX:
-        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
+    if c * k * k <= _WINDOW_MAX:
+        cols = _windows(xp, k, stride, ho, wo).reshape(-1, k * k * c)
         if g is None:
-            return (cols @ w.reshape(-1, f)).reshape(xp.shape[0], ho, wo, f)
+            return (cols @ w.reshape(-1, f)).reshape(n, ho, wo, f)
         return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
     if g is None:
-        y = np.zeros((xp.shape[0], ho, wo, f), dtype=xp.dtype)
-        for a, b in _window_offsets(k):
-            y += _shift_slice(xp, a, b, ho, wo, stride) @ w[a, b]
+        y = np.zeros((n, ho, wo, f), dtype=xp.dtype)
+        for (a, b), at in _window_offsets(k, stride, ho, wo):
+            y += xp[at] @ w[a, b]
         return y
+    g2d = g.reshape(-1, f)
     dw = np.empty_like(w)
-    for a, b in _window_offsets(k):
-        xs = _shift_slice(xp, a, b, ho, wo, stride)
-        dw[a, b] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
+    for (a, b), at in _window_offsets(k, stride, ho, wo):
+        dw[a, b] = np.ascontiguousarray(xp[at]).reshape(-1, c).T @ g2d
     return dw
 
 
@@ -163,14 +177,23 @@ def maxpool2d(x, pool, stride):
     if pool > h or pool > wd:
         raise InvalidGeometryError(f"pool {pool} exceeds input {h}x{wd}")
     ho, wo = (h - pool) // stride + 1, (wd - pool) // stride + 1
-    y = _shift_slice(x, 0, 0, ho, wo, stride).copy()
-    for a, b in _window_offsets(pool)[1:]:
-        np.maximum(y, _shift_slice(x, a, b, ho, wo, stride), out=y)
+    (_, first), *rest = _window_offsets(pool, stride, ho, wo)
+    y = x[first].copy()
+    for _, at in rest:
+        np.maximum(y, x[at], out=y)
     return y, LayerCache("maxpool2d", x=x, y=y, pool=pool, stride=stride)
 
 
-def _window_offsets(pool):
-    return [(a, b) for a in range(pool) for b in range(pool)]
+@lru_cache(maxsize=256)
+def _window_offsets(k, stride, ho, wo):
+    """Each offset (a, b) of a k x k window, in row-major order, with the
+    index of the ho x wo pixels it meets in the windows that start every
+    `stride` pixels. Built once per geometry: indexing with ready slices
+    costs half as much as building them per call, and serving one sample
+    slices about 30 times."""
+    return tuple(((a, b), (slice(None), slice(a, a + (ho - 1) * stride + 1, stride),
+                           slice(b, b + (wo - 1) * stride + 1, stride)))
+                 for a in range(k) for b in range(k))
 
 
 def _maxpool2d_backward(data, g):
@@ -180,12 +203,12 @@ def _maxpool2d_backward(data, g):
     ho, wo = y.shape[1], y.shape[2]
     dx = np.zeros(x.shape, dtype=g.dtype)
     free = np.ones(y.shape, dtype=bool)
-    for a, b in _window_offsets(pool):
-        hit = _shift_slice(x, a, b, ho, wo, stride) == y
+    for _, at in _window_offsets(pool, stride, ho, wo):
+        hit = x[at] == y
         hit &= free
         free ^= hit
         # a product, not a masked add: np.add(where=) is ~6x slower here
-        _shift_slice(dx, a, b, ho, wo, stride)[...] += g * hit
+        dx[at] += g * hit
     return dx, None
 
 
@@ -201,10 +224,11 @@ def upsample2d(x, factor):
 def _upsample2d_backward(data, g):
     # strided slices, not a reshape summed over two axes: that sum runs 3-4x
     # slower, even on a C-order g
-    f = data["factor"]
-    dx = g[:, ::f, ::f].copy()
-    for a, b in _window_offsets(f)[1:]:
-        dx += g[:, a::f, b::f]
+    f, (_, h, wd, _) = data["factor"], data["in_shape"]
+    (_, first), *rest = _window_offsets(f, f, h, wd)
+    dx = g[first].copy()
+    for _, at in rest:
+        dx += g[at]
     return dx, None
 
 

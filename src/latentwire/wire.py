@@ -46,8 +46,10 @@ _HEADER = struct.Struct("<4sBBI")
 _BODY_FIXED = struct.Struct("<IQHB")
 _CRC = struct.Struct("<I")
 
-# scanner refuses to buffer absurd frames and resynchronizes instead
-MAX_SCAN_BODY = 64 * 1024 * 1024
+# the one bound on a frame's body: encode_record refuses a larger record and
+# FrameScanner resyncs past a header that declares one instead of waiting for
+# it. The largest frame the pipeline builds (CR=1 32x32x3) is 12,330 bytes.
+MAX_FRAME_BYTES = 1024 * 1024
 
 
 class WireDecodeError(LatentWireError):
@@ -133,8 +135,9 @@ def encode_record(rec: LatentRecord) -> bytes:
     body += struct.pack(f"<{len(rec.shape)}I", *rec.shape)
     body.append(DTYPE_F32)
     body += rec.payload.tobytes()
-    if len(body) > 0xFFFFFFFF:
-        raise OversizeRecordError(f"body of {len(body)} bytes exceeds u32 length")
+    if len(body) > MAX_FRAME_BYTES:
+        raise OversizeRecordError(
+            f"body of {len(body)} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
     frame = _HEADER.pack(MAGIC, VERSION, 0, len(body)) + bytes(body)
     return frame + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
@@ -209,8 +212,9 @@ class FrameScanner:
     """Incremental frame splitter with resynchronization by magic scan.
 
     Feed arbitrary chunks; complete frames come out as events. Bytes before
-    a magic are discarded silently; a frame that fails to decode yields an
-    error event and the scan resumes one byte past its magic.
+    a magic are discarded silently, and so is a magic whose header declares
+    a body above MAX_FRAME_BYTES; a frame that fails to decode yields an
+    error event. Either way the scan resumes one byte past the magic.
     """
 
     _buf: bytearray = field(default_factory=bytearray)
@@ -229,7 +233,7 @@ class FrameScanner:
                 del self._buf[:start]
             if len(self._buf) >= _HEADER.size:
                 _, _, _, length = _HEADER.unpack_from(self._buf, 0)
-                if length > MAX_SCAN_BODY:
+                if length > MAX_FRAME_BYTES:
                     del self._buf[:1]
                     continue
             try:

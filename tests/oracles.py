@@ -72,6 +72,38 @@ def einsum_correlate(xp, w, stride, g=None):
     return np.einsum("nhwf,nhwckl->klcf", g, win, optimize=True)
 
 
+def window_columns(xp, k, stride):
+    """The narrow conv's column matrix as the library first built it: the
+    K x K sliding windows of xp (N,H,W,C) every `stride` pixels, transposed
+    to w's (k, l, c) order and copied into one row per output pixel."""
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
+
+
+def column_correlate(xp, w, stride, ho, wo, g=None):
+    """``ops._correlate`` as it ran with `window_columns` and a per-offset
+    einsum for the wide dW; the library's strided window view and plain
+    GEMMs must equal it bit for bit."""
+    k, f = w.shape[0], w.shape[3]
+    if xp.shape[3] * k * k <= ops._WINDOW_MAX:
+        cols = window_columns(xp, k, stride)
+        if g is None:
+            return (cols @ w.reshape(-1, f)).reshape(xp.shape[0], ho, wo, f)
+        return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
+    offsets = [(a, b) for a in range(k) for b in range(k)]
+    shifted = [xp[:, a : a + (ho - 1) * stride + 1 : stride,
+                  b : b + (wo - 1) * stride + 1 : stride] for a, b in offsets]
+    if g is None:
+        y = np.zeros((xp.shape[0], ho, wo, f), dtype=xp.dtype)
+        for (a, b), xs in zip(offsets, shifted):
+            y += xs @ w[a, b]
+        return y
+    dw = np.empty_like(w)
+    for (a, b), xs in zip(offsets, shifted):
+        dw[a, b] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
+    return dw
+
+
 def maxpool2d_oracle(x, pool, stride):
     h, w, c = x.shape
     ho, wo = (h - pool) // stride + 1, (w - pool) // stride + 1

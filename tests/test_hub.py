@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ def test_serve_stream_ack_sequence():
     assert bytes(acks) == bytes([ACK_ACCEPTED, ACK_DUPLICATE, ACK_BAD_CRC, ACK_ACCEPTED])
     assert counts == (2, 2)
     assert [r.record_id for r in hub.records("train")] == [0, 2]
+
+
+def test_serve_stream_acks_frames_behind_oversize_header():
+    stall = struct.pack("<4sBBI", b"LTNT", 1, 0, 50 * 1024 * 1024)
+    recs = [LatentRecord(1, i, 0, (8, 8, 3), np.full(192, i, "<f4")) for i in range(5)]
+    acks = bytearray()
+    counts = serve_stream(Hub(), [stall + b"".join(encode_record(r) for r in recs)],
+                          "train", ack_writer=acks.extend)
+    assert bytes(acks) == bytes([ACK_ACCEPTED] * 5)
+    assert counts == (5, 0)
 
 
 def test_hub_sink_round_trips_through_codec():

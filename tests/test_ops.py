@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
 from latentwire.errors import CacheError, InvalidGeometryError, ShapeMismatchError
 from latentwire.initializers import glorot_limit, glorot_uniform
 from latentwire.losses import cross_entropy_loss, mse_loss
 from latentwire.errors import LabelRangeError
+from latentwire.zoo import FAMILIES, build_autoencoder, build_vanilla_classifier, infer_shapes
 
 from oracles import (
+    column_correlate,
     conv2d_backward_oracle,
     conv2d_oracle,
     dense_oracle,
@@ -140,6 +143,87 @@ def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
             dw = einsum_correlate(gp, wt, 1, x_in)[::-1, ::-1].transpose(0, 1, 3, 2)
             assert np.array_equal(grads["w"], dw)
             assert np.array_equal(dx, einsum_correlate(gp, wt, 1))
+
+
+def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
+    """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
+    `image`: the autoencoders at CR 4, 8 and 16 and both classifier
+    families on the image and on each latent."""
+    specs, inputs = [], [image]
+    for cr in (4, 8, 16):
+        pair = build_autoencoder(image, cr)
+        specs += [pair.encoder, pair.decoder]
+        inputs.append(pair.latent_shape)
+    specs += [build_vanilla_classifier(shape, family, num_classes)
+              for shape in inputs for family in FAMILIES]
+    return sorted({(*shape, layer.kernel, layer.filters, layer.stride, layer.padding)
+                   for spec in specs
+                   for layer, shape in zip(spec.layers, infer_shapes(spec))
+                   if layer.kind == "conv2d"})
+
+
+ZOO_CONVS = zoo_conv_geometries()
+# stride 2, valid and odd sizes, which the zoo does not build; 8x10 valid
+# stride 2 leaves a row and a column unread, 3 -> 3 is narrow on both sides
+EDGE_CONVS = [(7, 9, 3, 3, 32, 2, "valid"), (9, 7, 32, 3, 3, 2, "same"),
+              (8, 10, 6, 3, 32, 2, "valid"), (8, 10, 3, 3, 3, 2, "valid"),
+              (11, 9, 32, 5, 32, 2, "same"), (7, 7, 5, 1, 16, 2, "valid")]
+
+
+def conv_results(x, w, b, stride, padding, g):
+    y, cache = ops.conv2d(x, w, b, stride, padding)
+    dx, grads = ops.backward(cache, g)
+    return y, dx, grads["w"], grads["b"]
+
+
+def test_zoo_convs_cover_every_correlate_branch():
+    # narrow input windows (forward, dW), wide ones (forward, dW, dx), and the
+    # decoder's last conv: dW from the stuffed gradient's windows, narrow dx
+    narrow_in = [g for g in ZOO_CONVS if g[2] * g[3] ** 2 <= ops._WINDOW_MAX]
+    narrow_out = [g for g in ZOO_CONVS if g[4] * g[3] ** 2 <= ops._WINDOW_MAX < g[2] * g[3] ** 2]
+    wide = [g for g in ZOO_CONVS if min(g[2], g[4]) * g[3] ** 2 > ops._WINDOW_MAX]
+    assert narrow_in and narrow_out and wide
+    assert (32, 32, 32, 3, 3, 1, "same") in narrow_out
+
+
+# In float32 the strided window view and the plain per-offset GEMMs must
+# round exactly as the sliding_window_view column matrix and the einsum dW
+# did: the forward, dx, dW and db at every conv the zoo builds for 32x32x3.
+@pytest.mark.parametrize("n", [32, 29, 1])
+@pytest.mark.parametrize("geometry", ZOO_CONVS + EDGE_CONVS, ids=str)
+def test_conv_bitwise_equals_column_oracle(geometry, n, monkeypatch):
+    h, wd, c, k, f, stride, padding = geometry
+    r = rng(h * 1000 + c * 10 + f)
+    x = r.standard_normal((n, h, wd, c)).astype(np.float32)
+    w = (0.1 * r.standard_normal((k, k, c, f))).astype(np.float32)
+    b = r.standard_normal(f).astype(np.float32)
+    y, _ = ops.conv2d(x, w, b, stride, padding)
+    g = r.standard_normal(y.shape).astype(np.float32)
+    got = conv_results(x, w, b, stride, padding, g)
+    monkeypatch.setattr(ops, "_correlate", column_correlate)
+    want = conv_results(x, w, b, stride, padding, g)
+    for name, a, e in zip(("y", "dx", "dw", "db"), got, want):
+        assert a.dtype == e.dtype == np.float32, name
+        assert a.shape == e.shape and a.tobytes() == e.tobytes(), name
+
+
+# The last window ends exactly at the bottom and right edge, except for 8x10
+# with k 3 and stride 2, which leaves a row and a column unread; the view of
+# a cropped array must honour its offset and strides.
+@pytest.mark.parametrize("h,wd,k,stride", [(8, 8, 3, 1), (9, 9, 3, 2), (7, 11, 5, 2),
+                                           (8, 10, 2, 2), (8, 10, 3, 2)])
+@pytest.mark.parametrize("cropped", [False, True])
+def test_window_view_bounds(h, wd, k, stride, cropped):
+    x = rng(h + wd).standard_normal((2, h + 3, wd + 2, 3)).astype(np.float32)
+    xp = x[:, 1 : h + 1, 2:] if cropped else np.ascontiguousarray(x[:, :h, :wd])
+    ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
+    win = ops._windows(xp, k, stride, ho, wo)
+    want = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    assert np.array_equal(win, want.transpose(0, 1, 2, 4, 5, 3))
+    assert not win.flags.writeable
+    for overrun in ((ho + 1, wo), (ho, wo + 1)):
+        with pytest.raises(InvalidGeometryError):
+            ops._windows(xp, k, stride, *overrun)
 
 
 def test_valid_conv_caches_its_input_uncopied():

@@ -17,6 +17,7 @@ from latentwire.wire import (
     FrameScanner,
     FrameShapeError,
     LatentRecord,
+    MAX_FRAME_BYTES,
     OversizeRecordError,
     TruncatedFrameError,
     UNLABELED,
@@ -95,6 +96,15 @@ def test_oversize_fields_rejected():
     rec.device_id = 2 ** 32
     with pytest.raises(OversizeRecordError):
         encode_record(rec)
+
+
+def test_body_above_frame_bound_rejected():
+    # a CR=1 32x32x3 sample, the largest frame the pipeline builds, encodes
+    assert len(encode_record(make_record(shape=(32, 32, 3)))) == 12_330
+    payload_max = (MAX_FRAME_BYTES - 24) // 4  # fields before the payload: 24 bytes
+    encode_record(make_record(shape=(payload_max, 1)))
+    with pytest.raises(OversizeRecordError):
+        encode_record(make_record(shape=(payload_max + 1, 1)))
 
 
 # --- decode errors --------------------------------------------------------------
@@ -239,6 +249,20 @@ def test_scanner_holds_partial_tail():
     assert scanner.pending > 0
     events = scanner.feed(frame[11:])
     assert len(events) == 1 and events[0].ok
+
+
+def test_scanner_resyncs_past_header_declaring_oversize_body():
+    # 50 MiB is no frame a device can encode; waiting for it would stall the
+    # five good frames behind it
+    stall = struct.pack("<4sBBI", b"LTNT", 1, 0, 50 * 1024 * 1024)
+    recs = [make_record(record=i, shape=(8, 8, 3), seed=i) for i in range(5)]
+    frames = [encode_record(r) for r in recs]
+    assert [len(f) for f in frames] == [810] * 5
+    scanner = FrameScanner()
+    events = scanner.feed(stall + b"".join(frames))
+    assert [e.record for e in events if e.ok] == recs
+    assert len(events) == 5
+    assert scanner.pending == 0
 
 
 def test_error_ack_codes():

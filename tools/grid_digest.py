@@ -1,0 +1,68 @@
+"""Print the pinned grid's accuracies and one sha256 over every network it trains.
+
+    python3 tools/grid_digest.py
+
+Runs the benchmark's pinned grid config (``GridWorkload().setup(0)`` from
+``perfbench/workloads.py``) through ``run_experiment`` on the ``latentwire``
+in this checkout's ``src``. Every ``train._fit`` result is hashed: each
+layer's parameter arrays by key, then the loss and metric histories as
+float64. The digest is the sha256 of the per-network digests in training
+order. A kernel change that keeps every GEMM's operands, layout and
+summation order prints the same digest as its parent.
+
+Results are bit-reproducible only at a fixed BLAS thread count, so BLAS is
+pinned to one thread before numpy is imported.
+"""
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import latentwire as lw  # noqa: E402
+import latentwire.train  # noqa: E402
+from workloads import GridWorkload  # noqa: E402
+
+
+def network_digest(net, hist):
+    h = hashlib.sha256()
+    for layer in net.params:
+        for key in sorted(layer):
+            h.update(layer[key].tobytes())
+    h.update(np.asarray(hist.losses, np.float64).tobytes())
+    h.update(np.asarray(hist.metrics, np.float64).tobytes())
+    return h.digest()
+
+
+def main():
+    digests = []
+    fit = lw.train._fit
+
+    def hashed_fit(*args, **kwargs):
+        net, hist = fit(*args, **kwargs)
+        digests.append(network_digest(net, hist))
+        return net, hist
+
+    lw.train._fit = hashed_fit
+    try:
+        report = lw.run_experiment(GridWorkload().setup(0))
+    finally:
+        lw.train._fit = fit
+    for row in sorted(report.rows, key=lambda r: r.cr):
+        print(f"cr={row.cr:g} accuracy={row.accuracy}"
+              + (f" failed: {row.error}" if row.failed else ""))
+    print(f"networks={len(digests)}")
+    print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
+    return 1 if any(row.failed for row in report.rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
