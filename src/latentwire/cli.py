@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
-from .device import PARTITIONS, DeviceNode
+from .device import DeviceNode
 from .errors import LatentWireError
 from .experiment import (
     DATASETS,
@@ -30,6 +30,7 @@ from .experiment import (
     run_experiment,
 )
 from .hub import Hub, HubServer
+from .optim import ALGORITHMS
 from .train import TrainConfig, evaluate, train_classifier
 from .zoo import FAMILIES, build_vanilla_classifier
 
@@ -127,8 +128,6 @@ def _experiment_config(args):
         cfg = replace(cfg, family=args.family)
     if args.devices is not None:
         cfg = replace(cfg, n_devices=args.devices)
-    if args.partition is not None:
-        cfg = replace(cfg, partition=args.partition)
     if args.seeds is not None:
         cfg = replace(cfg, seeds=args.seeds)
     if args.jobs is not None:
@@ -209,7 +208,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ae-epochs", dest="ae_epochs", type=int)
     p.add_argument("--ae-batch-size", dest="ae_batch_size", type=int)
-    p.add_argument("--ae-optimizer", dest="ae_optimizer")
+    p.add_argument("--ae-optimizer", dest="ae_optimizer", choices=ALGORITHMS)
     p.add_argument("--ae-lr", dest="ae_lr", type=float)
     p.add_argument("--ae-seed", dest="ae_seed", type=int)
     p.set_defaults(func=cmd_train_ae)
@@ -220,7 +219,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--clf-epochs", dest="clf_epochs", type=int)
     p.add_argument("--clf-batch-size", dest="clf_batch_size", type=int)
-    p.add_argument("--clf-optimizer", dest="clf_optimizer")
+    p.add_argument("--clf-optimizer", dest="clf_optimizer", choices=ALGORITHMS)
     p.add_argument("--clf-lr", dest="clf_lr", type=float)
     p.add_argument("--clf-seed", dest="clf_seed", type=int)
     p.add_argument("--clf-augment", dest="clf_augment", action="store_true")
@@ -235,7 +234,6 @@ def build_parser():
     p.add_argument("--ratios", type=_float_list)
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--devices", type=int)
-    p.add_argument("--partition", choices=PARTITIONS)
     p.add_argument("--seeds", type=_int_list)
     p.add_argument("--ae-epochs", type=int)
     p.add_argument("--clf-epochs", type=int)

@@ -44,23 +44,25 @@ class LabeledDataset:
 # synthetic shape classes
 
 
+SPLIT_RATIO = (5, 1)  # train:test samples of each class
+JITTER = 0.25  # largest disc-centre offset, as a fraction of the half extent
+MARGIN = 1.2  # inter-class MSE must exceed intra-class by this factor
+
+
 @dataclass
 class SyntheticSpec:
     image_size: tuple = (32, 32, 3)
     num_classes: int = 4
     samples_per_class: int = 150
-    ratio: tuple = (5, 1)  # train:test
     noise: float = 0.05
-    jitter: float = 0.25
-    margin: float = 1.2  # inter-class MSE must exceed intra-class by this factor
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.samples_per_class % sum(self.ratio):
+        if self.samples_per_class % sum(SPLIT_RATIO):
             raise ValueError(
                 f"samples_per_class {self.samples_per_class} not divisible by "
-                f"ratio total {sum(self.ratio)}")
+                f"split ratio total {sum(SPLIT_RATIO)}")
 
 
 _PALETTE = [
@@ -75,13 +77,13 @@ _PALETTE = [
 ]
 
 
-def _render(family, color, h, w, rng, jitter):
+def _render(family, color, h, w, rng):
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     img = np.full((h, w, 3), 0.12)
     color = np.asarray(color)
     if family == 0:  # filled disc
-        cy = h / 2 + rng.uniform(-jitter, jitter) * h / 2
-        cx = w / 2 + rng.uniform(-jitter, jitter) * w / 2
+        cy = h / 2 + rng.uniform(-JITTER, JITTER) * h / 2
+        cx = w / 2 + rng.uniform(-JITTER, JITTER) * w / 2
         r = (0.22 + 0.10 * rng.random()) * min(h, w)
         mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
         img[mask] = color
@@ -109,8 +111,8 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
     h, w, c = spec.image_size
     if c != 3:
         raise ValueError("synthetic generator renders 3-channel images")
-    total = sum(spec.ratio)
-    n_test = spec.samples_per_class * spec.ratio[1] // total
+    total = sum(SPLIT_RATIO)
+    n_test = spec.samples_per_class * SPLIT_RATIO[1] // total
     n_train = spec.samples_per_class - n_test
 
     tr_imgs, tr_lab, te_imgs, te_lab = [], [], [], []
@@ -118,7 +120,7 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
         family = cls % 4
         color = _PALETTE[cls % len(_PALETTE)]
         for i in range(spec.samples_per_class):
-            img = _render(family, color, h, w, rng, spec.jitter)
+            img = _render(family, color, h, w, rng)
             img = img + rng.normal(0.0, spec.noise, size=img.shape)
             img = np.clip(img, 0.0, 1.0).astype(np.float32)
             if i < n_train:
@@ -130,12 +132,12 @@ def gen_synthetic(spec: SyntheticSpec, seed: int):
 
     train = LabeledDataset(np.stack(tr_imgs), np.array(tr_lab), spec.num_classes)
     test = LabeledDataset(np.stack(te_imgs), np.array(te_lab), spec.num_classes)
-    _check_separation(train, spec.margin)
+    _check_separation(train)
     return train, test
 
 
-def _check_separation(data, margin, per_class=12):
-    """Inter-class pixel MSE must exceed intra-class MSE by `margin`."""
+def _check_separation(data, per_class=12):
+    """Inter-class pixel MSE must exceed intra-class MSE by MARGIN."""
     groups = []
     for cls in range(data.num_classes):
         idx = np.flatnonzero(data.labels == cls)[:per_class]
@@ -147,10 +149,10 @@ def _check_separation(data, margin, per_class=12):
         for b in range(a + 1, len(groups)):
             m = min(len(ga), len(groups[b]))
             inter.append(np.mean((ga[:m] - groups[b][:m]) ** 2))
-    if np.mean(inter) < margin * np.mean(intra):
+    if np.mean(inter) < MARGIN * np.mean(intra):
         raise DatasetFormatError(
             f"classes not separated: inter {np.mean(inter):.4f} vs "
-            f"intra {np.mean(intra):.4f} (margin {margin})")
+            f"intra {np.mean(intra):.4f} (margin {MARGIN})")
 
 
 # ---------------------------------------------------------------------------

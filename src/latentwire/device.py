@@ -27,24 +27,14 @@ from .wire import (
 )
 from .zoo import build_autoencoder
 
-PARTITIONS = ("iid", "label-shard")
 
-
-def partition_dataset(data, n_devices, mode, rng):
-    """Disjoint covering shards.
-
-    iid: shuffled near-equal split (sizes differ by at most 1);
-    label-shard: stable sort by label, contiguous cuts (non-iid locality).
-    """
+def partition_dataset(data, n_devices, rng):
+    """Disjoint covering shards: a shuffled split whose sizes differ by at
+    most 1."""
     if n_devices < 1 or n_devices > len(data):
         raise TooManyDevicesError(
             f"cannot split {len(data)} samples across {n_devices} devices")
-    if mode == "iid":
-        order = rng.permutation(len(data))
-    elif mode == "label-shard":
-        order = np.argsort(data.labels, kind="stable")
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
+    order = rng.permutation(len(data))
     return [data.subset(chunk) for chunk in np.array_split(order, n_devices)]
 
 
@@ -121,9 +111,14 @@ class DeviceNode:
 
 
 def make_devices(train, test, n_devices, mode, rng):
-    """Partition both splits the same way and wrap them in DeviceNodes."""
-    train_shards = partition_dataset(train, n_devices, mode, rng)
-    test_shards = partition_dataset(test, n_devices, mode, rng)
+    """Shuffle each split into `n_devices` shards with partition_dataset and
+    wrap shard i of both splits in DeviceNode i. `mode` must be "iid"."""
+    # mode has one value; it stays only because perfbench/workloads.py
+    # passes it, and that file changes only with the benchmark
+    if mode != "iid":
+        raise ValueError(f"unknown partition mode {mode!r}")
+    train_shards = partition_dataset(train, n_devices, rng)
+    test_shards = partition_dataset(test, n_devices, rng)
     return [DeviceNode(i, tr, te)
             for i, (tr, te) in enumerate(zip(train_shards, test_shards))]
 

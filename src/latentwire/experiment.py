@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SyntheticSpec, cifar10_subset, gen_synthetic, load_cifar10
-from .device import PARTITIONS, HubSink, make_devices
+from .device import HubSink, make_devices
 from .errors import LatentWireError
 from .hub import Hub
 from .train import TrainConfig
@@ -47,7 +47,7 @@ class ExperimentConfig:
     ratios: tuple = (1, 4, 8, 16)
     family: str = "A"
     n_devices: int = 4
-    partition: str = "iid"
+    partition: str = "iid"  # the only value; perfbench and v1 files still name it
     ae: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=12))
     clf: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
     seeds: tuple = (0,)
@@ -60,10 +60,13 @@ class ExperimentConfig:
         if any(r <= 0 for r in self.ratios):
             raise ValueError("ratios must be positive")
         for name, choices in (("dataset", DATASETS), ("family", FAMILIES),
-                              ("partition", PARTITIONS)):
+                              ("partition", ("iid",))):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
                                  f"got {getattr(self, name)!r}")
+        if self.ae.augment:
+            raise ValueError("ae.augment is not applied to the autoencoder fit; "
+                             "augmentation is a clf setting")
 
 
 @dataclass

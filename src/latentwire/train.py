@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DivergenceError, ShapeMismatchError
 from .losses import cross_entropy_loss, mse_loss
 from .network import Network
-from .optim import make_optimizer, optimizer_step
+from .optim import ALGORITHMS, make_optimizer, optimizer_step
 from .zoo import AutoencoderPair, ModelSpec
 
 
@@ -27,13 +27,17 @@ class TrainConfig:
     lr: float | None = None  # None -> optimizer default
     seed: int = 0
     augment: bool = False
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.optimizer is not None and self.optimizer not in ALGORITHMS:
+            raise ValueError(f"optimizer must be one of {ALGORITHMS}, "
+                             f"got {self.optimizer!r}")
+        if self.lr is not None and not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr!r}")
 
 
 @dataclass
@@ -62,13 +66,6 @@ class TrainedAutoencoder:
 def _check_finite(value, epoch):
     if not np.isfinite(value):
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
-
-
-def _should_stop(losses, patience):
-    if patience is None or len(losses) <= patience:
-        return False
-    best = min(losses[:-patience])
-    return all(l >= best for l in losses[-patience:])
 
 
 def _fit(spec, images, labels, cfg, optimizer, upto=None, augment_batches=False):
@@ -113,8 +110,6 @@ def _fit(spec, images, labels, cfg, optimizer, upto=None, augment_batches=False)
             epoch_loss += loss.value * len(xb)
         hist.losses.append(epoch_loss / n)
         hist.metrics.append(hist.losses[-1] if labels is None else correct / n)
-        if _should_stop(hist.losses, cfg.patience):
-            break
     hist.train_seconds = time.perf_counter() - start
     return net, hist
 

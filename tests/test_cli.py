@@ -1,6 +1,12 @@
+import argparse
 import json
+import re
+import socket
 from dataclasses import replace
 
+import pytest
+
+import latentwire.cli as cli
 from latentwire.cli import DATA_DIR_ENV, _experiment_config, build_parser, main
 from latentwire.experiment import (
     CONFIG_FORMAT,
@@ -57,10 +63,59 @@ def test_run_flags_set_the_config(tmp_path, monkeypatch):
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
     args = build_parser().parse_args([
         "run", "--cifar10-dir", "batches", "--batch-size", "8", "--augment",
-        "--family", "B", "--partition", "label-shard", "--jobs", "3"])
+        "--family", "B", "--jobs", "3"])
     cfg = _experiment_config(args)
     default = ExperimentConfig()
     assert (cfg.dataset, cfg.cifar_dir) == ("cifar10", str(tmp_path / "batches"))
     assert cfg.ae == replace(default.ae, batch_size=8)
     assert cfg.clf == replace(default.clf, batch_size=8, augment=True)
-    assert (cfg.family, cfg.partition, cfg.jobs) == ("B", "label-shard", 3)
+    assert (cfg.family, cfg.jobs) == ("B", 3)
+
+
+def _subparser(name):
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+# one non-default value per `run` grid flag; a flag missing here fails below
+RUN_FLAG_VALUES = {
+    "--dataset": "cifar10", "--cifar10-dir": "batches", "--cifar10-subset": "2x10",
+    "--ratios": "1,2", "--family": "B", "--devices": "3", "--seeds": "1,2",
+    "--ae-epochs": "1", "--clf-epochs": "1", "--batch-size": "8", "--augment": None,
+    "--jobs": "2",
+}
+RUN_FLAGS = [a.option_strings[-1] for a in _subparser("run")._actions
+             if a.option_strings[-1] not in ("--help", "--config", "--out", "--format")]
+
+
+@pytest.mark.parametrize("flag", RUN_FLAGS)
+def test_every_run_flag_changes_the_config(flag):
+    value = RUN_FLAG_VALUES[flag]
+    argv = ["run", flag] + ([] if value is None else [value])
+    unflagged = _experiment_config(build_parser().parse_args(["run"]))
+    assert unflagged == replace(ExperimentConfig(), out="report.csv")
+    assert _experiment_config(build_parser().parse_args(argv)) != unflagged
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-ae", "--data", "d.npz", "--out", "o", "--ae-optimizer", "sgd"],
+    ["train-classifier", "--data", "d.npz", "--out", "o", "--clf-optimizer", "sgd"],
+])
+def test_optimizer_flags_take_only_known_algorithms(argv, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "invalid choice: 'sgd'" in capsys.readouterr().err
+
+
+def test_serve_stops_cleanly_on_interrupt(monkeypatch, capsys):
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.time, "sleep", interrupt)
+    assert main(["serve", "--split", "test"]) == 0
+    out = capsys.readouterr().out
+    host, port = re.search(r"ingesting test latents on (\S+):(\d+) ", out).groups()
+    assert out.endswith("stored 0 records\n")
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, int(port)), timeout=5).close()

@@ -54,7 +54,7 @@ def test_nearest_centroid_oracle_learns_it():
 
 def test_ratio_must_divide():
     with pytest.raises(ValueError):
-        SyntheticSpec(samples_per_class=100, ratio=(5, 1))  # 100 % 6 != 0
+        SyntheticSpec(samples_per_class=100)  # 100 % (5 + 1) != 0
 
 
 def test_labels_validated():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentwire.data import LabeledDataset
-from latentwire.device import DeviceNode
+from latentwire.device import DeviceNode, make_devices
 from latentwire.errors import SinkFailure
 from latentwire.train import TrainConfig
 
@@ -48,3 +48,25 @@ def test_sink_failure_reports_emitted_count():
         dev.export_latents("test", sink)
     assert info.value.emitted == 4
     assert len(sink.records) == 4
+
+
+def _indexed(n):
+    """A dataset whose sample i holds the value i, so shards show which
+    samples they took."""
+    return LabeledDataset(np.arange(n, dtype=np.float32)[:, None], np.arange(n) % 2, 2)
+
+
+def test_make_devices_shards_are_disjoint_covering_and_even():
+    devices = make_devices(_indexed(23), _indexed(10), 4, "iid", np.random.default_rng(0))
+    assert [dev.device_id for dev in devices] == [0, 1, 2, 3]
+    for split, n in (("train", 23), ("test", 10)):
+        shards = [dev.data[split].images[:, 0].astype(int) for dev in devices]
+        assert sorted(np.concatenate(shards).tolist()) == list(range(n))
+        sizes = [len(shard) for shard in shards]
+        assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("mode", ["label-shard", "IID", None])
+def test_make_devices_accepts_only_iid(mode):
+    with pytest.raises(ValueError, match="partition mode"):
+        make_devices(_indexed(8), _indexed(4), 2, mode, np.random.default_rng(0))

@@ -30,11 +30,9 @@ def test_config_roundtrip_with_nested_values(tmp_path):
     cfg = ExperimentConfig(
         dataset="cifar10", cifar_dir="/data/cifar", cifar_subset="2x100",
         synthetic=SyntheticSpec(image_size=(16, 16, 3), num_classes=3,
-                                samples_per_class=12, ratio=(3, 1), noise=0.1,
-                                jitter=0.5, margin=1.5),
-        ratios=(1, 2.5, 8), family="B", n_devices=3, partition="label-shard",
-        ae=TrainConfig(epochs=2, batch_size=8, optimizer="sgd", lr=0.01, seed=5,
-                       patience=3),
+                                samples_per_class=12, noise=0.1),
+        ratios=(1, 2.5, 8), family="B", n_devices=3,
+        ae=TrainConfig(epochs=2, batch_size=8, optimizer="sgd-momentum", lr=0.01, seed=5),
         clf=TrainConfig(epochs=4, augment=True),
         seeds=(1, 2), jobs=2, out="report.csv")
     path = tmp_path / "cfg.json"
@@ -57,7 +55,12 @@ def test_partial_config_keeps_defaults():
     {"ratio": [1, 4]},
     {"ae": {"epoch": 3}},
     {"synthetic": {"classes": 3}},
-], ids=["top", "ae", "synthetic"])
+    {"ae": {"patience": 3}},
+    {"synthetic": {"jitter": 0.5}},
+    {"synthetic": {"margin": 1.5}},
+    {"synthetic": {"ratio": [3, 1]}},
+], ids=["top", "ae", "synthetic", "ae-patience", "synthetic-jitter",
+        "synthetic-margin", "synthetic-ratio"])
 def test_unknown_config_key_rejected(doc):
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({**HEADER, **doc})
@@ -73,6 +76,10 @@ def test_nested_config_must_be_object(doc):
     {"seeds": []},
     {"ae": {"epochs": -1}},
     {"synthetic": {"num_classes": 1}},
+    {"ae": {"optimizer": "sgd"}},
+    {"clf": {"lr": -1.0}},
+    {"ae": {"lr": 0.0}},
+    {"ae": {"augment": True}},
 ])
 def test_config_values_still_checked(doc):
     with pytest.raises(ValueError):
@@ -80,7 +87,8 @@ def test_config_values_still_checked(doc):
 
 
 @pytest.mark.parametrize("doc", [{"family": "C"}, {"partition": "shuffled"},
-                                 {"dataset": "mnist"}], ids=["family", "partition", "dataset"])
+                                 {"partition": "label-shard"}, {"dataset": "mnist"}],
+                         ids=["family", "partition", "partition-label-shard", "dataset"])
 def test_unknown_choice_rejected_on_load(doc):
     (name,) = doc
     with pytest.raises(ValueError, match=f"{name} must be one of"):

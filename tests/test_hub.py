@@ -5,13 +5,19 @@ import pytest
 
 import latentwire.wire as wire
 from latentwire.device import HubSink, WireClientSink
-from latentwire.errors import SinkFailure
+from latentwire.errors import (
+    HeterogeneousShapeError,
+    NoClassifierError,
+    ShapeMismatchError,
+    SinkFailure,
+)
 from latentwire.hub import Hub, HubServer, serve_stream
 from latentwire.train import TrainConfig
 from latentwire.wire import (
     ACK_ACCEPTED,
     ACK_BAD_CRC,
     ACK_DUPLICATE,
+    UNLABELED,
     LatentRecord,
     OversizeRecordError,
     encode_record,
@@ -106,3 +112,33 @@ def test_evaluate_empty_split_scores_zero():
         hub.ingest(LatentRecord(1, i, i % 2, (4, 4, 2), payload), "train")
     hub.train_classifier("A", TrainConfig(epochs=1, batch_size=4))
     assert hub.evaluate("test")[0] == 0.0
+
+
+def test_assemble_rejects_mixed_latent_shapes():
+    hub = Hub()
+    hub.ingest(make_record(record=0), "train")
+    hub.ingest(LatentRecord(1, 1, 0, (3, 2), np.zeros(6, "<f4")), "train")
+    hub.ingest(make_record(record=2), "test")
+    with pytest.raises(HeterogeneousShapeError):
+        hub.assemble("train")
+    assert len(hub.assemble("test")) == 1
+
+
+def test_assemble_rejects_unlabeled_record():
+    hub = Hub()
+    hub.ingest(make_record(record=0), "train")
+    hub.ingest(make_record(record=1, label=UNLABELED), "train")
+    with pytest.raises(ShapeMismatchError, match="unlabeled"):
+        hub.assemble("train")
+
+
+def test_no_classifier_until_trained():
+    hub = Hub()
+    with pytest.raises(NoClassifierError):
+        hub.predict(make_record())
+    with pytest.raises(NoClassifierError):
+        hub.evaluate("test")
+    hub.ingest(make_record(), "test")
+    with pytest.raises(NoClassifierError):
+        hub.train_classifier("A", TrainConfig(epochs=1))
+    assert hub.classifier is None

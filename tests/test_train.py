@@ -74,13 +74,6 @@ def test_identity_pair_trains_to_zero_loss():
     assert trained.encoder.forward(x).tobytes() == x.tobytes()
 
 
-def test_identity_pair_stops_early_on_flat_loss():
-    pair = build_autoencoder((8, 8, 3), 1)
-    _, hist = train_autoencoder(pair, np.zeros((4, 8, 8, 3), np.float32),
-                                TrainConfig(epochs=10, patience=2))
-    assert hist.losses == [0.0] * 3
-
-
 def _tiny_images():
     return gen_synthetic(SyntheticSpec(image_size=(8, 8, 3), num_classes=2,
                                        samples_per_class=12), seed=0)[0]
