@@ -67,6 +67,21 @@ class ExperimentConfig:
         if self.ae.augment:
             raise ValueError("ae.augment is not applied to the autoencoder fit; "
                              "augmentation is a clf setting")
+        # (classes, per_class) of cifar_subset; not a field, so no file holds it
+        self.cifar_counts = (None if self.cifar_subset is None
+                             else _parse_cifar_subset(self.cifar_subset))
+
+
+def _parse_cifar_subset(text):
+    """"CxN" -> (C, N): the first C of CIFAR-10's 10 classes, N train images each."""
+    try:
+        classes, per_class = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        classes = per_class = 0
+    if not (1 <= classes <= 10 and per_class >= 1):
+        raise ValueError("cifar_subset must be CLASSESxPER_CLASS with 1 <= CLASSES "
+                         f"<= 10 and PER_CLASS >= 1, got {text!r}")
+    return classes, per_class
 
 
 @dataclass
@@ -93,9 +108,6 @@ class ReportRow:
 class ExperimentReport:
     rows: list = field(default_factory=list)
 
-    def group(self, dataset, seed):
-        return [r for r in self.rows if r.dataset == dataset and r.seed == seed]
-
 
 def load_experiment_data(cfg):
     """(name, train, test) for the configured source."""
@@ -105,9 +117,8 @@ def load_experiment_data(cfg):
     if not cfg.cifar_dir:
         raise ValueError("cifar10 dataset needs cifar_dir")
     train, test = load_cifar10(cfg.cifar_dir)
-    if cfg.cifar_subset:
-        classes, per_class = (int(v) for v in cfg.cifar_subset.lower().split("x"))
-        train, test = cifar10_subset(train, test, classes, per_class)
+    if cfg.cifar_counts:
+        train, test = cifar10_subset(train, test, *cfg.cifar_counts)
         return f"cifar10-{cfg.cifar_subset}", train, test
     return "cifar10", train, test
 
@@ -180,11 +191,14 @@ def normalize_metrics(report: ExperimentReport) -> ExperimentReport:
     is zero, keeps its raw metrics: the affected ``*_norm`` fields stay None
     and a warning is logged, so a bad baseline never discards a finished grid.
     """
+    baselines = {}
+    for r in report.rows:
+        if not r.failed and r.cr == 1.0:
+            baselines.setdefault((r.dataset, r.seed), r)
     for row in report.rows:
         if row.failed:
             continue
-        base = next((r for r in report.group(row.dataset, row.seed)
-                     if not r.failed and r.cr == 1.0), None)
+        base = baselines.get((row.dataset, row.seed))
         if base is None:
             log.warning("no ratio-1 baseline for (%s, seed %d): cr=%g not normalized",
                         row.dataset, row.seed, row.cr)

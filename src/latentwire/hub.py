@@ -126,8 +126,8 @@ class _Handler(socketserver.BaseRequestHandler):
         try:
             serve_stream(self.server.hub, chunks(), self.server.split,
                          ack_writer=self.request.sendall)
-        except (ConnectionError, OSError):
-            pass  # that connection only
+        except OSError:  # a reset or broken pipe ends that connection only
+            pass
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -9,7 +9,7 @@ import numpy as np
 from . import ops
 from .errors import ShapeMismatchError
 from .initializers import glorot_uniform
-from .zoo import ModelSpec, infer_shapes, save_spec
+from .zoo import KERNEL, ModelSpec, infer_shapes, save_spec
 
 INFER_BATCH = 32  # samples per forward in bulk inference: one training batch
 
@@ -35,8 +35,7 @@ class Network:
         params = []
         for layer, shape_in in zip(self.spec.layers, shapes):
             if layer.kind == "conv2d":
-                w = glorot_uniform(
-                    (layer.kernel, layer.kernel, shape_in[2], layer.filters), rng)
+                w = glorot_uniform((KERNEL, KERNEL, shape_in[2], layer.filters), rng)
                 params.append({"w": w, "b": np.zeros(layer.filters, np.float32)})
             elif layer.kind == "dense":
                 w = glorot_uniform((shape_in[0], layer.width), rng)
@@ -50,18 +49,17 @@ class Network:
             raise ShapeMismatchError(
                 f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
 
-    def forward(self, x, training=False, rng=None, upto=None, return_caches=False):
-        """Run the chain over a batch; ``upto`` stops before layer index ``upto``."""
+    def forward(self, x, training=False, rng=None, return_caches=False):
+        """Run the chain over a batch."""
         self._check_input(x)
-        layers = self.spec.layers if upto is None else self.spec.layers[:upto]
         caches = [] if return_caches else None
-        for layer, p in zip(layers, self.params):
+        for layer, p in zip(self.spec.layers, self.params):
             if layer.kind == "conv2d":
-                x, cache = ops.conv2d(x, p["w"], p["b"], layer.stride, layer.padding)
+                x, cache = ops.conv2d(x, p["w"], p["b"], padding=layer.padding)
             elif layer.kind == "maxpool":
-                x, cache = ops.maxpool2d(x, layer.pool, layer.stride)
+                x, cache = ops.maxpool2d(x)
             elif layer.kind == "upsample":
-                x, cache = ops.upsample2d(x, layer.factor)
+                x, cache = ops.upsample2d(x)
             elif layer.kind == "dense":
                 x, cache = ops.dense(x, p["w"], p["b"])
             elif layer.kind == "activation":
@@ -86,10 +84,10 @@ class Network:
         """Chain rule over the cached layers; returns the parameter grads.
 
         ``grads`` aligns with ``self.params``: empty dicts for layers that
-        were not run or hold no parameters. The pass stops at the first
-        layer with parameters, which computes no input gradient, and the
-        layers below it do not run, since no caller needs the gradient of
-        the network's input.
+        hold no parameters. The pass stops at the first layer with
+        parameters, which computes no input gradient, and the layers below
+        it do not run, since no caller needs the gradient of the network's
+        input.
         """
         grads = [{} for _ in self.params]
         first = next((i for i, p in enumerate(self.params) if p), len(caches))

@@ -9,6 +9,12 @@ C-contiguous, so the element-wise ops that follow run over contiguous
 memory. All math preserves the input dtype, so suites that need double
 precision simply pass float64 arrays.
 
+One layer geometry: pooling is 2x2 max pooling at stride 2, upsampling
+repeats each pixel 2x2, and the activations are relu and sigmoid; a
+classifier ends in a dense layer and emits logits, whose softmax only the
+loss takes. The zoo builds 3x3 convs at stride 1; ``conv2d`` reads K from
+its weights and keeps a stride argument, which only the tests set.
+
 Results are bit-reproducible only at a fixed BLAS thread count: the same
 inputs give other float32 bits at another thread count. A speed change to
 these kernels must hand every GEMM the same operands, in the same layout
@@ -24,7 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CacheError, InvalidGeometryError, ShapeMismatchError
 
-ACTIVATIONS = ("relu", "sigmoid", "softmax")
+ACTIVATIONS = ("relu", "sigmoid")
 # up to this many channels * K * K, one GEMM over the materialized K x K
 # windows beats K*K shifted GEMMs
 _WINDOW_MAX = 72
@@ -169,19 +175,18 @@ def _conv2d_backward(data, g, need_dx):
     return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
 
 
-def maxpool2d(x, pool, stride):
-    """Max pooling over pool x pool windows every `stride` pixels, dropping the
-    edge no whole window covers; the cache keeps the input and the output."""
+def maxpool2d(x):
+    """2x2 max pooling at stride 2, dropping an odd last row or column, which
+    no window covers; the cache keeps the input and the output."""
     _check_rank(x, 4)
     h, wd = x.shape[1], x.shape[2]
-    if pool > h or pool > wd:
-        raise InvalidGeometryError(f"pool {pool} exceeds input {h}x{wd}")
-    ho, wo = (h - pool) // stride + 1, (wd - pool) // stride + 1
-    (_, first), *rest = _window_offsets(pool, stride, ho, wo)
+    if h < 2 or wd < 2:
+        raise InvalidGeometryError(f"2x2 pool exceeds input {h}x{wd}")
+    (_, first), *rest = _window_offsets(2, 2, h // 2, wd // 2)
     y = x[first].copy()
     for _, at in rest:
         np.maximum(y, x[at], out=y)
-    return y, LayerCache("maxpool2d", x=x, y=y, pool=pool, stride=stride)
+    return y, LayerCache("maxpool2d", x=x, y=y)
 
 
 @lru_cache(maxsize=256)
@@ -197,13 +202,13 @@ def _window_offsets(k, stride, ho, wo):
 
 
 def _maxpool2d_backward(data, g):
-    # Offsets in row-major window order claim the maxima still unclaimed: each
-    # window's gradient reaches its first maximum, and overlaps accumulate.
-    x, y, pool, stride = data["x"], data["y"], data["pool"], data["stride"]
-    ho, wo = y.shape[1], y.shape[2]
+    # Offsets in row-major window order claim the maxima still unclaimed, so
+    # each window's gradient reaches its first maximum. The windows do not
+    # overlap; adding onto zeros, not assigning, keeps every zero +0.0.
+    x, y = data["x"], data["y"]
     dx = np.zeros(x.shape, dtype=g.dtype)
     free = np.ones(y.shape, dtype=bool)
-    for _, at in _window_offsets(pool, stride, ho, wo):
+    for _, at in _window_offsets(2, 2, y.shape[1], y.shape[2]):
         hit = x[at] == y
         hit &= free
         free ^= hit
@@ -212,20 +217,18 @@ def _maxpool2d_backward(data, g):
     return dx, None
 
 
-def upsample2d(x, factor):
-    """Nearest-neighbour upsampling by an integer factor."""
-    if factor < 1:
-        raise InvalidGeometryError(f"upsample factor must be >= 1, got {factor}")
+def upsample2d(x):
+    """Nearest-neighbour upsampling: each pixel becomes a 2x2 block."""
     _check_rank(x, 4)
-    y = x.repeat(factor, axis=1).repeat(factor, axis=2)
-    return y, LayerCache("upsample2d", factor=factor, in_shape=x.shape)
+    y = x.repeat(2, axis=1).repeat(2, axis=2)
+    return y, LayerCache("upsample2d", in_shape=x.shape)
 
 
 def _upsample2d_backward(data, g):
     # strided slices, not a reshape summed over two axes: that sum runs 3-4x
     # slower, even on a C-order g
-    f, (_, h, wd, _) = data["factor"], data["in_shape"]
-    (_, first), *rest = _window_offsets(f, f, h, wd)
+    _, h, wd, _ = data["in_shape"]
+    (_, first), *rest = _window_offsets(2, 2, h, wd)
     dx = g[first].copy()
     for _, at in rest:
         dx += g[at]
@@ -266,8 +269,6 @@ def activation(x, kind):
         y = np.maximum(x, 0)
     elif kind == "sigmoid":
         y = _sigmoid(x)
-    elif kind == "softmax":
-        y = softmax(x, axis=-1)
     else:
         raise ValueError(f"unknown activation {kind!r}")
     return y, LayerCache("activation", fn=kind, y=y)
@@ -276,12 +277,8 @@ def activation(x, kind):
 def _activation_backward(data, g):
     kind, y = data["fn"], data["y"]
     if kind == "relu":
-        dx = g * (y > 0)
-    elif kind == "sigmoid":
-        dx = g * y * (1.0 - y)
-    else:  # softmax along last axis
-        dx = (g - (g * y).sum(axis=-1, keepdims=True)) * y
-    return dx, None
+        return g * (y > 0), None
+    return g * y * (1.0 - y), None  # sigmoid
 
 
 def dropout(x, rate, rng=None, training=False):

@@ -68,12 +68,12 @@ def _check_finite(value, epoch):
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
 
 
-def _fit(spec, images, labels, cfg, optimizer, upto=None, augment_batches=False):
+def _fit(spec, images, labels, cfg, optimizer, augment_batches=False):
     """The epoch loop both trainers share; returns (Network, TrainHistory).
 
     With ``labels`` None the targets are the inputs themselves: the loss is
     reconstruction MSE and the metric repeats it. Otherwise the loss is
-    cross entropy on the output of layers [0:upto) and the metric is
+    softmax cross entropy on the network's logits and the metric is
     training accuracy. ``optimizer`` names the algorithm used when cfg sets
     none. The rng draws in a fixed order, so a seed fixes the run: weight
     init, then per epoch one permutation, then per batch augmentation and
@@ -94,8 +94,7 @@ def _fit(spec, images, labels, cfg, optimizer, upto=None, augment_batches=False)
             xb = images[idx]
             if augment_batches:
                 xb = augment_batch(xb, rng)
-            out, caches = net.forward(xb, training=True, rng=rng,
-                                      upto=upto, return_caches=True)
+            out, caches = net.forward(xb, training=True, rng=rng, return_caches=True)
             # losses and optimizer_step are module globals read per call, so a
             # tracer that patches them by name sees every call
             if labels is None:
@@ -129,25 +128,16 @@ def train_autoencoder(pair, images, cfg):
     return TrainedAutoencoder(pair, net), hist
 
 
-def _has_softmax_tail(spec):
-    return (len(spec.layers) > 0
-            and spec.layers[-1].kind == "activation"
-            and spec.layers[-1].fn == "softmax")
-
-
 def train_classifier(spec, data, cfg):
-    """Minimize softmax cross entropy on a labeled dataset.
+    """Minimize softmax cross entropy of the spec's logits on a labeled dataset.
 
     Weights are drawn fresh from cfg.seed. Augmentation, when enabled,
-    touches training batches of image-shaped samples only. A trailing
-    softmax layer is bypassed during training and the loss is taken on
-    logits; inference still applies it.
+    touches training batches of image-shaped samples only.
     """
     if tuple(data.sample_shape) != spec.input_shape:
         raise ShapeMismatchError(
             f"samples {data.sample_shape} vs model input {spec.input_shape}")
-    upto = len(spec.layers) - 1 if _has_softmax_tail(spec) else None
-    return _fit(spec, data.images, data.labels, cfg, "adam", upto=upto,
+    return _fit(spec, data.images, data.labels, cfg, "adam",
                 augment_batches=cfg.augment and data.images.ndim == 4)
 
 

@@ -4,6 +4,11 @@ Builders produce :class:`ModelSpec` values; binding specs to weights happens
 in :mod:`latentwire.network`. The autoencoder builder is parameterized by an
 exact compression ratio; classifier builders adapt to small latent inputs by
 keeping the longest feasible prefix of their conv/pool trunk.
+
+Every model has one layer geometry: KERNEL x KERNEL convs at stride 1 with
+"valid" or "same" padding, 2x2 max pools at stride 2 and 2x upsampling.
+A classifier ends in ``dense(num_classes)`` and emits logits; training takes
+softmax cross entropy on them and inference takes their argmax.
 """
 
 from __future__ import annotations
@@ -18,33 +23,30 @@ from .errors import InvalidGeometryError, UnachievableRatioError
 from .ops import ACTIVATIONS
 
 SPEC_FORMAT = "latentwire-model"
-SPEC_VERSION = 1
+SPEC_VERSION = 2  # 2: no kernel/stride/pool/factor keys, no softmax layer
 
 KINDS = ("conv2d", "maxpool", "upsample", "dense", "activation", "dropout", "flatten")
 FAMILIES = ("A", "B")  # classifier families
 HIDDEN_WIDTH = 32  # channels of the autoencoder's inner convs
+KERNEL = 3  # side of every conv kernel
 
 _REQUIRED = {
-    "conv2d": ("kernel", "filters", "stride", "padding"),
-    "maxpool": ("pool", "stride"),
-    "upsample": ("factor",),
+    "conv2d": ("filters", "padding"),
+    "maxpool": (),
+    "upsample": (),
     "dense": ("width",),
     "activation": ("fn",),
     "dropout": ("rate",),
     "flatten": (),
 }
-_GEOMETRY = ("kernel", "filters", "stride", "padding", "pool", "factor", "width", "fn", "rate")
+_GEOMETRY = ("filters", "padding", "width", "fn", "rate")
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
-    kernel: int | None = None
     filters: int | None = None
-    stride: int | None = None
     padding: str | None = None
-    pool: int | None = None
-    factor: int | None = None
     width: int | None = None
     fn: str | None = None
     rate: float | None = None
@@ -67,17 +69,16 @@ class LayerSpec:
             raise ValueError(f"dropout rate must be in [0,1), got {self.rate}")
 
 
-def conv(filters, kernel=3, stride=1, padding="valid"):
-    return LayerSpec("conv2d", kernel=kernel, filters=filters, stride=stride,
-                     padding=padding)
+def conv(filters, padding="valid"):
+    return LayerSpec("conv2d", filters=filters, padding=padding)
 
 
-def maxpool(pool=2, stride=2):
-    return LayerSpec("maxpool", pool=pool, stride=stride)
+def maxpool():
+    return LayerSpec("maxpool")
 
 
-def upsample(factor=2):
-    return LayerSpec("upsample", factor=factor)
+def upsample():
+    return LayerSpec("upsample")
 
 
 def dense(width):
@@ -114,22 +115,18 @@ def _layer_out(shape, layer, index):
                 f"layer {index} ({layer.kind}) needs HxWxC input, got {shape}", index)
         h, w, c = shape
         if layer.kind == "conv2d":
-            k, s = layer.kernel, layer.stride
             if layer.padding == "same":
-                ho, wo = -(-h // s), -(-w // s)
-            else:
-                ho, wo = (h - k) // s + 1, (w - k) // s + 1
-            if ho < 1 or wo < 1:
+                return (h, w, layer.filters)
+            if h < KERNEL or w < KERNEL:
                 raise InvalidGeometryError(
-                    f"layer {index}: conv {k}x{k} does not fit {h}x{w}", index)
-            return (ho, wo, layer.filters)
+                    f"layer {index}: conv {KERNEL}x{KERNEL} does not fit {h}x{w}", index)
+            return (h - KERNEL + 1, w - KERNEL + 1, layer.filters)
         if layer.kind == "maxpool":
-            p, s = layer.pool, layer.stride
-            if p > h or p > w:
+            if h < 2 or w < 2:
                 raise InvalidGeometryError(
-                    f"layer {index}: pool {p} exceeds {h}x{w}", index)
-            return ((h - p) // s + 1, (w - p) // s + 1, c)
-        return (h * layer.factor, w * layer.factor, c)
+                    f"layer {index}: 2x2 pool exceeds {h}x{w}", index)
+            return (h // 2, w // 2, c)
+        return (2 * h, 2 * w, c)
     if layer.kind == "dense":
         if len(shape) != 1:
             raise InvalidGeometryError(
@@ -156,7 +153,7 @@ def count_parameters(spec):
     total = 0
     for layer, shape_in in zip(spec.layers, shapes):
         if layer.kind == "conv2d":
-            total += (layer.kernel * layer.kernel * shape_in[2] + 1) * layer.filters
+            total += (KERNEL * KERNEL * shape_in[2] + 1) * layer.filters
         elif layer.kind == "dense":
             total += (shape_in[0] + 1) * layer.width
     return total
@@ -209,13 +206,13 @@ def build_autoencoder(input_shape, cr):
 
     enc_layers = []
     for _ in range(stages):
-        enc_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), maxpool(2, 2)]
+        enc_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), maxpool()]
     enc_layers += [conv(c_z, padding="same"), act("relu")]
     latent = (h // 2 ** stages, w // 2 ** stages, c_z)
 
     dec_layers = []
     for _ in range(stages):
-        dec_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), upsample(2)]
+        dec_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), upsample()]
     dec_layers += [conv(c, padding="same"), act("sigmoid")]
 
     enc = ModelSpec(tuple(enc_layers), (h, w, c), role="encoder")
@@ -247,26 +244,25 @@ def build_vanilla_classifier(input_shape, family, num_classes):
 
     Family A: three valid-padding conv/pool blocks, dense 64 head.
     Family B: two double-conv (same padding) blocks with dropout, dense 512 head.
+    Both end in dense(num_classes), so the model emits logits.
     Trailing trunk layers that no longer fit the input are dropped, so the
     same family applies to compressed latent inputs.
     """
     h, w, c = (int(d) for d in input_shape)
-    if min(h, w) < 3:
-        raise InvalidGeometryError(f"input spatial dims must be >= 3, got {h}x{w}")
+    if min(h, w) < KERNEL:
+        raise InvalidGeometryError(f"input spatial dims must be >= {KERNEL}, got {h}x{w}")
     if family == "A":
         trunk = []
         for _ in range(3):
-            trunk += [conv(32, padding="valid"), act("relu"), maxpool(2, 2)]
-        head = [flatten(), dense(64), act("relu"), dropout(0.5),
-                dense(num_classes), act("softmax")]
+            trunk += [conv(32, padding="valid"), act("relu"), maxpool()]
+        head = [flatten(), dense(64), act("relu"), dropout(0.5), dense(num_classes)]
     elif family == "B":
         trunk = []
         for filters in (32, 64):
             trunk += [conv(filters, padding="same"), act("relu"),
                       conv(filters, padding="same"), act("relu"),
-                      maxpool(2, 2), dropout(0.25)]
-        head = [flatten(), dense(512), act("relu"), dropout(0.5),
-                dense(num_classes), act("softmax")]
+                      maxpool(), dropout(0.25)]
+        head = [flatten(), dense(512), act("relu"), dropout(0.5), dense(num_classes)]
     else:
         raise ValueError(f"unknown classifier family {family!r}")
 

@@ -56,6 +56,21 @@ def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_runs_a_cifar10_grid(tmp_path, cifar_dir, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["run", "--cifar10-dir", str(cifar_dir), "--ratios", "1,4",
+                 "--ae-epochs", "1", "--clf-epochs", "1", "--out", str(out)]) == 0
+    rows = parse_report(out).rows
+    assert [(r.dataset, r.cr, r.failed) for r in rows] == [
+        ("cifar10", 1.0, False), ("cifar10", 4.0, False)]
+
+
+def test_cli_rejects_a_bad_cifar_subset(capsys):
+    assert main(["run", "--cifar10-subset", "12x3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latentwire: error: cifar_subset") and "'12x3'" in err
+
+
 def test_run_flags_set_the_config(tmp_path, monkeypatch):
     (tmp_path / "batches").mkdir()
     (tmp_path / "work").mkdir()

@@ -2,6 +2,7 @@ import json
 import logging
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from latentwire.data import SyntheticSpec
@@ -14,6 +15,7 @@ from latentwire.experiment import (
     config_from_dict,
     emit_report,
     load_config,
+    load_experiment_data,
     normalize_metrics,
     parse_report,
     run_experiment,
@@ -207,6 +209,33 @@ def test_normalize_missing_baseline_leaves_other_groups(caplog):
     assert report.rows[1].acc_norm == pytest.approx(0.5)
     assert report.rows[2].accuracy == 0.4 and report.rows[2].acc_norm is None
     assert "seed 1" in caplog.text
+
+
+# --- CIFAR-10 ----------------------------------------------------------------------
+
+def test_load_experiment_data_reads_cifar10(cifar_dir):
+    cfg = ExperimentConfig(dataset="cifar10", cifar_dir=str(cifar_dir))
+    name, train, test = load_experiment_data(cfg)
+    assert (name, len(train), len(test)) == ("cifar10", 50, 10)
+    assert train.sample_shape == (32, 32, 3) and train.num_classes == 10
+    name, train, test = load_experiment_data(replace(cfg, cifar_subset="2x3"))
+    assert name == "cifar10-2x3"
+    assert train.num_classes == test.num_classes == 2
+    assert np.bincount(train.labels).tolist() == [3, 3]
+    assert np.bincount(test.labels).tolist() == [1, 1]  # 3 // 5, at least 1
+
+
+def test_cifar10_needs_a_directory_at_run_time():
+    with pytest.raises(ValueError, match="cifar_dir"):
+        load_experiment_data(ExperimentConfig(dataset="cifar10"))
+
+
+@pytest.mark.parametrize("subset", ["2", "0x5", "12x3", "2x0", "", "2x3x1", "twoxten"])
+def test_cifar_subset_checked_when_the_config_is_built(subset):
+    with pytest.raises(ValueError, match="cifar_subset"):
+        ExperimentConfig(cifar_subset=subset)
+    with pytest.raises(ValueError, match="cifar_subset"):
+        config_from_dict({**HEADER, "cifar_subset": subset})
 
 
 # --- determinism -------------------------------------------------------------------

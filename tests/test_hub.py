@@ -1,4 +1,5 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from latentwire.errors import (
     ShapeMismatchError,
     SinkFailure,
 )
-from latentwire.hub import Hub, HubServer, serve_stream
+from latentwire.hub import Hub, HubServer, _Handler, serve_stream
 from latentwire.train import TrainConfig
 from latentwire.wire import (
     ACK_ACCEPTED,
@@ -102,6 +103,34 @@ def test_wire_client_pushes_over_loopback():
         with pytest.raises(SinkFailure, match="0x06"):
             sink.push(recs[1])
     assert hub.records("test") == recs
+
+
+class _AckPipeBroken:
+    """A connection that delivers `chunks`, then closes, and whose peer is
+    gone before the hub acks."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def sendall(self, data):
+        raise BrokenPipeError("peer closed")
+
+
+def test_handler_keeps_the_record_when_the_ack_pipe_breaks():
+    recs = [make_record(record=i, seed=i) for i in range(2)]
+    hub = Hub()
+    # BaseRequestHandler runs handle() from its constructor
+    _Handler(_AckPipeBroken(encode_record(recs[0])), ("127.0.0.1", 0),
+             SimpleNamespace(hub=hub, split="train"))
+    assert hub.records("train") == recs[:1]
+    with HubServer(hub, split="train") as server:
+        _Handler(_AckPipeBroken(encode_record(recs[1])), ("127.0.0.1", 0), server._server)
+        with WireClientSink(*server.address) as sink:
+            sink.push(make_record(record=2))
+    assert [r.record_id for r in hub.records("train")] == [0, 1, 2]
 
 
 def test_evaluate_empty_split_scores_zero():

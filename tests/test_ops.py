@@ -8,7 +8,13 @@ from latentwire.errors import CacheError, InvalidGeometryError, ShapeMismatchErr
 from latentwire.initializers import glorot_limit, glorot_uniform
 from latentwire.losses import cross_entropy_loss, mse_loss
 from latentwire.errors import LabelRangeError
-from latentwire.zoo import FAMILIES, build_autoencoder, build_vanilla_classifier, infer_shapes
+from latentwire.zoo import (
+    FAMILIES,
+    KERNEL,
+    build_autoencoder,
+    build_vanilla_classifier,
+    infer_shapes,
+)
 
 from oracles import (
     column_correlate,
@@ -148,7 +154,8 @@ def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
 def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
     """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
     `image`: the autoencoders at CR 4, 8 and 16 and both classifier
-    families on the image and on each latent."""
+    families on the image and on each latent. Each is KERNEL x KERNEL at
+    stride 1."""
     specs, inputs = [], [image]
     for cr in (4, 8, 16):
         pair = build_autoencoder(image, cr)
@@ -156,7 +163,7 @@ def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
         inputs.append(pair.latent_shape)
     specs += [build_vanilla_classifier(shape, family, num_classes)
               for shape in inputs for family in FAMILIES]
-    return sorted({(*shape, layer.kernel, layer.filters, layer.stride, layer.padding)
+    return sorted({(*shape, KERNEL, layer.filters, 1, layer.padding)
                    for spec in specs
                    for layer, shape in zip(spec.layers, infer_shapes(spec))
                    if layer.kind == "conv2d"})
@@ -237,22 +244,22 @@ def test_valid_conv_caches_its_input_uncopied():
 
 def test_maxpool_known_windows():
     x = np.arange(1, 17, dtype=float).reshape(1, 4, 4, 1)
-    y, _ = ops.maxpool2d(x, 2, 2)
+    y, _ = ops.maxpool2d(x)
     assert y[0, ..., 0].tolist() == [[6, 8], [14, 16]]
 
 
 def test_maxpool_constant_input():
     x = np.full((1, 5, 5, 2), 3.5)
-    y, _ = ops.maxpool2d(x, 2, 2)
+    y, _ = ops.maxpool2d(x)
     assert np.all(y == 3.5)
 
 
 def test_maxpool_matches_window_oracle():
     r = rng(4)
-    x = r.random((7, 7, 3))
-    y, _ = ops.maxpool2d(x[None], 2, 1)
-    assert y.shape == (1, 6, 6, 3)
-    assert np.abs(y[0] - maxpool2d_oracle(x, 2, 1)).max() == 0
+    x = r.random((7, 8, 3))
+    y, _ = ops.maxpool2d(x[None])
+    assert y.shape == (1, 3, 4, 3)  # the odd last row is dropped
+    assert np.abs(y[0] - maxpool2d_oracle(x)).max() == 0
 
 
 def _relu_with_ties(r, shape, dtype):
@@ -265,7 +272,7 @@ def _relu_with_ties(r, shape, dtype):
 def test_maxpool_backward_first_max_bitwise_on_ties(shape):
     r = rng(7)
     x = _relu_with_ties(r, shape, np.float32)
-    y, cache = ops.maxpool2d(x, 2, 2)
+    y, cache = ops.maxpool2d(x)
     g = r.standard_normal(y.shape).astype(np.float32)
     dx, _ = ops.backward(cache, g)
     assert dx.dtype == np.float32 and dx.shape == x.shape
@@ -273,58 +280,42 @@ def test_maxpool_backward_first_max_bitwise_on_ties(shape):
         len(x), y.shape[1], 2, y.shape[2], 2, -1)
     assert (windows.max(axis=(2, 4)) == 0).mean() > 0.2  # the ties are there
     for i in range(len(x)):
-        assert dx[i].tobytes() == maxpool2d_backward_oracle(x[i], g[i], 2, 2).tobytes()
-
-
-def test_maxpool_backward_overlapping_windows_accumulate():
-    r = rng(8)
-    x = _relu_with_ties(r, (3, 9, 12, 4), np.float64)
-    y, cache = ops.maxpool2d(x, 3, 2)
-    g = r.standard_normal(y.shape)
-    dx, _ = ops.backward(cache, g)
-    for i in range(len(x)):
-        assert np.abs(dx[i] - maxpool2d_backward_oracle(x[i], g[i], 3, 2)).max() < 1e-12
+        assert dx[i].tobytes() == maxpool2d_backward_oracle(x[i], g[i]).tobytes()
 
 
 def test_maxpool_pool_exceeds_input():
-    with pytest.raises(InvalidGeometryError):
-        ops.maxpool2d(rng().random((1, 3, 3, 1)), 4, 1)
+    for shape in ((1, 1, 3, 1), (1, 3, 1, 1)):
+        with pytest.raises(InvalidGeometryError):
+            ops.maxpool2d(rng().random(shape))
 
 
 # --- upsample ---------------------------------------------------------------
 
 def test_upsample_replication():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-    y, _ = ops.upsample2d(x, 2)
+    y, _ = ops.upsample2d(x)
     expect = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
     assert y[0, ..., 0].tolist() == expect
 
 
-def test_upsample_factor_one_identity():
-    x = rng().random((1, 3, 4, 2))
-    y, _ = ops.upsample2d(x, 1)
-    np.testing.assert_array_equal(y, x)
-
-
-@pytest.mark.parametrize("factor", [1, 2, 3])
-def test_upsample_backward_same_for_any_gradient_layout(factor):
+def test_upsample_backward_same_for_any_gradient_layout():
     x = rng().random((4, 5, 6, 3)).astype(np.float32)
-    y, _ = ops.upsample2d(x, factor)
+    y, _ = ops.upsample2d(x)
     g = rng(1).standard_normal(y.shape).astype(np.float32)
     # the same values stored channel-major: the sum must not depend on layout
     g_cm = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
     assert not g_cm.flags.c_contiguous
-    expect = g.reshape(4, 5, factor, 6, factor, 3).sum(axis=(2, 4))
+    expect = g.reshape(4, 5, 2, 6, 2, 3).sum(axis=(2, 4))
     for grad in (g, g_cm):
-        _, cache = ops.upsample2d(x, factor)
+        _, cache = ops.upsample2d(x)
         dx, _ = ops.backward(cache, grad)
         assert dx.tobytes() == expect.tobytes()
 
 
 def test_pool_then_upsample_constant_roundtrip():
     x = np.full((1, 6, 6, 2), 0.7)
-    pooled, _ = ops.maxpool2d(x, 2, 2)
-    y, _ = ops.upsample2d(pooled, 2)
+    pooled, _ = ops.maxpool2d(x)
+    y, _ = ops.upsample2d(pooled)
     np.testing.assert_array_equal(y, x)
 
 
@@ -366,20 +357,21 @@ def test_sigmoid_midpoint():
 
 
 def test_softmax_uniform():
-    y, _ = ops.activation(np.array([2.0, 2.0, 2.0]), "softmax")
+    y = ops.softmax(np.array([2.0, 2.0, 2.0]))
     np.testing.assert_allclose(y, [1 / 3] * 3, atol=1e-12)
 
 
 def test_unknown_activation():
-    with pytest.raises(ValueError):
-        ops.activation(np.zeros(3), "tanh")
+    for kind in ("tanh", "softmax"):
+        with pytest.raises(ValueError):
+            ops.activation(np.zeros(3), kind)
 
 
 @given(st.integers(2, 8), st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_softmax_rows_sum_to_one(b, k, seed):
     x = np.random.default_rng(seed).standard_normal((b, k)) * 20
-    y, _ = ops.activation(x, "softmax")
+    y = ops.softmax(x)
     np.testing.assert_allclose(y.sum(axis=-1), np.ones(b), atol=1e-9)
 
 

@@ -41,7 +41,7 @@ def _separable_dataset(n_per_class=40, seed=0):
 
 
 def _mlp_spec(in_dim=12, classes=2):
-    return ModelSpec((dense(16), act("relu"), dense(classes), act("softmax")), (in_dim,))
+    return ModelSpec((dense(16), act("relu"), dense(classes)), (in_dim,))
 
 
 # --- autoencoder training ------------------------------------------------------
@@ -170,7 +170,7 @@ def test_untrained_accuracy_near_chance():
     r = rng(5)
     images = r.random((10_000, 20)).astype(np.float32)
     data = LabeledDataset(images, r.integers(0, 10, 10_000), 10)
-    net = Network(ModelSpec((dense(10), act("softmax")), (20,)), rng=rng(1))
+    net = Network(ModelSpec((dense(10),), (20,)), rng=rng(1))
     acc, _ = evaluate(net, data)
     assert 0.07 <= acc <= 0.13
 
@@ -242,7 +242,7 @@ def _ae_chain(input_shape, cr):
     build_vanilla_classifier((16, 16, 3), "B", 4),
     _ae_chain((16, 16, 3), 4),
     # the first layer with weights sits behind two parameter-free layers
-    ModelSpec((maxpool(2, 2), act("relu"), conv(4), act("relu"), flatten(), dense(3)),
+    ModelSpec((maxpool(), act("relu"), conv(4), act("relu"), flatten(), dense(3)),
               (10, 10, 2)),
 ], ids=["family-A", "family-B", "ae-cr4", "pool-first"])
 def test_backward_stops_at_the_first_weighted_layer(spec, monkeypatch):

@@ -120,10 +120,10 @@ def test_family_a_table_layout_on_raw_cifar_shape():
     spec = build_vanilla_classifier((32, 32, 3), "A", 10)
     kinds = [l.kind for l in spec.layers]
     assert kinds == ["conv2d", "activation", "maxpool"] * 3 + [
-        "flatten", "dense", "activation", "dropout", "dense", "activation"]
+        "flatten", "dense", "activation", "dropout", "dense"]
     widths = [l.width for l in spec.layers if l.kind == "dense"]
     assert widths == [64, 10]
-    assert spec.layers[-3].rate == 0.5
+    assert spec.layers[-2].rate == 0.5
     assert all(l.filters == 32 for l in spec.layers if l.kind == "conv2d")
     assert all(l.padding == "valid" for l in spec.layers if l.kind == "conv2d")
 
@@ -216,7 +216,7 @@ def test_saved_model_file_names_every_layer(tmp_path):
     spec = build_vanilla_classifier((16, 16, 3), "B", 4)
     Network(spec).save(tmp_path / "classifier")
     doc = json.loads((tmp_path / "classifier.model.json").read_text())
-    assert (doc["format"], doc["version"]) == ("latentwire-model", 1)
+    assert (doc["format"], doc["version"]) == ("latentwire-model", 2)
     assert (doc["role"], doc["input_shape"]) == ("classifier", [16, 16, 3])
     assert doc["layers"] == [{k: v for k, v in asdict(layer).items() if v is not None}
                              for layer in spec.layers]
