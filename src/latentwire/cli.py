@@ -121,7 +121,7 @@ def _experiment_config(args):
         cfg = replace(cfg, dataset="cifar10",
                       cifar_dir=str(resolve_data_path(args.cifar10_dir)))
     if args.cifar10_subset is not None:
-        cfg = replace(cfg, cifar_subset=args.cifar10_subset)
+        cfg = replace(cfg, dataset="cifar10", cifar_subset=args.cifar10_subset)
     if args.ratios is not None:
         cfg = replace(cfg, ratios=args.ratios)
     if args.family is not None:
@@ -230,7 +230,8 @@ def build_parser():
                    "--out applies when the file sets no out")
     p.add_argument("--dataset", choices=DATASETS)
     p.add_argument("--cifar10-dir")
-    p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000")
+    p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000; "
+                   "selects the cifar10 dataset")
     p.add_argument("--ratios", type=_float_list)
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--devices", type=int)

@@ -64,12 +64,18 @@ class ExperimentConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
                                  f"got {getattr(self, name)!r}")
+        for name in ("n_devices", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.ae.augment:
             raise ValueError("ae.augment is not applied to the autoencoder fit; "
                              "augmentation is a clf setting")
         # (classes, per_class) of cifar_subset; not a field, so no file holds it
         self.cifar_counts = (None if self.cifar_subset is None
                              else _parse_cifar_subset(self.cifar_subset))
+        for name in ("cifar_subset", "cifar_dir"):
+            if getattr(self, name) is not None and self.dataset != "cifar10":
+                raise ValueError(f"{name} needs dataset 'cifar10', got {self.dataset!r}")
 
 
 def _parse_cifar_subset(text):

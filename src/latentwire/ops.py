@@ -12,8 +12,9 @@ precision simply pass float64 arrays.
 One layer geometry: pooling is 2x2 max pooling at stride 2, upsampling
 repeats each pixel 2x2, and the activations are relu and sigmoid; a
 classifier ends in a dense layer and emits logits, whose softmax only the
-loss takes. The zoo builds 3x3 convs at stride 1; ``conv2d`` reads K from
-its weights and keeps a stride argument, which only the tests set.
+loss takes. ``conv2d`` runs at stride 1 and reads K from its weights, so
+every conv shape follows from its operands; "same" padding puts (K-1)//2
+zeros before and K-1-(K-1)//2 after on each axis. The zoo builds K = 3.
 
 Results are bit-reproducible only at a fixed BLAS thread count: the same
 inputs give other float32 bits at another thread count. A speed change to
@@ -58,16 +59,12 @@ def _check_rank(x, ndim):
         raise ShapeMismatchError(f"expected a rank-{ndim} batch, got shape {x.shape}")
 
 
-def _same_pad(size, kernel, stride):
-    out = -(-size // stride)  # ceil
-    total = max((out - 1) * stride + kernel - size, 0)
-    return total // 2, total - total // 2
+def conv2d(x, w, b, padding="valid"):
+    """2-D cross-correlation at stride 1 with per-filter bias.
 
-
-def conv2d(x, w, b, stride=1, padding="valid"):
-    """2-D cross-correlation with per-filter bias.
-
-    x: (N,H,W,C); w: (K,K,C,F); b: (F,).
+    x: (N,H,W,C); w: (K,K,C,F); b: (F,). "valid" gives (N,H-K+1,W-K+1,F);
+    "same" gives (N,H,W,F), reading (K-1)//2 zeros before and K-1-(K-1)//2
+    after the input on each axis, so an even K pads one more after.
     """
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeMismatchError(f"conv weights must be (K,K,C,F), got {w.shape}")
@@ -79,47 +76,35 @@ def conv2d(x, w, b, stride=1, padding="valid"):
     if b.shape != (f,):
         raise ShapeMismatchError(f"bias shape {b.shape} != ({f},)")
     if padding == "same":
-        pt, pb = _same_pad(h, k, stride)
-        pl, pr = _same_pad(wd, k, stride)
+        lead, pad = (k - 1) // 2, k - 1
     elif padding == "valid":
-        pt = pb = pl = pr = 0
+        lead = pad = 0
     else:
         raise ValueError(f"unknown padding {padding!r}")
-    if k > h + pt + pb or k > wd + pl + pr:
+    if k > h + pad or k > wd + pad:
         raise InvalidGeometryError(f"kernel {k} exceeds padded input {h}x{wd}")
-    if pt or pb or pl or pr:
-        xp = np.zeros((x.shape[0], h + pt + pb, wd + pl + pr, c), dtype=x.dtype)
-        xp[:, pt : pt + h, pl : pl + wd] = x
+    if pad:
+        xp = np.zeros((x.shape[0], h + pad, wd + pad, c), dtype=x.dtype)
+        xp[:, lead : lead + h, lead : lead + wd] = x
     else:
         xp = x
-    ho = (xp.shape[1] - k) // stride + 1
-    wo = (xp.shape[2] - k) // stride + 1
-    if ho < 1 or wo < 1:
-        raise InvalidGeometryError(f"conv output {ho}x{wo} would be empty")
-    y = _correlate(xp, w, stride, ho, wo)
+    y = _correlate(xp, w)
     y += b
-    cache = LayerCache(
-        "conv2d", xp=xp, w=w, stride=stride, out_hw=(ho, wo),
-        pads=(pt, pb, pl, pr), in_shape=x.shape,
-    )
-    return y, cache
+    return y, LayerCache("conv2d", xp=xp, w=w, lead=lead, in_shape=x.shape)
 
 
-def _windows(xp, k, stride, ho, wo):
-    """Read-only view (N,ho,wo,K,K,C) of the K x K windows of xp (N,H,W,C)
-    every `stride` pixels, in w's own (k, l, c) order."""
+def _windows(xp, k):
+    """Read-only view (N,H-K+1,W-K+1,K,K,C) of the K x K windows of xp
+    (N,H,W,C), in w's own (k, l, c) order."""
     n, h, wd, c = xp.shape
-    if (ho - 1) * stride + k > h or (wo - 1) * stride + k > wd:
-        raise InvalidGeometryError(
-            f"{ho}x{wo} windows of {k} every {stride} overrun {h}x{wd}")
     s0, s1, s2, s3 = xp.strides
-    return as_strided(xp, (n, ho, wo, k, k, c),
-                      (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
+    return as_strided(xp, (n, h - k + 1, wd - k + 1, k, k, c),
+                      (s0, s1, s2, s1, s2, s3), writeable=False)
 
 
-def _correlate(xp, w, stride, ho, wo, g=None):
-    """The conv's one contraction over the ho x wo windows of xp (N,H,W,C)
-    that start every `stride` pixels, each K x K for w (K,K,C,F).
+def _correlate(xp, w, g=None):
+    """The conv's one contraction over the K x K windows of xp (N,H,W,C) for
+    w (K,K,C,F), one window per output pixel of (ho, wo) = (H-K+1, W-K+1).
 
     Without `g` it returns the correlation (N,ho,wo,F); given the output
     gradient g (N,ho,wo,F) it returns the weight gradient (K,K,C,F). Narrow
@@ -128,34 +113,33 @@ def _correlate(xp, w, stride, ho, wo, g=None):
     and the contraction is one GEMM against it; wide ones loop over the K*K
     offsets and never materialize the windows, a GEMM per offset.
     """
-    n, c = xp.shape[0], xp.shape[3]
+    n, h, wd, c = xp.shape
     k, f = w.shape[0], w.shape[3]
+    ho, wo = h - k + 1, wd - k + 1
     if c * k * k <= _WINDOW_MAX:
-        cols = _windows(xp, k, stride, ho, wo).reshape(-1, k * k * c)
+        cols = _windows(xp, k).reshape(-1, k * k * c)
         if g is None:
             return (cols @ w.reshape(-1, f)).reshape(n, ho, wo, f)
         return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
     if g is None:
         y = np.zeros((n, ho, wo, f), dtype=xp.dtype)
-        for (a, b), at in _window_offsets(k, stride, ho, wo):
+        for (a, b), at in _window_offsets(k, 1, ho, wo):
             y += xp[at] @ w[a, b]
         return y
     g2d = g.reshape(-1, f)
     dw = np.empty_like(w)
-    for (a, b), at in _window_offsets(k, stride, ho, wo):
+    for (a, b), at in _window_offsets(k, 1, ho, wo):
         dw[a, b] = np.ascontiguousarray(xp[at]).reshape(-1, c).T @ g2d
     return dw
 
 
 def _conv2d_backward(data, g, need_dx):
-    # gp is g stride-stuffed onto the input's grid with K-1 zeros in front:
+    # gp is g written at row and column K-1-lead of zeros on the input's grid:
     # the K x K window at each input pixel holds, flipped, every output that
-    # read it (none for rows the forward never read). So dx is gp correlated
-    # with the flipped kernel, its C and F axes swapped, and dW may contract
-    # the windows of gp in place of those of the input.
-    xp, w, stride = data["xp"], data["w"], data["stride"]
-    ho, wo = data["out_hw"]
-    pt, _, pl, _ = data["pads"]
+    # read it. So dx is gp correlated with the flipped kernel, its C and F
+    # axes swapped, and dW may contract the windows of gp in place of those
+    # of the input.
+    xp, w, lead = data["xp"], data["w"], data["lead"]
     n, h, wd, c = data["in_shape"]
     k, f = w.shape[0], w.shape[3]
     # wt stays a strided view: a contiguous copy runs the wide dx's matmuls
@@ -163,15 +147,15 @@ def _conv2d_backward(data, g, need_dx):
     wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
     dw_from_gp = f * k * k <= _WINDOW_MAX < c * k * k  # e.g. a decoder's last conv
     if need_dx or dw_from_gp:
+        off = k - 1 - lead
         gp = np.zeros((n, h + k - 1, wd + k - 1, f), dtype=g.dtype)
-        gp[:, k - 1 - pt : k - pt + (ho - 1) * stride : stride,
-           k - 1 - pl : k - pl + (wo - 1) * stride : stride] = g
+        gp[:, off : off + g.shape[1], off : off + g.shape[2]] = g
     if dw_from_gp:
-        x = xp[:, pt : pt + h, pl : pl + wd]
-        dw = _correlate(gp, wt, 1, h, wd, x)[::-1, ::-1].transpose(0, 1, 3, 2)
+        x = xp[:, lead : lead + h, lead : lead + wd]
+        dw = _correlate(gp, wt, x)[::-1, ::-1].transpose(0, 1, 3, 2)
     else:
-        dw = _correlate(xp, w, stride, ho, wo, g)
-    dx = _correlate(gp, wt, 1, h, wd) if need_dx else None
+        dw = _correlate(xp, w, g)
+    dx = _correlate(gp, wt) if need_dx else None
     return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
 
 

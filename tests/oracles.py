@@ -11,17 +11,14 @@ from latentwire import ops
 from latentwire.losses import cross_entropy_loss, mse_loss
 
 
-def conv2d_oracle(x, w, b, stride=1, padding="valid"):
+def conv2d_oracle(x, w, b, padding="valid"):
     k = w.shape[0]
     h, wd, c = x.shape
     f = w.shape[3]
     if padding == "same":
-        ho, wo = -(-h // stride), -(-wd // stride)
-        th = max((ho - 1) * stride + k - h, 0)
-        tw = max((wo - 1) * stride + k - wd, 0)
-        x = np.pad(x, ((th // 2, th - th // 2), (tw // 2, tw - tw // 2), (0, 0)))
-    else:
-        ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
+        before, after = (k - 1) // 2, k - 1 - (k - 1) // 2
+        x = np.pad(x, ((before, after), (before, after), (0, 0)))
+    ho, wo = x.shape[0] - k + 1, x.shape[1] - k + 1
     out = np.zeros((ho, wo, f), dtype=x.dtype)
     for i in range(ho):
         for j in range(wo):
@@ -30,69 +27,65 @@ def conv2d_oracle(x, w, b, stride=1, padding="valid"):
                 for a in range(k):
                     for bb in range(k):
                         for cc in range(c):
-                            acc += x[i * stride + a, j * stride + bb, cc] * w[a, bb, cc, ff]
+                            acc += x[i + a, j + bb, cc] * w[a, bb, cc, ff]
                 out[i, j, ff] = acc + b[ff]
     return out
 
 
-def conv2d_backward_oracle(x, w, g, stride=1, padding="valid"):
+def conv2d_backward_oracle(x, w, g, padding="valid"):
     """Weight and input gradients of conv2d_oracle for one (h, w, c) sample
     and its output gradient g (ho, wo, f): every output position adds its
     window's share to both, one kernel offset at a time."""
     k = w.shape[0]
     h, wd, c = x.shape
     ho, wo, f = g.shape
-    pt = pl = 0
-    if padding == "same":
-        pt = max((ho - 1) * stride + k - h, 0) // 2
-        pl = max((wo - 1) * stride + k - wd, 0) // 2
+    before = (k - 1) // 2 if padding == "same" else 0
     dw = np.zeros((k, k, c, f))
     dx = np.zeros((h, wd, c))
     for i in range(ho):
         for j in range(wo):
             for a in range(k):
                 for bb in range(k):
-                    r, q = i * stride + a - pt, j * stride + bb - pl
+                    r, q = i + a - before, j + bb - before
                     if 0 <= r < h and 0 <= q < wd:
                         dw[a, bb] += np.outer(x[r, q], g[i, j])
                         dx[r, q] += w[a, bb] @ g[i, j]
     return dw, dx
 
 
-def einsum_correlate(xp, w, stride, g=None):
+def einsum_correlate(xp, w, g=None):
     """The narrow conv contraction as einsums over the K x K window view of
-    xp (N,H,W,C) every `stride` pixels: without g the correlation with w
-    (K,K,C,F), given the output gradient g the weight gradient. At the
-    channel pairings the zoo builds, the library's column GEMM must equal
-    these bit for bit."""
+    xp (N,H,W,C): without g the correlation with w (K,K,C,F), given the
+    output gradient g the weight gradient. At the channel pairings the zoo
+    builds, the library's column GEMM must equal these bit for bit."""
     k = w.shape[0]
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))
     if g is None:
         return np.einsum("nhwckl,klcf->nhwf", win, w, optimize=True)
     return np.einsum("nhwf,nhwckl->klcf", g, win, optimize=True)
 
 
-def window_columns(xp, k, stride):
+def window_columns(xp, k):
     """The narrow conv's column matrix as the library first built it: the
-    K x K sliding windows of xp (N,H,W,C) every `stride` pixels, transposed
-    to w's (k, l, c) order and copied into one row per output pixel."""
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    K x K sliding windows of xp (N,H,W,C), transposed to w's (k, l, c) order
+    and copied into one row per output pixel."""
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
 
 
-def column_correlate(xp, w, stride, ho, wo, g=None):
+def column_correlate(xp, w, g=None):
     """``ops._correlate`` as it ran with `window_columns` and a per-offset
     einsum for the wide dW; the library's strided window view and plain
     GEMMs must equal it bit for bit."""
     k, f = w.shape[0], w.shape[3]
+    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     if xp.shape[3] * k * k <= ops._WINDOW_MAX:
-        cols = window_columns(xp, k, stride)
+        cols = window_columns(xp, k)
         if g is None:
             return (cols @ w.reshape(-1, f)).reshape(xp.shape[0], ho, wo, f)
         return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
     offsets = [(a, b) for a in range(k) for b in range(k)]
-    shifted = [xp[:, a : a + (ho - 1) * stride + 1 : stride,
-                  b : b + (wo - 1) * stride + 1 : stride] for a, b in offsets]
+    shifted = [xp[:, a : a + ho, b : b + wo] for a, b in offsets]
     if g is None:
         y = np.zeros((xp.shape[0], ho, wo, f), dtype=xp.dtype)
         for (a, b), xs in zip(offsets, shifted):
@@ -285,14 +278,13 @@ def gradient_trial(kind, rng):
         # the forward, dW and dx all loop over the kernel offsets
         h, w = rng.integers(3, 7, 2)
         c, f = rng.integers(*((1, 4) if kind == "conv2d" else (9, 12)), 2)
-        stride = int(rng.integers(1, 3))
         padding = ("valid", "same")[rng.integers(0, 2)]
         arrays = {
             "x": rng.standard_normal((1, h, w, c)),
             "w": rng.standard_normal((3, 3, c, f)) * 0.5,
             "b": rng.standard_normal(f) * 0.1,
         }
-        fwd = lambda: ops.conv2d(arrays["x"], arrays["w"], arrays["b"], stride, padding)
+        fwd = lambda: ops.conv2d(arrays["x"], arrays["w"], arrays["b"], padding)
     elif kind == "maxpool2d":
         # odd and even sizes: an odd last row or column is read by no window
         h, w = rng.integers(2, 8, 2)

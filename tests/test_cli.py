@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import latentwire.cli as cli
+import latentwire.experiment as experiment
 from latentwire.cli import DATA_DIR_ENV, _experiment_config, build_parser, main
 from latentwire.experiment import (
     CONFIG_FORMAT,
@@ -69,6 +70,22 @@ def test_cli_rejects_a_bad_cifar_subset(capsys):
     assert main(["run", "--cifar10-subset", "12x3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("latentwire: error: cifar_subset") and "'12x3'" in err
+
+
+def test_cli_subset_selects_cifar10_and_needs_a_directory(monkeypatch, capsys):
+    def no_training(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_training)
+    cfg = _experiment_config(build_parser().parse_args(["run", "--cifar10-subset", "2x3"]))
+    assert (cfg.dataset, cfg.cifar_subset, cfg.cifar_dir) == ("cifar10", "2x3", None)
+    assert main(["run", "--cifar10-subset", "2x3"]) == 2
+    assert "cifar_dir" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_devices(capsys):
+    assert main(["run", "--devices", "0"]) == 2
+    assert capsys.readouterr().err.startswith("latentwire: error: n_devices must be at least 1")
 
 
 def test_run_flags_set_the_config(tmp_path, monkeypatch):

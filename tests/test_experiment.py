@@ -238,6 +238,24 @@ def test_cifar_subset_checked_when_the_config_is_built(subset):
         config_from_dict({**HEADER, "cifar_subset": subset})
 
 
+@pytest.mark.parametrize("name,value", [("cifar_subset", "2x3"), ("cifar_dir", "/data/cifar")])
+def test_cifar_fields_need_the_cifar10_dataset(name, value):
+    with pytest.raises(ValueError, match=f"^{name} needs dataset 'cifar10'"):
+        ExperimentConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} needs dataset 'cifar10'"):
+        config_from_dict({**HEADER, name: value})
+    assert getattr(ExperimentConfig(dataset="cifar10", **{name: value}), name) == value
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["n_devices", "jobs"])
+def test_counts_checked_when_the_config_is_built(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        ExperimentConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        config_from_dict({**HEADER, name: value})
+
+
 # --- determinism -------------------------------------------------------------------
 
 TINY_GRID = ExperimentConfig(

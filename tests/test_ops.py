@@ -36,13 +36,13 @@ def rng(seed=0):
 def test_conv_shape_table_row():
     x = rng().random((1, 32, 32, 3))
     w = rng().random((3, 3, 3, 32))
-    y, _ = ops.conv2d(x, w, np.zeros(32), 1, "valid")
+    y, _ = ops.conv2d(x, w, np.zeros(32), "valid")
     assert y.shape == (1, 30, 30, 32)
 
 
 def test_conv_zero_weights_zero_output():
     x = rng().random((1, 8, 8, 2))
-    y, _ = ops.conv2d(x, np.zeros((3, 3, 2, 4)), np.zeros(4), 1, "same")
+    y, _ = ops.conv2d(x, np.zeros((3, 3, 2, 4)), np.zeros(4), "same")
     assert np.all(y == 0)
 
 
@@ -51,7 +51,7 @@ def test_conv_matches_direct_loop_oracle():
     x = r.random((5, 5, 2))
     w = r.random((3, 3, 2, 4))
     b = r.random(4)
-    y, _ = ops.conv2d(x[None], w, b, 1, "valid")
+    y, _ = ops.conv2d(x[None], w, b, "valid")
     assert np.abs(y[0] - conv2d_oracle(x, w, b)).max() < 1e-12
 
 
@@ -61,9 +61,9 @@ def test_conv_wide_input_path_matches_oracle():
     x = r.random((6, 7, 16))
     w = r.random((3, 3, 16, 4))
     b = r.random(4)
-    for stride, padding in [(1, "valid"), (2, "same")]:
-        y, _ = ops.conv2d(x[None], w, b, stride, padding)
-        assert np.abs(y[0] - conv2d_oracle(x, w, b, stride, padding)).max() < 1e-11
+    for padding in ("valid", "same"):
+        y, _ = ops.conv2d(x[None], w, b, padding)
+        assert np.abs(y[0] - conv2d_oracle(x, w, b, padding)).max() < 1e-11
 
 
 def test_conv_channel_mismatch():
@@ -81,34 +81,34 @@ def test_conv_batched_equals_per_sample():
     xs = r.random((4, 6, 6, 3)).astype(np.float32)
     w = r.random((3, 3, 3, 5)).astype(np.float32)
     b = r.random(5).astype(np.float32)
-    yb, _ = ops.conv2d(xs, w, b, 1, "same")
+    yb, _ = ops.conv2d(xs, w, b, "same")
     for i in range(4):
-        yi, _ = ops.conv2d(xs[i:i + 1], w, b, 1, "same")
+        yi, _ = ops.conv2d(xs[i:i + 1], w, b, "same")
         np.testing.assert_allclose(yb[i], yi[0], rtol=1e-6)
 
 
 # channels (3, 32) and (32, 3) put one side of the backward below the
 # c*k*k <= 72 window-contraction rule and the other above it (for k >= 3);
-# (32, 32) keeps both above. Under "valid", 8x10 with stride 2 leaves a last
-# row and column that no window reads.
+# (32, 32) keeps both above. An even K pads one more zero after than before
+# under "same". The "-1" in each k id is the stride-1 slot of the names
+# these cases had when conv2d took a stride.
 @pytest.mark.parametrize("c,f", [(3, 32), (32, 3), (32, 32)])
 @pytest.mark.parametrize("padding", ["same", "valid"])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5], ids="{}-1".format)
 @pytest.mark.parametrize("hw", [(8, 10), (7, 9)])
-def test_conv_backward_matches_loop_oracle(c, f, padding, stride, k, hw):
-    r = rng(k * 100 + stride * 10 + c + f)
+def test_conv_backward_matches_loop_oracle(c, f, padding, k, hw):
+    r = rng(k * 100 + c + f)
     x = r.standard_normal((2, *hw, c))
     w = r.standard_normal((k, k, c, f))
-    y, cache = ops.conv2d(x, w, r.standard_normal(f), stride, padding)
+    y, cache = ops.conv2d(x, w, r.standard_normal(f), padding)
     g = r.standard_normal(y.shape)
     dx, pg = ops.backward(cache, g)
-    _, cache = ops.conv2d(x, w, np.zeros(f), stride, padding)
+    _, cache = ops.conv2d(x, w, np.zeros(f), padding)
     no_dx, pg_only = ops.backward(cache, g, need_dx=False)
     assert no_dx is None
     dw = np.zeros_like(w)
     for i in range(len(x)):
-        dw_i, dx_i = conv2d_backward_oracle(x[i], w, g[i], stride, padding)
+        dw_i, dx_i = conv2d_backward_oracle(x[i], w, g[i], padding)
         dw += dw_i
         assert dx[i].shape == dx_i.shape
         assert np.abs(dx[i] - dx_i).max() < 1e-10
@@ -120,42 +120,40 @@ def test_conv_backward_matches_loop_oracle(c, f, padding, stride, k, hw):
 # In float32 the narrow column GEMM must round as the window einsums did, at
 # the pairings the zoo builds. (c, 32) runs the forward and dW over narrow
 # input windows; (32, c), a decoder's last conv, has a narrow dx and takes
-# its dW from the windows of the stuffed gradient.
-@pytest.mark.parametrize("n", [32, 29, 1])
-@pytest.mark.parametrize("stride", [1, 2])
+# its dW from the windows of the padded gradient. The "1-" in each n id is
+# the stride-1 slot of the names these cases had when conv2d took a stride.
+@pytest.mark.parametrize("n", [32, 29, 1], ids="1-{}".format)
 @pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("size", [32, 16, 8])
 @pytest.mark.parametrize("c", [3, 6])
-def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
-    r = rng(size + c + stride)
+def test_narrow_conv_bitwise_equals_einsum(c, size, padding, n):
+    r = rng(size + c)
     for cin, f in ((c, 32), (32, c)):
         x = r.standard_normal((n, size, size, cin)).astype(np.float32)
         w = (0.1 * r.standard_normal((3, 3, cin, f))).astype(np.float32)
         b = r.standard_normal(f).astype(np.float32)
-        y, cache = ops.conv2d(x, w, b, stride, padding)
-        xp, (pt, _, pl, _) = cache.data["xp"], cache.data["pads"]
+        y, cache = ops.conv2d(x, w, b, padding)
+        xp, lead = cache.data["xp"], cache.data["lead"]
         g = r.standard_normal(y.shape).astype(np.float32)
         dx, grads = ops.backward(cache, g)
         ho, wo = y.shape[1:3]
         gp = np.zeros((n, size + 2, size + 2, f), np.float32)
-        gp[:, 2 - pt : 3 - pt + (ho - 1) * stride : stride,
-           2 - pl : 3 - pl + (wo - 1) * stride : stride] = g
+        gp[:, 2 - lead : 2 - lead + ho, 2 - lead : 2 - lead + wo] = g
         wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
         if cin == c:
-            assert np.array_equal(y, einsum_correlate(xp, w, stride) + b)
-            assert np.array_equal(grads["w"], einsum_correlate(xp, w, stride, g))
+            assert np.array_equal(y, einsum_correlate(xp, w) + b)
+            assert np.array_equal(grads["w"], einsum_correlate(xp, w, g))
         else:
-            x_in = xp[:, pt : pt + size, pl : pl + size]
-            dw = einsum_correlate(gp, wt, 1, x_in)[::-1, ::-1].transpose(0, 1, 3, 2)
+            x_in = xp[:, lead : lead + size, lead : lead + size]
+            dw = einsum_correlate(gp, wt, x_in)[::-1, ::-1].transpose(0, 1, 3, 2)
             assert np.array_equal(grads["w"], dw)
-            assert np.array_equal(dx, einsum_correlate(gp, wt, 1))
+            assert np.array_equal(dx, einsum_correlate(gp, wt))
 
 
 def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
-    """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
-    `image`: the autoencoders at CR 4, 8 and 16 and both classifier
-    families on the image and on each latent. Each is KERNEL x KERNEL at
-    stride 1."""
+    """(h, w, c, k, f, padding) of every conv the zoo builds for `image`:
+    the autoencoders at CR 4, 8 and 16 and both classifier families on the
+    image and on each latent. Each is KERNEL x KERNEL."""
     specs, inputs = [], [image]
     for cr in (4, 8, 16):
         pair = build_autoencoder(image, cr)
@@ -163,22 +161,29 @@ def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
         inputs.append(pair.latent_shape)
     specs += [build_vanilla_classifier(shape, family, num_classes)
               for shape in inputs for family in FAMILIES]
-    return sorted({(*shape, KERNEL, layer.filters, 1, layer.padding)
+    return sorted({(*shape, KERNEL, layer.filters, layer.padding)
                    for spec in specs
                    for layer, shape in zip(spec.layers, infer_shapes(spec))
                    if layer.kind == "conv2d"})
 
 
 ZOO_CONVS = zoo_conv_geometries()
-# stride 2, valid and odd sizes, which the zoo does not build; 8x10 valid
-# stride 2 leaves a row and a column unread, 3 -> 3 is narrow on both sides
-EDGE_CONVS = [(7, 9, 3, 3, 32, 2, "valid"), (9, 7, 32, 3, 3, 2, "same"),
-              (8, 10, 6, 3, 32, 2, "valid"), (8, 10, 3, 3, 3, 2, "valid"),
-              (11, 9, 32, 5, 32, 2, "same"), (7, 7, 5, 1, 16, 2, "valid")]
+# odd and non-square sizes, K 1 and 5, and 3 -> 3 narrow on both sides,
+# which the zoo does not build
+EDGE_CONVS = [(7, 9, 3, 3, 32, "valid"), (9, 7, 32, 3, 3, "same"),
+              (8, 10, 6, 3, 32, "valid"), (8, 10, 3, 3, 3, "valid"),
+              (11, 9, 32, 5, 32, "same"), (7, 7, 5, 1, 16, "valid")]
 
 
-def conv_results(x, w, b, stride, padding, g):
-    y, cache = ops.conv2d(x, w, b, stride, padding)
+def conv_id(geometry):
+    """The geometry with a stride-1 slot before the padding: the names these
+    cases had when conv2d took a stride."""
+    *dims, padding = geometry
+    return str((*dims, 1, padding))
+
+
+def conv_results(x, w, b, padding, g):
+    y, cache = ops.conv2d(x, w, b, padding)
     dx, grads = ops.backward(cache, g)
     return y, dx, grads["w"], grads["b"]
 
@@ -190,53 +195,47 @@ def test_zoo_convs_cover_every_correlate_branch():
     narrow_out = [g for g in ZOO_CONVS if g[4] * g[3] ** 2 <= ops._WINDOW_MAX < g[2] * g[3] ** 2]
     wide = [g for g in ZOO_CONVS if min(g[2], g[4]) * g[3] ** 2 > ops._WINDOW_MAX]
     assert narrow_in and narrow_out and wide
-    assert (32, 32, 32, 3, 3, 1, "same") in narrow_out
+    assert (32, 32, 32, 3, 3, "same") in narrow_out
 
 
 # In float32 the strided window view and the plain per-offset GEMMs must
 # round exactly as the sliding_window_view column matrix and the einsum dW
 # did: the forward, dx, dW and db at every conv the zoo builds for 32x32x3.
 @pytest.mark.parametrize("n", [32, 29, 1])
-@pytest.mark.parametrize("geometry", ZOO_CONVS + EDGE_CONVS, ids=str)
+@pytest.mark.parametrize("geometry", ZOO_CONVS + EDGE_CONVS, ids=conv_id)
 def test_conv_bitwise_equals_column_oracle(geometry, n, monkeypatch):
-    h, wd, c, k, f, stride, padding = geometry
+    h, wd, c, k, f, padding = geometry
     r = rng(h * 1000 + c * 10 + f)
     x = r.standard_normal((n, h, wd, c)).astype(np.float32)
     w = (0.1 * r.standard_normal((k, k, c, f))).astype(np.float32)
     b = r.standard_normal(f).astype(np.float32)
-    y, _ = ops.conv2d(x, w, b, stride, padding)
+    y, _ = ops.conv2d(x, w, b, padding)
     g = r.standard_normal(y.shape).astype(np.float32)
-    got = conv_results(x, w, b, stride, padding, g)
+    got = conv_results(x, w, b, padding, g)
     monkeypatch.setattr(ops, "_correlate", column_correlate)
-    want = conv_results(x, w, b, stride, padding, g)
+    want = conv_results(x, w, b, padding, g)
     for name, a, e in zip(("y", "dx", "dw", "db"), got, want):
         assert a.dtype == e.dtype == np.float32, name
         assert a.shape == e.shape and a.tobytes() == e.tobytes(), name
 
 
-# The last window ends exactly at the bottom and right edge, except for 8x10
-# with k 3 and stride 2, which leaves a row and a column unread; the view of
-# a cropped array must honour its offset and strides.
-@pytest.mark.parametrize("h,wd,k,stride", [(8, 8, 3, 1), (9, 9, 3, 2), (7, 11, 5, 2),
-                                           (8, 10, 2, 2), (8, 10, 3, 2)])
+# The view of a cropped array must honour its offset and strides, and
+# every window must end inside it.
+@pytest.mark.parametrize("h,wd,k", [(8, 8, 3), (9, 9, 3), (7, 11, 5), (8, 10, 2), (8, 10, 3)])
 @pytest.mark.parametrize("cropped", [False, True])
-def test_window_view_bounds(h, wd, k, stride, cropped):
+def test_window_view_bounds(h, wd, k, cropped):
     x = rng(h + wd).standard_normal((2, h + 3, wd + 2, 3)).astype(np.float32)
     xp = x[:, 1 : h + 1, 2:] if cropped else np.ascontiguousarray(x[:, :h, :wd])
-    ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
-    win = ops._windows(xp, k, stride, ho, wo)
-    want = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    win = ops._windows(xp, k)
+    want = sliding_window_view(xp, (k, k), axis=(1, 2))
     assert np.array_equal(win, want.transpose(0, 1, 2, 4, 5, 3))
     assert not win.flags.writeable
-    for overrun in ((ho + 1, wo), (ho, wo + 1)):
-        with pytest.raises(InvalidGeometryError):
-            ops._windows(xp, k, stride, *overrun)
 
 
 def test_valid_conv_caches_its_input_uncopied():
     x = rng().random((2, 8, 8, 3)).astype(np.float32)
     _, cache = ops.conv2d(x, rng(1).random((3, 3, 3, 4)).astype(np.float32),
-                          np.zeros(4, np.float32), 1, "valid")
+                          np.zeros(4, np.float32), "valid")
     assert np.shares_memory(cache.data["xp"], x)
 
 
