@@ -32,10 +32,11 @@ def conv2d_oracle(x, w, b, padding="valid"):
     return out
 
 
-def conv2d_backward_oracle(x, w, g, padding="valid"):
-    """Weight and input gradients of conv2d_oracle for one (h, w, c) sample
-    and its output gradient g (ho, wo, f): every output position adds its
-    window's share to both, one kernel offset at a time."""
+def conv2d_backward_oracle(x, w, g, stride=1, padding="valid"):
+    """Weight and input gradients of conv2d_oracle for one (h, w, c) sample,
+    with its output read every `stride` pixels on both axes, given the
+    gradient g (ho, wo, f) of the pixels read: every read output position
+    adds its window's share to both, one kernel offset at a time."""
     k = w.shape[0]
     h, wd, c = x.shape
     ho, wo, f = g.shape
@@ -46,7 +47,7 @@ def conv2d_backward_oracle(x, w, g, padding="valid"):
         for j in range(wo):
             for a in range(k):
                 for bb in range(k):
-                    r, q = i + a - before, j + bb - before
+                    r, q = i * stride + a - before, j * stride + bb - before
                     if 0 <= r < h and 0 <= q < wd:
                         dw[a, bb] += np.outer(x[r, q], g[i, j])
                         dx[r, q] += w[a, bb] @ g[i, j]

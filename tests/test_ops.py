@@ -87,28 +87,42 @@ def test_conv_batched_equals_per_sample():
         np.testing.assert_allclose(yb[i], yi[0], rtol=1e-6)
 
 
+def read_every(r, y, stride):
+    """An output gradient for a loss that reads the conv's output y every
+    `stride` pixels on both axes: the drawn part, shaped like
+    y[:, ::stride, ::stride], and that part placed in zeros shaped like y,
+    as a strided conv's stuffed gradient was. Stride 1 reads all of y."""
+    part = r.standard_normal(y[:, ::stride, ::stride].shape).astype(y.dtype)
+    full = np.zeros_like(y)
+    full[:, ::stride, ::stride] = part
+    return part, full
+
+
 # channels (3, 32) and (32, 3) put one side of the backward below the
 # c*k*k <= 72 window-contraction rule and the other above it (for k >= 3);
 # (32, 32) keeps both above. An even K pads one more zero after than before
-# under "same". The "-1" in each k id is the stride-1 slot of the names
-# these cases had when conv2d took a stride.
+# under "same". At stride 2 the loss reads every other output pixel, and the
+# backward must match the loop oracle of the stride-2 conv over the same
+# padded input; under "valid", 8x10 leaves a last row and column that no read
+# window covers.
 @pytest.mark.parametrize("c,f", [(3, 32), (32, 3), (32, 32)])
 @pytest.mark.parametrize("padding", ["same", "valid"])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5], ids="{}-1".format)
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("hw", [(8, 10), (7, 9)])
-def test_conv_backward_matches_loop_oracle(c, f, padding, k, hw):
-    r = rng(k * 100 + c + f)
+def test_conv_backward_matches_loop_oracle(c, f, padding, stride, k, hw):
+    r = rng(k * 100 + stride * 10 + c + f)
     x = r.standard_normal((2, *hw, c))
     w = r.standard_normal((k, k, c, f))
     y, cache = ops.conv2d(x, w, r.standard_normal(f), padding)
-    g = r.standard_normal(y.shape)
-    dx, pg = ops.backward(cache, g)
+    g, g_full = read_every(r, y, stride)
+    dx, pg = ops.backward(cache, g_full)
     _, cache = ops.conv2d(x, w, np.zeros(f), padding)
-    no_dx, pg_only = ops.backward(cache, g, need_dx=False)
+    no_dx, pg_only = ops.backward(cache, g_full, need_dx=False)
     assert no_dx is None
     dw = np.zeros_like(w)
     for i in range(len(x)):
-        dw_i, dx_i = conv2d_backward_oracle(x[i], w, g[i], padding)
+        dw_i, dx_i = conv2d_backward_oracle(x[i], w, g[i], stride, padding)
         dw += dw_i
         assert dx[i].shape == dx_i.shape
         assert np.abs(dx[i] - dx_i).max() < 1e-10
@@ -120,21 +134,22 @@ def test_conv_backward_matches_loop_oracle(c, f, padding, k, hw):
 # In float32 the narrow column GEMM must round as the window einsums did, at
 # the pairings the zoo builds. (c, 32) runs the forward and dW over narrow
 # input windows; (32, c), a decoder's last conv, has a narrow dx and takes
-# its dW from the windows of the padded gradient. The "1-" in each n id is
-# the stride-1 slot of the names these cases had when conv2d took a stride.
-@pytest.mark.parametrize("n", [32, 29, 1], ids="1-{}".format)
+# its dW from the windows of the padded gradient. At stride 2 the loss reads
+# every other output pixel, so the gradient is zero in between.
+@pytest.mark.parametrize("n", [32, 29, 1])
+@pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("size", [32, 16, 8])
 @pytest.mark.parametrize("c", [3, 6])
-def test_narrow_conv_bitwise_equals_einsum(c, size, padding, n):
-    r = rng(size + c)
+def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
+    r = rng(size + c + stride)
     for cin, f in ((c, 32), (32, c)):
         x = r.standard_normal((n, size, size, cin)).astype(np.float32)
         w = (0.1 * r.standard_normal((3, 3, cin, f))).astype(np.float32)
         b = r.standard_normal(f).astype(np.float32)
         y, cache = ops.conv2d(x, w, b, padding)
         xp, lead = cache.data["xp"], cache.data["lead"]
-        g = r.standard_normal(y.shape).astype(np.float32)
+        _, g = read_every(r, y, stride)
         dx, grads = ops.backward(cache, g)
         ho, wo = y.shape[1:3]
         gp = np.zeros((n, size + 2, size + 2, f), np.float32)
@@ -151,9 +166,10 @@ def test_narrow_conv_bitwise_equals_einsum(c, size, padding, n):
 
 
 def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
-    """(h, w, c, k, f, padding) of every conv the zoo builds for `image`:
-    the autoencoders at CR 4, 8 and 16 and both classifier families on the
-    image and on each latent. Each is KERNEL x KERNEL."""
+    """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
+    `image`: the autoencoders at CR 4, 8 and 16 and both classifier families
+    on the image and on each latent. Each is KERNEL x KERNEL, and the next
+    layer reads all of its output: stride 1."""
     specs, inputs = [], [image]
     for cr in (4, 8, 16):
         pair = build_autoencoder(image, cr)
@@ -161,25 +177,19 @@ def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
         inputs.append(pair.latent_shape)
     specs += [build_vanilla_classifier(shape, family, num_classes)
               for shape in inputs for family in FAMILIES]
-    return sorted({(*shape, KERNEL, layer.filters, layer.padding)
+    return sorted({(*shape, KERNEL, layer.filters, 1, layer.padding)
                    for spec in specs
                    for layer, shape in zip(spec.layers, infer_shapes(spec))
                    if layer.kind == "conv2d"})
 
 
 ZOO_CONVS = zoo_conv_geometries()
-# odd and non-square sizes, K 1 and 5, and 3 -> 3 narrow on both sides,
-# which the zoo does not build
-EDGE_CONVS = [(7, 9, 3, 3, 32, "valid"), (9, 7, 32, 3, 3, "same"),
-              (8, 10, 6, 3, 32, "valid"), (8, 10, 3, 3, 3, "valid"),
-              (11, 9, 32, 5, 32, "same"), (7, 7, 5, 1, 16, "valid")]
-
-
-def conv_id(geometry):
-    """The geometry with a stride-1 slot before the padding: the names these
-    cases had when conv2d took a stride."""
-    *dims, padding = geometry
-    return str((*dims, 1, padding))
+# a stride-2 read, "valid" and odd sizes, which the zoo does not build; 8x10
+# valid read every other pixel leaves a row and a column unread, 3 -> 3 is
+# narrow on both sides
+EDGE_CONVS = [(7, 9, 3, 3, 32, 2, "valid"), (9, 7, 32, 3, 3, 2, "same"),
+              (8, 10, 6, 3, 32, 2, "valid"), (8, 10, 3, 3, 3, 2, "valid"),
+              (11, 9, 32, 5, 32, 2, "same"), (7, 7, 5, 1, 16, 2, "valid")]
 
 
 def conv_results(x, w, b, padding, g):
@@ -195,22 +205,23 @@ def test_zoo_convs_cover_every_correlate_branch():
     narrow_out = [g for g in ZOO_CONVS if g[4] * g[3] ** 2 <= ops._WINDOW_MAX < g[2] * g[3] ** 2]
     wide = [g for g in ZOO_CONVS if min(g[2], g[4]) * g[3] ** 2 > ops._WINDOW_MAX]
     assert narrow_in and narrow_out and wide
-    assert (32, 32, 32, 3, 3, "same") in narrow_out
+    assert (32, 32, 32, 3, 3, 1, "same") in narrow_out
 
 
 # In float32 the strided window view and the plain per-offset GEMMs must
 # round exactly as the sliding_window_view column matrix and the einsum dW
 # did: the forward, dx, dW and db at every conv the zoo builds for 32x32x3.
+# At a stride of 2 the output gradient is zero between the pixels read.
 @pytest.mark.parametrize("n", [32, 29, 1])
-@pytest.mark.parametrize("geometry", ZOO_CONVS + EDGE_CONVS, ids=conv_id)
+@pytest.mark.parametrize("geometry", ZOO_CONVS + EDGE_CONVS, ids=str)
 def test_conv_bitwise_equals_column_oracle(geometry, n, monkeypatch):
-    h, wd, c, k, f, padding = geometry
+    h, wd, c, k, f, stride, padding = geometry
     r = rng(h * 1000 + c * 10 + f)
     x = r.standard_normal((n, h, wd, c)).astype(np.float32)
     w = (0.1 * r.standard_normal((k, k, c, f))).astype(np.float32)
     b = r.standard_normal(f).astype(np.float32)
     y, _ = ops.conv2d(x, w, b, padding)
-    g = r.standard_normal(y.shape).astype(np.float32)
+    _, g = read_every(r, y, stride)
     got = conv_results(x, w, b, padding, g)
     monkeypatch.setattr(ops, "_correlate", column_correlate)
     want = conv_results(x, w, b, padding, g)
