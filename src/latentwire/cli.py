@@ -21,14 +21,7 @@ from pathlib import Path
 from .data import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from .device import DeviceNode
 from .errors import LatentWireError
-from .experiment import (
-    DATASETS,
-    ExperimentConfig,
-    emit_report,
-    load_config,
-    parse_report,
-    run_experiment,
-)
+from .experiment import ExperimentConfig, emit_report, load_config, parse_report, run_experiment
 from .hub import Hub, HubServer
 from .optim import ALGORITHMS
 from .train import TrainConfig, evaluate, train_classifier
@@ -115,13 +108,10 @@ def _experiment_config(args):
         cfg = load_config(args.config)
         return cfg if cfg.out is not None else replace(cfg, out=args.out)
     cfg = ExperimentConfig()
-    if args.dataset is not None:
-        cfg = replace(cfg, dataset=args.dataset)
     if args.cifar10_dir is not None:
-        cfg = replace(cfg, dataset="cifar10",
-                      cifar_dir=str(resolve_data_path(args.cifar10_dir)))
+        cfg = replace(cfg, cifar_dir=str(resolve_data_path(args.cifar10_dir)))
     if args.cifar10_subset is not None:
-        cfg = replace(cfg, dataset="cifar10", cifar_subset=args.cifar10_subset)
+        cfg = replace(cfg, cifar_subset=args.cifar10_subset)
     if args.ratios is not None:
         cfg = replace(cfg, ratios=args.ratios)
     if args.family is not None:
@@ -228,10 +218,10 @@ def build_parser():
     p = sub.add_parser("run", help="run the benchmark grid and emit a report")
     p.add_argument("--config", help="JSON config; replaces the grid flags, "
                    "--out applies when the file sets no out")
-    p.add_argument("--dataset", choices=DATASETS)
-    p.add_argument("--cifar10-dir")
+    p.add_argument("--cifar10-dir", help="run on CIFAR-10 from this directory, "
+                   "not on synthetic data")
     p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000; "
-                   "selects the cifar10 dataset")
+                   "needs --cifar10-dir")
     p.add_argument("--ratios", type=_float_list)
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--devices", type=int)

@@ -18,13 +18,7 @@ from .errors import (
     TooManyDevicesError,
 )
 from .train import TrainConfig, train_autoencoder
-from .wire import (
-    ACK_ACCEPTED,
-    LatentRecord,
-    decode_record,
-    encode_record,
-    record_from_tensor,
-)
+from .wire import ACK_ACCEPTED, UNLABELED, LatentRecord, decode_record, encode_record
 from .zoo import build_autoencoder
 
 
@@ -40,12 +34,13 @@ def partition_dataset(data, n_devices, rng):
 
 class DeviceNode:
     """One edge device: a local shard and, after fit, a device-unique
-    encoder and decoder."""
+    encoder and decoder Network. Its records carry the encoder's latents;
+    the decoder stays here."""
 
     def __init__(self, device_id, train_data, test_data=None):
         self.device_id = int(device_id)
         self.data = {"train": train_data, "test": test_data}
-        self._trained = None
+        self._encoder = self._decoder = None
         self._next_record_id = 0
 
     def fit_autoencoder(self, cr, cfg: TrainConfig):
@@ -60,33 +55,36 @@ class DeviceNode:
             raise NotFittedError(f"device {self.device_id} has no local data")
         pair = build_autoencoder(local.sample_shape, cr)
         seed = int(np.random.SeedSequence([cfg.seed, self.device_id]).generate_state(1)[0])
-        trained, history = train_autoencoder(pair, local.images, replace(cfg, seed=seed))
-        self._trained = trained
+        self._encoder, self._decoder, history = train_autoencoder(
+            pair, local.images, replace(cfg, seed=seed))
         return history
 
     def _require_fit(self):
-        if self._trained is None:
+        if self._encoder is None:
             raise NotFittedError(f"device {self.device_id} is not fitted")
 
     def encoder_network(self):
         self._require_fit()
-        return self._trained.encoder
+        return self._encoder
 
     def decoder_network(self):
         """The local decoder, e.g. for saving on the device; never sent."""
         self._require_fit()
-        return self._trained.decoder
+        return self._decoder
 
     def _record(self, latent, label):
-        rec = record_from_tensor(self.device_id, self._next_record_id, label, latent)
+        """The next record id's LatentRecord; a None label is UNLABELED."""
+        rec = LatentRecord(self.device_id, self._next_record_id,
+                           UNLABELED if label is None else int(label), latent.shape, latent)
         self._next_record_id += 1
         return rec
 
     def encode(self, sample, label=None) -> LatentRecord:
-        """Run the encoder in inference mode on one sample and wrap the result."""
+        """Run the encoder in inference mode on one sample and wrap the result;
+        with no label the record is UNLABELED."""
         self._require_fit()
         batch = np.asarray(sample, dtype=np.float32)[None]
-        return self._record(self._trained.encoder.forward(batch)[0], label)
+        return self._record(self._encoder.forward(batch)[0], label)
 
     def export_latents(self, split, sink) -> int:
         """Encode every sample of a split in batches and push the records in
@@ -96,7 +94,7 @@ class DeviceNode:
         data = self.data[split]
         if data is None:
             raise ValueError(f"device {self.device_id} holds no {split!r} split")
-        latents = self._trained.encoder.infer(np.asarray(data.images, dtype=np.float32))
+        latents = self._encoder.infer(np.asarray(data.images, dtype=np.float32))
         emitted = 0
         for latent, label in zip(latents, data.labels):
             rec = self._record(latent, int(label))

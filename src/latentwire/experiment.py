@@ -35,13 +35,11 @@ CONFIG_FORMAT = "latentwire-config"
 CONFIG_VERSION = 1
 REPORT_FORMAT = "latentwire-report"
 REPORT_VERSION = 1
-DATASETS = ("synthetic", "cifar10")
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = "synthetic"
-    cifar_dir: str | None = None
+    cifar_dir: str | None = None  # set: the grid runs on CIFAR-10, else on synthetic
     cifar_subset: str | None = None  # "CLASSESxPER_CLASS", e.g. "2x1000"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     ratios: tuple = (1, 4, 8, 16)
@@ -59,8 +57,7 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(r <= 0 for r in self.ratios):
             raise ValueError("ratios must be positive")
-        for name, choices in (("dataset", DATASETS), ("family", FAMILIES),
-                              ("partition", ("iid",))):
+        for name, choices in (("family", FAMILIES), ("partition", ("iid",))):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
                                  f"got {getattr(self, name)!r}")
@@ -70,12 +67,15 @@ class ExperimentConfig:
         if self.ae.augment:
             raise ValueError("ae.augment is not applied to the autoencoder fit; "
                              "augmentation is a clf setting")
+        for name in ("ae", "clf"):
+            if getattr(self, name).seed:
+                raise ValueError(f"{name}.seed is replaced by each cell's seed; "
+                                 "set the grid's seeds instead")
         # (classes, per_class) of cifar_subset; not a field, so no file holds it
         self.cifar_counts = (None if self.cifar_subset is None
                              else _parse_cifar_subset(self.cifar_subset))
-        for name in ("cifar_subset", "cifar_dir"):
-            if getattr(self, name) is not None and self.dataset != "cifar10":
-                raise ValueError(f"{name} needs dataset 'cifar10', got {self.dataset!r}")
+        if self.cifar_subset is not None and self.cifar_dir is None:
+            raise ValueError("cifar_subset needs cifar_dir, the CIFAR-10 directory")
 
 
 def _parse_cifar_subset(text):
@@ -116,12 +116,10 @@ class ExperimentReport:
 
 
 def load_experiment_data(cfg):
-    """(name, train, test) for the configured source."""
-    if cfg.dataset == "synthetic":
+    """(name, train, test): CIFAR-10 when cfg.cifar_dir is set, else synthetic."""
+    if cfg.cifar_dir is None:
         train, test = gen_synthetic(cfg.synthetic, seed=0)
         return "synthetic", train, test
-    if not cfg.cifar_dir:
-        raise ValueError("cifar10 dataset needs cifar_dir")
     train, test = load_cifar10(cfg.cifar_dir)
     if cfg.cifar_counts:
         train, test = cifar10_subset(train, test, *cfg.cifar_counts)

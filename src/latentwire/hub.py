@@ -15,12 +15,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import HeterogeneousShapeError, NoClassifierError, ShapeMismatchError
 from .train import evaluate, train_classifier
-from .wire import (
-    ACK_ACCEPTED,
-    ACK_DUPLICATE,
-    FrameScanner,
-    UNLABELED,
-)
+from .wire import ACK_ACCEPTED, ACK_DUPLICATE, UNLABELED, FrameScanner, WireDecodeError
 from .zoo import build_vanilla_classifier
 
 
@@ -103,8 +98,8 @@ def serve_stream(hub, chunks, split, ack_writer=None):
     for chunk in chunks:
         if not chunk:
             break
-        for event in scanner.feed(chunk):
-            ack = hub.ingest(event.record, split) if event.ok else event.error.ack
+        for item in scanner.feed(chunk):
+            ack = item.ack if isinstance(item, WireDecodeError) else hub.ingest(item, split)
             if ack == ACK_ACCEPTED:
                 accepted += 1
             else:

@@ -106,11 +106,6 @@ class Network:
                 flat_grads.append(g[key])
         return params, flat_grads
 
-    def slice(self, start, stop, input_shape, role):
-        """View over layers [start:stop); parameter arrays are shared."""
-        sub = ModelSpec(self.spec.layers[start:stop], input_shape, role=role)
-        return Network(sub, params=self.params[start:stop])
-
     def save(self, prefix):
         prefix = Path(prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)

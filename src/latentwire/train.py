@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .errors import DivergenceError, ShapeMismatchError
 from .losses import cross_entropy_loss, mse_loss
 from .network import Network
 from .optim import ALGORITHMS, make_optimizer, optimizer_step
-from .zoo import AutoencoderPair, ModelSpec
+from .zoo import ModelSpec
 
 
 @dataclass
@@ -45,22 +44,6 @@ class TrainHistory:
     losses: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
     train_seconds: float = 0.0
-
-
-@dataclass
-class TrainedAutoencoder:
-    pair: AutoencoderPair
-    chain: Network  # encoder+decoder as one network; no layers at ratio 1
-
-    @cached_property
-    def encoder(self):
-        return self.chain.slice(0, len(self.pair.encoder.layers),
-                                self.pair.encoder.input_shape, "encoder")
-
-    @cached_property
-    def decoder(self):
-        return self.chain.slice(len(self.pair.encoder.layers), len(self.chain.spec.layers),
-                                self.pair.latent_shape, "decoder")
 
 
 def _check_finite(value, epoch):
@@ -116,8 +99,10 @@ def _fit(spec, images, labels, cfg, optimizer, augment_batches=False):
 def train_autoencoder(pair, images, cfg):
     """Minimize reconstruction MSE of decoder(encoder(x)) over `images`.
 
-    Returns (TrainedAutoencoder, TrainHistory); history carries the
-    per-epoch mean reconstruction MSE.
+    One fit runs over the encoder and decoder layers as a single chain.
+    Returns (encoder, decoder, TrainHistory): the two Networks are the pair's
+    specs over the chain's own parameter arrays, so nothing is copied, and
+    history carries the per-epoch mean reconstruction MSE.
     """
     if tuple(images.shape[1:]) != pair.encoder.input_shape:
         raise ShapeMismatchError(
@@ -125,7 +110,9 @@ def train_autoencoder(pair, images, cfg):
     chain_spec = ModelSpec(pair.encoder.layers + pair.decoder.layers,
                            pair.encoder.input_shape, role="autoencoder")
     net, hist = _fit(chain_spec, images, None, cfg, "rmsprop")
-    return TrainedAutoencoder(pair, net), hist
+    k = len(pair.encoder.layers)
+    return (Network(pair.encoder, params=net.params[:k]),
+            Network(pair.decoder, params=net.params[k:]), hist)
 
 
 def train_classifier(spec, data, cfg):

@@ -116,12 +116,6 @@ class LatentRecord:
                 and self.payload.tobytes() == other.payload.tobytes())
 
 
-def record_from_tensor(device_id, record_id, label, tensor):
-    label = UNLABELED if label is None else int(label)
-    arr = np.asarray(tensor, dtype="<f4")
-    return LatentRecord(device_id, record_id, label, arr.shape, arr.reshape(-1))
-
-
 def encode_record(rec: LatentRecord) -> bytes:
     """Serialize a record as one LTNT frame."""
     if not 0 <= rec.device_id <= 0xFFFFFFFF:
@@ -143,6 +137,7 @@ def encode_record(rec: LatentRecord) -> bytes:
 
 
 def _parse_body(body: bytes) -> LatentRecord:
+    """Read the body's byte layout; LatentRecord checks the shape it holds."""
     if len(body) < _BODY_FIXED.size:
         raise FrameShapeError(f"body of {len(body)} bytes too short for fixed fields")
     device_id, record_id, label, ndim = _BODY_FIXED.unpack_from(body, 0)
@@ -157,33 +152,28 @@ def _parse_body(body: bytes) -> LatentRecord:
     off += 1
     if dtype != DTYPE_F32:
         raise FrameShapeError(f"unknown dtype tag {dtype}")
-    if any(d < 1 for d in dims):
-        raise FrameShapeError(f"dims must be positive, got {dims}")
-    n = 1
-    for d in dims:
-        n *= d
-    if len(body) - off != 4 * n:
-        raise FrameShapeError(
-            f"payload is {len(body) - off} bytes, shape {dims} needs {4 * n}")
-    payload = np.frombuffer(body, dtype="<f4", count=n, offset=off).copy()
-    return LatentRecord(device_id, record_id, label, dims, payload)
+    try:
+        payload = np.frombuffer(body, dtype="<f4", offset=off).copy()
+        return LatentRecord(device_id, record_id, label, dims, payload)
+    except ValueError as exc:  # a ragged payload, or one that misfits dims
+        raise FrameShapeError(f"shape {dims}: {exc}") from exc
 
 
-def decode_frame_at(buf, offset=0):
-    """Decode one frame starting at `offset`; returns (record, end_offset)."""
-    if len(buf) - offset < _HEADER.size:
+def decode_frame_at(buf):
+    """Decode the frame at the start of `buf`; returns (record, end offset)."""
+    if len(buf) < _HEADER.size:
         raise TruncatedFrameError("incomplete header")
-    magic, version, flags, length = _HEADER.unpack_from(buf, offset)
+    magic, version, flags, length = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {bytes(magic)!r}")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
     if flags != 0:
         raise BadVersionError(f"unknown flags 0x{flags:02x}")
-    body_start = offset + _HEADER.size
+    body_start = _HEADER.size
     end = body_start + length + _CRC.size
     if len(buf) < end:
-        raise TruncatedFrameError(f"frame needs {end - offset} bytes")
+        raise TruncatedFrameError(f"frame needs {end} bytes")
     body = bytes(buf[body_start:body_start + length])
     (crc,) = _CRC.unpack_from(buf, body_start + length)
     if crc != zlib.crc32(body) & 0xFFFFFFFF:
@@ -193,42 +183,33 @@ def decode_frame_at(buf, offset=0):
 
 def decode_record(buf) -> LatentRecord:
     """Decode the frame at the start of `buf` (trailing bytes ignored)."""
-    record, _ = decode_frame_at(buf, 0)
+    record, _ = decode_frame_at(buf)
     return record
-
-
-@dataclass
-class ScanEvent:
-    record: LatentRecord | None
-    error: WireDecodeError | None
-
-    @property
-    def ok(self):
-        return self.error is None
 
 
 @dataclass
 class FrameScanner:
     """Incremental frame splitter with resynchronization by magic scan.
 
-    Feed arbitrary chunks; complete frames come out as events. Bytes before
-    a magic are discarded silently, and so is a magic whose header declares
-    a body above MAX_FRAME_BYTES; a frame that fails to decode yields an
-    error event. Either way the scan resumes one byte past the magic.
+    Feed arbitrary chunks; each feed returns, in stream order, a
+    LatentRecord per complete frame and a WireDecodeError per frame that
+    fails to decode. Bytes before a magic are discarded silently, and so is
+    a magic whose header declares a body above MAX_FRAME_BYTES. After a
+    failure or a discarded magic the scan resumes one byte past the magic.
     """
 
     _buf: bytearray = field(default_factory=bytearray)
 
     def feed(self, chunk: bytes):
         self._buf += chunk
-        events = []
+        items = []
         while True:
             start = self._buf.find(MAGIC)
             if start < 0:
                 # keep a potential magic prefix at the tail
                 keep = min(len(MAGIC) - 1, len(self._buf))
                 del self._buf[: len(self._buf) - keep]
-                return events
+                return items
             if start:
                 del self._buf[:start]
             if len(self._buf) >= _HEADER.size:
@@ -237,14 +218,14 @@ class FrameScanner:
                     del self._buf[:1]
                     continue
             try:
-                record, end = decode_frame_at(self._buf, 0)
+                record, end = decode_frame_at(self._buf)
             except TruncatedFrameError:
-                return events  # wait for more bytes
+                return items  # wait for more bytes
             except WireDecodeError as err:
-                events.append(ScanEvent(None, err))
+                items.append(err)
                 del self._buf[:1]
                 continue
-            events.append(ScanEvent(record, None))
+            items.append(record)
             del self._buf[:end]
 
     @property

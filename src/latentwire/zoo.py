@@ -175,7 +175,10 @@ def _as_fraction(cr):
 class AutoencoderPair:
     encoder: ModelSpec
     decoder: ModelSpec
-    latent_shape: tuple
+
+    @property
+    def latent_shape(self):
+        return self.decoder.input_shape
 
 
 def build_autoencoder(input_shape, cr):
@@ -190,7 +193,7 @@ def build_autoencoder(input_shape, cr):
     if requested == 1:
         enc = ModelSpec((), (h, w, c), role="encoder")
         dec = ModelSpec((), (h, w, c), role="decoder")
-        return AutoencoderPair(enc, dec, (h, w, c))
+        return AutoencoderPair(enc, dec)
 
     stages, c_z = None, None
     s = 1
@@ -223,7 +226,7 @@ def build_autoencoder(input_shape, cr):
             f"built ratio {achieved} != requested {requested}")
     assert infer_shapes(enc)[-1] == latent
     assert infer_shapes(dec)[-1] == (h, w, c)
-    return AutoencoderPair(enc, dec, latent)
+    return AutoencoderPair(enc, dec)
 
 
 def _feasible_prefix(trunk, input_shape):

@@ -77,10 +77,13 @@ def test_cli_subset_selects_cifar10_and_needs_a_directory(monkeypatch, capsys):
         raise AssertionError("a grid cell ran")
 
     monkeypatch.setattr(experiment, "run_cell", no_training)
-    cfg = _experiment_config(build_parser().parse_args(["run", "--cifar10-subset", "2x3"]))
-    assert (cfg.dataset, cfg.cifar_subset, cfg.cifar_dir) == ("cifar10", "2x3", None)
+    with pytest.raises(ValueError, match="^cifar_subset needs cifar_dir"):
+        _experiment_config(build_parser().parse_args(["run", "--cifar10-subset", "2x3"]))
     assert main(["run", "--cifar10-subset", "2x3"]) == 2
     assert "cifar_dir" in capsys.readouterr().err
+    cfg = _experiment_config(build_parser().parse_args(
+        ["run", "--cifar10-subset", "2x3", "--cifar10-dir", "batches"]))
+    assert (cfg.cifar_subset, cfg.cifar_dir) == ("2x3", "batches")
 
 
 def test_cli_rejects_zero_devices(capsys):
@@ -98,7 +101,7 @@ def test_run_flags_set_the_config(tmp_path, monkeypatch):
         "--family", "B", "--jobs", "3"])
     cfg = _experiment_config(args)
     default = ExperimentConfig()
-    assert (cfg.dataset, cfg.cifar_dir) == ("cifar10", str(tmp_path / "batches"))
+    assert cfg.cifar_dir == str(tmp_path / "batches")
     assert cfg.ae == replace(default.ae, batch_size=8)
     assert cfg.clf == replace(default.clf, batch_size=8, augment=True)
     assert (cfg.family, cfg.jobs) == ("B", 3)
@@ -112,7 +115,7 @@ def _subparser(name):
 
 # one non-default value per `run` grid flag; a flag missing here fails below
 RUN_FLAG_VALUES = {
-    "--dataset": "cifar10", "--cifar10-dir": "batches", "--cifar10-subset": "2x10",
+    "--cifar10-dir": "batches", "--cifar10-subset": "2x10",
     "--ratios": "1,2", "--family": "B", "--devices": "3", "--seeds": "1,2",
     "--ae-epochs": "1", "--clf-epochs": "1", "--batch-size": "8", "--augment": None,
     "--jobs": "2",
@@ -121,12 +124,18 @@ RUN_FLAGS = [a.option_strings[-1] for a in _subparser("run")._actions
              if a.option_strings[-1] not in ("--help", "--config", "--out", "--format")]
 
 
+# flags a flag needs beside it; the flag must change the config they build
+RUN_FLAG_NEEDS = {"--cifar10-subset": ["--cifar10-dir", "batches"]}
+
+
 @pytest.mark.parametrize("flag", RUN_FLAGS)
 def test_every_run_flag_changes_the_config(flag):
     value = RUN_FLAG_VALUES[flag]
-    argv = ["run", flag] + ([] if value is None else [value])
-    unflagged = _experiment_config(build_parser().parse_args(["run"]))
-    assert unflagged == replace(ExperimentConfig(), out="report.csv")
+    base = ["run"] + RUN_FLAG_NEEDS.get(flag, [])
+    argv = base + [flag] + ([] if value is None else [value])
+    assert (_experiment_config(build_parser().parse_args(["run"]))
+            == replace(ExperimentConfig(), out="report.csv"))
+    unflagged = _experiment_config(build_parser().parse_args(base))
     assert _experiment_config(build_parser().parse_args(argv)) != unflagged
 
 

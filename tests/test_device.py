@@ -5,8 +5,9 @@ import pytest
 
 from latentwire.data import LabeledDataset
 from latentwire.device import DeviceNode, make_devices
-from latentwire.errors import SinkFailure
+from latentwire.errors import NotFittedError, SinkFailure
 from latentwire.train import TrainConfig
+from latentwire.wire import UNLABELED, decode_record, encode_record
 
 
 class ListSink:
@@ -39,6 +40,27 @@ def test_export_latents_matches_per_sample_encode(cr):
     expected = [single.encode(x, int(y)) for x, y in zip(data.images, data.labels)]
     assert [r.record_id for r in sink.records] == list(range(70))
     assert sink.records == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda dev: dev.encode(dev.data["train"].images[0]),
+    lambda dev: dev.export_latents("train", ListSink()),
+    lambda dev: dev.encoder_network(),
+    lambda dev: dev.decoder_network(),
+], ids=["encode", "export_latents", "encoder_network", "decoder_network"])
+def test_unfitted_device_raises_not_fitted(call):
+    dev = DeviceNode(3, _indexed(4), _indexed(2))
+    with pytest.raises(NotFittedError, match="device 3 is not fitted"):
+        call(dev)
+
+
+def test_encode_without_label_is_unlabeled_through_the_codec():
+    dev = fitted_device(4, n=10)
+    rec = dev.encode(dev.data["train"].images[0])
+    assert rec.label == UNLABELED
+    assert (rec.device_id, rec.record_id, rec.shape) == (3, 0, (4, 4, 3))
+    back = decode_record(encode_record(rec))
+    assert back == rec and back.label == UNLABELED
 
 
 def test_sink_failure_reports_emitted_count():

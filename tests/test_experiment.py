@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latentwire.data import SyntheticSpec
+from latentwire.errors import DatasetFormatError
 from latentwire.experiment import (
     CONFIG_FORMAT,
     CONFIG_VERSION,
@@ -30,11 +31,11 @@ HEADER = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION}
 
 def test_config_roundtrip_with_nested_values(tmp_path):
     cfg = ExperimentConfig(
-        dataset="cifar10", cifar_dir="/data/cifar", cifar_subset="2x100",
+        cifar_dir="/data/cifar", cifar_subset="2x100",
         synthetic=SyntheticSpec(image_size=(16, 16, 3), num_classes=3,
                                 samples_per_class=12, noise=0.1),
         ratios=(1, 2.5, 8), family="B", n_devices=3,
-        ae=TrainConfig(epochs=2, batch_size=8, optimizer="sgd-momentum", lr=0.01, seed=5),
+        ae=TrainConfig(epochs=2, batch_size=8, optimizer="sgd-momentum", lr=0.01),
         clf=TrainConfig(epochs=4, augment=True),
         seeds=(1, 2), jobs=2, out="report.csv")
     path = tmp_path / "cfg.json"
@@ -61,8 +62,9 @@ def test_partial_config_keeps_defaults():
     {"synthetic": {"jitter": 0.5}},
     {"synthetic": {"margin": 1.5}},
     {"synthetic": {"ratio": [3, 1]}},
+    {"dataset": "mnist"},
 ], ids=["top", "ae", "synthetic", "ae-patience", "synthetic-jitter",
-        "synthetic-margin", "synthetic-ratio"])
+        "synthetic-margin", "synthetic-ratio", "dataset"])
 def test_unknown_config_key_rejected(doc):
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({**HEADER, **doc})
@@ -89,8 +91,8 @@ def test_config_values_still_checked(doc):
 
 
 @pytest.mark.parametrize("doc", [{"family": "C"}, {"partition": "shuffled"},
-                                 {"partition": "label-shard"}, {"dataset": "mnist"}],
-                         ids=["family", "partition", "partition-label-shard", "dataset"])
+                                 {"partition": "label-shard"}],
+                         ids=["family", "partition", "partition-label-shard"])
 def test_unknown_choice_rejected_on_load(doc):
     (name,) = doc
     with pytest.raises(ValueError, match=f"{name} must be one of"):
@@ -214,7 +216,7 @@ def test_normalize_missing_baseline_leaves_other_groups(caplog):
 # --- CIFAR-10 ----------------------------------------------------------------------
 
 def test_load_experiment_data_reads_cifar10(cifar_dir):
-    cfg = ExperimentConfig(dataset="cifar10", cifar_dir=str(cifar_dir))
+    cfg = ExperimentConfig(cifar_dir=str(cifar_dir))
     name, train, test = load_experiment_data(cfg)
     assert (name, len(train), len(test)) == ("cifar10", 50, 10)
     assert train.sample_shape == (32, 32, 3) and train.num_classes == 10
@@ -225,9 +227,12 @@ def test_load_experiment_data_reads_cifar10(cifar_dir):
     assert np.bincount(test.labels).tolist() == [1, 1]  # 3 // 5, at least 1
 
 
-def test_cifar10_needs_a_directory_at_run_time():
-    with pytest.raises(ValueError, match="cifar_dir"):
-        load_experiment_data(ExperimentConfig(dataset="cifar10"))
+def test_cifar10_needs_a_directory_at_run_time(tmp_path):
+    # cifar_dir alone selects CIFAR-10; a directory without the batches
+    # fails when the data loads, not silently on synthetic data
+    with pytest.raises(DatasetFormatError, match="missing batch file"):
+        load_experiment_data(ExperimentConfig(cifar_dir=str(tmp_path)))
+    assert load_experiment_data(ExperimentConfig())[0] == "synthetic"
 
 
 @pytest.mark.parametrize("subset", ["2", "0x5", "12x3", "2x0", "", "2x3x1", "twoxten"])
@@ -240,11 +245,28 @@ def test_cifar_subset_checked_when_the_config_is_built(subset):
 
 @pytest.mark.parametrize("name,value", [("cifar_subset", "2x3"), ("cifar_dir", "/data/cifar")])
 def test_cifar_fields_need_the_cifar10_dataset(name, value):
-    with pytest.raises(ValueError, match=f"^{name} needs dataset 'cifar10'"):
-        ExperimentConfig(**{name: value})
-    with pytest.raises(ValueError, match=f"^{name} needs dataset 'cifar10'"):
-        config_from_dict({**HEADER, name: value})
-    assert getattr(ExperimentConfig(dataset="cifar10", **{name: value}), name) == value
+    # the dataset is CIFAR-10 exactly when cifar_dir is set, so a subset
+    # needs a directory and a directory needs nothing else
+    fields = {name: value}
+    if name == "cifar_subset":
+        with pytest.raises(ValueError, match="^cifar_subset needs cifar_dir"):
+            ExperimentConfig(**fields)
+        with pytest.raises(ValueError, match="^cifar_subset needs cifar_dir"):
+            config_from_dict({**HEADER, **fields})
+        fields["cifar_dir"] = "/data/cifar"
+    assert getattr(ExperimentConfig(**fields), name) == value
+    assert config_from_dict({**HEADER, **fields}) == ExperimentConfig(**fields)
+
+
+@pytest.mark.parametrize("name", ["ae", "clf"])
+def test_train_seeds_are_refused_for_the_grid_seeds(name):
+    # run_cell trains each cell from its own seed, so a train seed would
+    # be ignored without a word
+    with pytest.raises(ValueError, match=f"^{name}.seed .* seeds"):
+        ExperimentConfig(**{name: TrainConfig(seed=5)})
+    with pytest.raises(ValueError, match=f"^{name}.seed .* seeds"):
+        config_from_dict({**HEADER, name: {"seed": 5}})
+    assert config_from_dict({**HEADER, name: {"seed": 0}}) == ExperimentConfig()
 
 
 @pytest.mark.parametrize("value", [0, -1])

@@ -18,11 +18,14 @@ from latentwire.wire import (
     ACK_ACCEPTED,
     ACK_BAD_CRC,
     ACK_DUPLICATE,
+    ACK_SHAPE_MISMATCH,
     UNLABELED,
     LatentRecord,
     OversizeRecordError,
     encode_record,
 )
+
+from test_wire import BAD_SHAPE_BODIES, frame_around
 
 
 def make_record(record=0, device=1, label=3, seed=0):
@@ -42,9 +45,9 @@ def test_serve_stream_decodes_each_frame_once(monkeypatch):
     calls = []
     decode = wire.decode_frame_at
 
-    def counting(buf, offset=0):
-        calls.append(offset)
-        return decode(buf, offset)
+    def counting(buf):
+        calls.append(len(buf))
+        return decode(buf)
 
     monkeypatch.setattr(wire, "decode_frame_at", counting)
     recs = [make_record(record=i, seed=i) for i in range(5)]
@@ -78,6 +81,16 @@ def test_serve_stream_acks_frames_behind_oversize_header():
                           "train", ack_writer=acks.extend)
     assert bytes(acks) == bytes([ACK_ACCEPTED] * 5)
     assert counts == (5, 0)
+
+
+@pytest.mark.parametrize("body", BAD_SHAPE_BODIES.values(), ids=BAD_SHAPE_BODIES.keys())
+def test_serve_stream_acks_bad_shape_and_stores_nothing(body):
+    acks = bytearray()
+    hub = Hub()
+    counts = serve_stream(hub, [frame_around(body)], "train", ack_writer=acks.extend)
+    assert bytes(acks) == bytes([ACK_SHAPE_MISMATCH]) == b"\x05"
+    assert counts == (0, 1)
+    assert hub.store == [] and hub.seen == set()
 
 
 def test_hub_sink_round_trips_through_codec():

@@ -129,16 +129,8 @@ SHARED_NAMES = {
     "augment": "train.augment is called by augment_batch; TrainConfig.augment "
                "is read by train_classifier and run_cell",
     "backward": "Network.backward is called by _fit; ops.backward by Network.backward",
-    "dataset": "ExperimentConfig.dataset is read by load_experiment_data; "
-               "ReportRow.dataset by normalize_metrics",
-    "decoder": "AutoencoderPair.decoder is read by train_autoencoder; "
-               "TrainedAutoencoder.decoder by DeviceNode.decoder_network",
     "dense": "ops.dense is called by Network.forward; zoo.dense by build_vanilla_classifier",
     "dropout": "ops.dropout is called by Network.forward; zoo.dropout by build_vanilla_classifier",
-    "encoder": "AutoencoderPair.encoder is read by train_autoencoder; "
-               "TrainedAutoencoder.encoder by DeviceNode.encode and export_latents",
-    "error": "ReportRow.error is read by ReportRow.failed and cmd_run; "
-             "ScanEvent.error by ScanEvent.ok and serve_stream",
     "evaluate": "Hub.evaluate is called by run_cell; train.evaluate by Hub.evaluate "
                 "and cmd_train_classifier",
     "flatten": "ops.flatten is called by Network.forward; zoo.flatten by build_vanilla_classifier",

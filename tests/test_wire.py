@@ -24,7 +24,6 @@ from latentwire.wire import (
     WireDecodeError,
     decode_record,
     encode_record,
-    record_from_tensor,
 )
 
 HEADER_LEN = 10
@@ -79,9 +78,9 @@ def test_roundtrip_random_records(device, record, label, shape, seed):
 
 
 def test_unlabeled_sentinel():
-    rec = record_from_tensor(1, 0, None, np.zeros((2, 2), np.float32))
-    assert rec.label == UNLABELED
-    assert decode_record(encode_record(rec)).label == UNLABELED
+    rec = LatentRecord(1, 0, UNLABELED, (2, 2), np.zeros(4, np.float32))
+    assert UNLABELED == 0xFFFF
+    assert decode_record(encode_record(rec)) == rec
 
 
 def test_payload_must_match_shape():
@@ -142,17 +141,42 @@ def test_bad_crc():
         decode_record(bytes(frame))
 
 
+def frame_around(body):
+    """A frame with a valid header and CRC around any body bytes."""
+    header = struct.pack("<4sBBI", b"LTNT", 1, 0, len(body))
+    return header + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def shaped_body(dims, payload_bytes, ndim=None):
+    """Fixed fields, `ndim` (default len(dims)) and `dims`, the f32 tag and
+    `payload_bytes` zero bytes."""
+    ndim = len(dims) if ndim is None else ndim
+    return (struct.pack("<IQHB", 1, 1, 0, ndim) + struct.pack(f"<{len(dims)}I", *dims)
+            + b"\x00" + bytes(payload_bytes))
+
+
+# CRC-valid bodies whose shape no record can hold
+BAD_SHAPE_BODIES = {
+    "ndim-0": shaped_body((), 4),
+    "ndim-5": shaped_body((1, 1, 1, 1, 1), 4),
+    "zero-dim": shaped_body((0, 2), 0),
+    "ragged-payload": shaped_body((2, 2), 15),
+    "empty-payload": shaped_body((2, 2), 0),
+    "dims-overflow-u32": shaped_body((65536, 65536), 4),
+    "dims-past-body-end": shaped_body((2,), 0, ndim=2),
+}
+
+
 def test_shape_payload_mismatch():
     # valid CRC over a body whose dims disagree with the payload length
-    body = bytearray()
-    body += struct.pack("<IQHB", 1, 1, 0, 2)
-    body += struct.pack("<2I", 16, 16)
-    body.append(0)
-    body += np.zeros(100, "<f4").tobytes()
-    frame = struct.pack("<4sBBI", b"LTNT", 1, 0, len(body)) + bytes(body)
-    frame += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
     with pytest.raises(FrameShapeError):
-        decode_record(frame)
+        decode_record(frame_around(shaped_body((16, 16), 400)))
+
+
+@pytest.mark.parametrize("body", BAD_SHAPE_BODIES.values(), ids=BAD_SHAPE_BODIES.keys())
+def test_bad_shape_bodies_raise_frame_shape_error(body):
+    with pytest.raises(FrameShapeError):
+        decode_record(frame_around(body))
 
 
 def test_unknown_dtype_rejected():
@@ -208,9 +232,7 @@ def test_concatenated_frames_decode_sequentially():
     recs = [make_record(record=i, seed=i) for i in range(4)]
     blob = b"".join(encode_record(r) for r in recs)
     scanner = FrameScanner()
-    events = scanner.feed(blob)
-    assert all(e.ok for e in events)
-    assert [e.record for e in events] == recs
+    assert scanner.feed(blob) == recs
     assert scanner.pending == 0
 
 
@@ -220,26 +242,24 @@ def test_scanner_reassembles_split_chunks():
     out = []
     scanner = FrameScanner()
     for i in range(0, len(blob), 7):
-        out += [e.record for e in scanner.feed(blob[i:i + 7]) if e.ok]
+        out += scanner.feed(blob[i:i + 7])
     assert out == recs
 
 
 def test_scanner_skips_garbage_prefix():
     rec = make_record()
     blob = b"\x00garbage\xff\xfe" + encode_record(rec)
-    events = FrameScanner().feed(blob)
-    assert [e.record for e in events if e.ok] == [rec]
+    assert FrameScanner().feed(blob) == [rec]
 
 
 def test_scanner_resyncs_after_corrupt_frame():
     good = make_record(record=10)
     bad = bytearray(encode_record(make_record(record=11)))
     bad[-1] ^= 0xFF  # break the CRC
-    events = FrameScanner().feed(bytes(bad) + encode_record(good))
-    oks = [e.record for e in events if e.ok]
-    errs = [e.error for e in events if not e.ok]
-    assert oks == [good]
-    assert any(isinstance(e, BadCrcError) for e in errs)
+    items = FrameScanner().feed(bytes(bad) + encode_record(good))
+    assert isinstance(items[0], BadCrcError)
+    assert [i for i in items if isinstance(i, LatentRecord)] == [good]
+    assert all(isinstance(i, WireDecodeError) for i in items[:-1])
 
 
 def test_scanner_holds_partial_tail():
@@ -247,8 +267,7 @@ def test_scanner_holds_partial_tail():
     scanner = FrameScanner()
     assert scanner.feed(frame[:11]) == []
     assert scanner.pending > 0
-    events = scanner.feed(frame[11:])
-    assert len(events) == 1 and events[0].ok
+    assert scanner.feed(frame[11:]) == [decode_record(frame)]
 
 
 def test_scanner_resyncs_past_header_declaring_oversize_body():
@@ -259,9 +278,7 @@ def test_scanner_resyncs_past_header_declaring_oversize_body():
     frames = [encode_record(r) for r in recs]
     assert [len(f) for f in frames] == [810] * 5
     scanner = FrameScanner()
-    events = scanner.feed(stall + b"".join(frames))
-    assert [e.record for e in events if e.ok] == recs
-    assert len(events) == 5
+    assert scanner.feed(stall + b"".join(frames)) == recs
     assert scanner.pending == 0
 
 

@@ -83,11 +83,12 @@ def test_achieved_ratio_always_exact(shape, cr):
 def test_split_compose_bitwise():
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((20, 8, 8, 3)).astype(np.float32)
-    trained, _ = train_autoencoder(pair, images, TrainConfig(epochs=2, seed=0))
-    encoder, decoder = trained.encoder, trained.decoder
+    encoder, decoder, _ = train_autoencoder(pair, images, TrainConfig(epochs=2, seed=0))
     assert infer_shapes(encoder.spec)[-1] == pair.latent_shape
+    chain = Network(ModelSpec(pair.encoder.layers + pair.decoder.layers, (8, 8, 3)),
+                    params=encoder.params + decoder.params)
     for x in images[:5]:
-        full = trained.chain.forward(x[None])
+        full = chain.forward(x[None])
         split = decoder.forward(encoder.forward(x[None]))
         assert full.tobytes() == split.tobytes()
 
@@ -109,9 +110,9 @@ def test_maxpool_cache_shares_the_relu_output(family):
 def test_decoder_rejects_non_latent_shape():
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((10, 8, 8, 3)).astype(np.float32)
-    trained, _ = train_autoencoder(pair, images, TrainConfig(epochs=1, seed=0))
+    _, decoder, _ = train_autoencoder(pair, images, TrainConfig(epochs=1, seed=0))
     with pytest.raises(Exception):
-        trained.decoder.forward(np.zeros((1, 8, 8, 3), np.float32))
+        decoder.forward(np.zeros((1, 8, 8, 3), np.float32))
 
 
 # --- classifier builders -------------------------------------------------------
