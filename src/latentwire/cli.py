@@ -1,11 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: `run` trains and scores the grid, `serve` ingests
+latents over TCP and `report` re-emits a report that `run` wrote.
 
 `run` builds its grid from the flags over the ExperimentConfig defaults, or,
-with --config, from the file alone: keys the file leaves out take the
-defaults, and --out applies only when the file sets no out. Relative dataset
-paths resolve against $LATENTWIRE_DATA_DIR when the file is not found where
-given. A program error ends the command with one ``latentwire: error:``
-line on stderr and exit status 2.
+with --config, from the file alone: no grid flag may go with it, keys the
+file leaves out take the defaults, and --out applies only when the file sets
+no out. Relative dataset paths resolve against $LATENTWIRE_DATA_DIR when the
+file is not found where given. A program error ends the command with one
+``latentwire: error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -18,21 +19,18 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .data import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
-from .device import DeviceNode
 from .errors import LatentWireError
 from .experiment import ExperimentConfig, emit_report, load_config, parse_report, run_experiment
 from .hub import Hub, HubServer
-from .optim import ALGORITHMS
-from .train import TrainConfig, evaluate, train_classifier
-from .zoo import FAMILIES, build_vanilla_classifier
+from .zoo import FAMILIES
 
 DATA_DIR_ENV = "LATENTWIRE_DATA_DIR"
+# dests of the `run` flags that set the grid; each is None when not given
+GRID_FLAGS = ("cifar10_dir", "cifar10_subset", "ratios", "family", "devices", "seeds",
+              "ae_epochs", "clf_epochs", "batch_size", "augment", "jobs")
 
 
 def resolve_data_path(path):
-    if path is None:
-        return None
     p = Path(path)
     if p.exists():
         return p
@@ -52,59 +50,11 @@ def _float_list(text):
     return tuple(float(v) for v in text.split(","))
 
 
-def _train_config(args, prefix):
-    kwargs = {}
-    for name in ("epochs", "batch_size", "optimizer", "lr", "seed"):
-        value = getattr(args, f"{prefix}_{name}", None)
-        if value is not None:
-            kwargs[name] = value
-    cfg = TrainConfig(**kwargs)
-    if getattr(args, f"{prefix}_augment", False):
-        cfg = replace(cfg, augment=True)
-    return cfg
-
-
-def cmd_gen_data(args):
-    spec = SyntheticSpec(
-        image_size=(args.image_size, args.image_size, 3),
-        num_classes=args.classes,
-        samples_per_class=args.samples_per_class,
-        noise=args.noise,
-    )
-    train, test = gen_synthetic(spec, seed=args.seed)
-    save_dataset(train, test, args.out)
-    print(f"wrote {len(train)} train / {len(test)} test samples to {args.out}")
-    return 0
-
-
-def cmd_train_ae(args):
-    train, _ = load_dataset(resolve_data_path(args.data))
-    device = DeviceNode(args.device_id, train)
-    cfg = _train_config(args, "ae")
-    history = device.fit_autoencoder(args.cr, cfg)
-    encoder, decoder = device.encoder_network(), device.decoder_network()
-    encoder.save(Path(args.out) / "encoder")
-    decoder.save(Path(args.out) / "decoder")
-    final = history.losses[-1] if history.losses else 0.0
-    print(f"autoencoder cr={args.cr} final reconstruction mse={final:.6f}; "
-          f"models under {args.out}")
-    return 0
-
-
-def cmd_train_classifier(args):
-    train, test = load_dataset(resolve_data_path(args.data))
-    spec = build_vanilla_classifier(train.sample_shape, args.family, train.num_classes)
-    cfg = _train_config(args, "clf")
-    net, history = train_classifier(spec, train, cfg)
-    acc, _ = evaluate(net, test)
-    net.save(Path(args.out) / "classifier")
-    print(f"family-{args.family} classifier test accuracy {acc:.4f}; "
-          f"model under {args.out}")
-    return 0
-
-
 def _experiment_config(args):
     if args.config:
+        given = [dest for dest in GRID_FLAGS if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"--{given[0].replace('_', '-')} cannot go with --config")
         cfg = load_config(args.config)
         return cfg if cfg.out is not None else replace(cfg, out=args.out)
     cfg = ExperimentConfig()
@@ -182,41 +132,8 @@ def build_parser():
     parser.add_argument("--verbose", action="store_true", help="log cell details")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic shape dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--samples-per-class", type=int, default=150)
-    p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-ae", help="train a device autoencoder")
-    p.add_argument("--data", required=True, help="dataset npz (see gen-data)")
-    p.add_argument("--cr", type=float, default=4)
-    p.add_argument("--device-id", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ae-epochs", dest="ae_epochs", type=int)
-    p.add_argument("--ae-batch-size", dest="ae_batch_size", type=int)
-    p.add_argument("--ae-optimizer", dest="ae_optimizer", choices=ALGORITHMS)
-    p.add_argument("--ae-lr", dest="ae_lr", type=float)
-    p.add_argument("--ae-seed", dest="ae_seed", type=int)
-    p.set_defaults(func=cmd_train_ae)
-
-    p = sub.add_parser("train-classifier", help="train a vanilla classifier")
-    p.add_argument("--data", required=True)
-    p.add_argument("--family", choices=FAMILIES, default="A")
-    p.add_argument("--out", required=True)
-    p.add_argument("--clf-epochs", dest="clf_epochs", type=int)
-    p.add_argument("--clf-batch-size", dest="clf_batch_size", type=int)
-    p.add_argument("--clf-optimizer", dest="clf_optimizer", choices=ALGORITHMS)
-    p.add_argument("--clf-lr", dest="clf_lr", type=float)
-    p.add_argument("--clf-seed", dest="clf_seed", type=int)
-    p.add_argument("--clf-augment", dest="clf_augment", action="store_true")
-    p.set_defaults(func=cmd_train_classifier)
-
     p = sub.add_parser("run", help="run the benchmark grid and emit a report")
-    p.add_argument("--config", help="JSON config; replaces the grid flags, "
+    p.add_argument("--config", help="JSON config; takes no grid flag beside it, "
                    "--out applies when the file sets no out")
     p.add_argument("--cifar10-dir", help="run on CIFAR-10 from this directory, "
                    "not on synthetic data")
@@ -229,7 +146,7 @@ def build_parser():
     p.add_argument("--ae-epochs", type=int)
     p.add_argument("--clf-epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--augment", action="store_true")
+    p.add_argument("--augment", action="store_true", default=None)
     p.add_argument("--jobs", type=int)
     p.add_argument("--out", default="report.csv")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -202,27 +202,3 @@ def cifar10_subset(train, test, num_classes, per_class):
         idx = np.concatenate(keep)
         return LabeledDataset(data.images[idx], data.labels[idx], num_classes)
     return cut(train, per_class), cut(test, max(per_class // 5, 1))
-
-
-# ---------------------------------------------------------------------------
-# on-disk dataset files (npz)
-
-
-def save_dataset(train, test, path):
-    np.savez_compressed(
-        path,
-        train_images=train.images, train_labels=train.labels,
-        test_images=test.images, test_labels=test.labels,
-        num_classes=np.int64(train.num_classes),
-    )
-
-
-def load_dataset(path):
-    path = Path(path)
-    if not path.is_file():
-        raise DatasetFormatError(f"missing dataset file {path}")
-    with np.load(path) as d:
-        nc = int(d["num_classes"])
-        train = LabeledDataset(d["train_images"], d["train_labels"], nc)
-        test = LabeledDataset(d["test_images"], d["test_labels"], nc)
-    return train, test

@@ -2,7 +2,8 @@
 export through a sink (in-process hub or wire client).
 
 Only latents leave a device. Its decoder never does: a hub holding the
-decoders could rebuild the images from the latents.
+decoders could rebuild the images from the latents. The device drops the
+decoder once the fit ends and keeps only the encoder.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ def partition_dataset(data, n_devices, rng):
 
 class DeviceNode:
     """One edge device: a local shard and, after fit, a device-unique
-    encoder and decoder Network. Its records carry the encoder's latents;
-    the decoder stays here."""
+    encoder Network. Its records carry the encoder's latents; the decoder
+    trained beside it is dropped when the fit ends."""
 
     def __init__(self, device_id, train_data, test_data=None):
         self.device_id = int(device_id)
         self.data = {"train": train_data, "test": test_data}
-        self._encoder = self._decoder = None
+        self._encoder = None
         self._next_record_id = 0
 
     def fit_autoencoder(self, cr, cfg: TrainConfig):
@@ -55,22 +56,13 @@ class DeviceNode:
             raise NotFittedError(f"device {self.device_id} has no local data")
         pair = build_autoencoder(local.sample_shape, cr)
         seed = int(np.random.SeedSequence([cfg.seed, self.device_id]).generate_state(1)[0])
-        self._encoder, self._decoder, history = train_autoencoder(
+        self._encoder, _, history = train_autoencoder(
             pair, local.images, replace(cfg, seed=seed))
         return history
 
     def _require_fit(self):
         if self._encoder is None:
             raise NotFittedError(f"device {self.device_id} is not fitted")
-
-    def encoder_network(self):
-        self._require_fit()
-        return self._encoder
-
-    def decoder_network(self):
-        """The local decoder, e.g. for saving on the device; never sent."""
-        self._require_fit()
-        return self._decoder
 
     def _record(self, latent, label):
         """The next record id's LatentRecord; a None label is UNLABELED."""

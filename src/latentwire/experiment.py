@@ -53,8 +53,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:  # SeedSequence takes no negative seed
+            raise ValueError(f"seeds must be one or more ints >= 0, got {self.seeds!r}")
         if any(r <= 0 for r in self.ratios):
             raise ValueError("ratios must be positive")
         for name, choices in (("family", FAMILIES), ("partition", ("iid",))):

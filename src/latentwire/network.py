@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from . import ops
 from .errors import ShapeMismatchError
 from .initializers import glorot_uniform
-from .zoo import KERNEL, ModelSpec, infer_shapes, save_spec
+from .zoo import KERNEL, ModelSpec, infer_shapes
 
 INFER_BATCH = 32  # samples per forward in bulk inference: one training batch
 
@@ -105,13 +103,3 @@ class Network:
                 params.append(p[key])
                 flat_grads.append(g[key])
         return params, flat_grads
-
-    def save(self, prefix):
-        prefix = Path(prefix)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        save_spec(self.spec, prefix.with_suffix(".model.json"))
-        arrays = {}
-        for i, p in enumerate(self.params):
-            for key, value in p.items():
-                arrays[f"layer{i}_{key}"] = value
-        np.savez(prefix.with_suffix(".weights.npz"), **arrays)

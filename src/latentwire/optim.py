@@ -1,4 +1,5 @@
-"""Parameter update rules: rmsprop, adam, and SGD with momentum."""
+"""Parameter update rules. Each trainer's role fixes its algorithm: rmsprop
+fits the autoencoders and adam fits the classifiers."""
 
 from __future__ import annotations
 
@@ -8,13 +9,10 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
-ALGORITHMS = ("rmsprop", "adam", "sgd-momentum")
-
 # chosen defaults; the source material names the algorithms but no rates
 _DEFAULTS = {
     "rmsprop": {"lr": 1e-3, "rho": 0.9, "eps": 1e-7},
     "adam": {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-    "sgd-momentum": {"lr": 1e-3, "momentum": 0.9},
 }
 
 
@@ -41,22 +39,16 @@ class OptimizerState:
         for p in params:
             if self.algorithm == "rmsprop":
                 self.slots.append({"v": np.zeros_like(p)})
-            elif self.algorithm == "adam":
-                self.slots.append({"m": np.zeros_like(p), "v": np.zeros_like(p)})
             else:
-                self.slots.append({"u": np.zeros_like(p)})
+                self.slots.append({"m": np.zeros_like(p), "v": np.zeros_like(p)})
 
 
-def make_optimizer(algorithm, **overrides):
-    if algorithm not in ALGORITHMS:
+def make_optimizer(algorithm, lr=None):
+    if algorithm not in _DEFAULTS:
         raise ValueError(f"unknown optimizer {algorithm!r}")
     hyper = dict(_DEFAULTS[algorithm])
-    for k, v in overrides.items():
-        if v is None:
-            continue
-        if k not in hyper:
-            raise ValueError(f"{algorithm} has no hyperparameter {k!r}")
-        hyper[k] = float(v)
+    if lr is not None:
+        hyper["lr"] = float(lr)
     return OptimizerState(algorithm=algorithm, hyper=hyper)
 
 
@@ -77,7 +69,7 @@ def optimizer_step(state, params, grads):
             v *= h["rho"]
             v += (1.0 - h["rho"]) * g * g
             p -= h["lr"] * g / (np.sqrt(v) + h["eps"])
-    elif state.algorithm == "adam":
+    else:  # adam
         t = state.step
         c1 = 1.0 - h["beta1"] ** t
         c2 = 1.0 - h["beta2"] ** t
@@ -88,9 +80,3 @@ def optimizer_step(state, params, grads):
             v *= h["beta2"]
             v += (1.0 - h["beta2"]) * g * g
             p -= h["lr"] * (m / c1) / (np.sqrt(v / c2) + h["eps"])
-    else:  # sgd-momentum
-        for p, g, slot in zip(params, grads, state.slots):
-            u = slot["u"]
-            u *= h["momentum"]
-            u += g
-            p -= h["lr"] * u

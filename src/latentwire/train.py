@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DivergenceError, ShapeMismatchError
 from .losses import cross_entropy_loss, mse_loss
 from .network import Network
-from .optim import ALGORITHMS, make_optimizer, optimizer_step
+from .optim import make_optimizer, optimizer_step
 from .zoo import ModelSpec
 
 
@@ -22,8 +22,7 @@ from .zoo import ModelSpec
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
-    optimizer: str | None = None  # None -> rmsprop for AEs, adam for classifiers
-    lr: float | None = None  # None -> optimizer default
+    lr: float | None = None  # None -> the optimizer's default rate
     seed: int = 0
     augment: bool = False
 
@@ -32,9 +31,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.optimizer is not None and self.optimizer not in ALGORITHMS:
-            raise ValueError(f"optimizer must be one of {ALGORITHMS}, "
-                             f"got {self.optimizer!r}")
         if self.lr is not None and not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
 
@@ -51,20 +47,20 @@ def _check_finite(value, epoch):
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
 
 
-def _fit(spec, images, labels, cfg, optimizer, augment_batches=False):
+def _fit(spec, images, labels, cfg, algorithm, augment_batches=False):
     """The epoch loop both trainers share; returns (Network, TrainHistory).
 
     With ``labels`` None the targets are the inputs themselves: the loss is
     reconstruction MSE and the metric repeats it. Otherwise the loss is
     softmax cross entropy on the network's logits and the metric is
-    training accuracy. ``optimizer`` names the algorithm used when cfg sets
-    none. The rng draws in a fixed order, so a seed fixes the run: weight
-    init, then per epoch one permutation, then per batch augmentation and
-    dropout.
+    training accuracy. ``algorithm`` names the optimizer; each trainer
+    fixes its own. The rng draws in a fixed order, so a seed fixes the run:
+    weight init, then per epoch one permutation, then per batch augmentation
+    and dropout.
     """
     rng = np.random.default_rng(cfg.seed)
     net = Network(spec, rng=rng)
-    opt = make_optimizer(cfg.optimizer or optimizer, lr=cfg.lr)
+    opt = make_optimizer(algorithm, lr=cfg.lr)
     hist = TrainHistory()
     n = len(images)
     start = time.perf_counter()
@@ -99,7 +95,7 @@ def _fit(spec, images, labels, cfg, optimizer, augment_batches=False):
 def train_autoencoder(pair, images, cfg):
     """Minimize reconstruction MSE of decoder(encoder(x)) over `images`.
 
-    One fit runs over the encoder and decoder layers as a single chain.
+    One rmsprop fit runs over the encoder and decoder layers as a single chain.
     Returns (encoder, decoder, TrainHistory): the two Networks are the pair's
     specs over the chain's own parameter arrays, so nothing is copied, and
     history carries the per-epoch mean reconstruction MSE.
@@ -108,7 +104,7 @@ def train_autoencoder(pair, images, cfg):
         raise ShapeMismatchError(
             f"images {images.shape[1:]} vs encoder input {pair.encoder.input_shape}")
     chain_spec = ModelSpec(pair.encoder.layers + pair.decoder.layers,
-                           pair.encoder.input_shape, role="autoencoder")
+                           pair.encoder.input_shape)
     net, hist = _fit(chain_spec, images, None, cfg, "rmsprop")
     k = len(pair.encoder.layers)
     return (Network(pair.encoder, params=net.params[:k]),
@@ -118,7 +114,7 @@ def train_autoencoder(pair, images, cfg):
 def train_classifier(spec, data, cfg):
     """Minimize softmax cross entropy of the spec's logits on a labeled dataset.
 
-    Weights are drawn fresh from cfg.seed. Augmentation, when enabled,
+    Adam fits weights drawn fresh from cfg.seed. Augmentation, when enabled,
     touches training batches of image-shaped samples only.
     """
     if tuple(data.sample_shape) != spec.input_shape:

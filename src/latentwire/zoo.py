@@ -13,17 +13,12 @@ softmax cross entropy on them and inference takes their argmax.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import InvalidGeometryError, UnachievableRatioError
 from .ops import ACTIVATIONS
-
-SPEC_FORMAT = "latentwire-model"
-SPEC_VERSION = 2  # 2: no kernel/stride/pool/factor keys, no softmax layer
 
 KINDS = ("conv2d", "maxpool", "upsample", "dense", "activation", "dropout", "flatten")
 FAMILIES = ("A", "B")  # classifier families
@@ -101,7 +96,6 @@ def flatten():
 class ModelSpec:
     layers: tuple
     input_shape: tuple
-    role: str = "classifier"
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -159,9 +153,9 @@ def count_parameters(spec):
     return total
 
 
-def compression_ratio(input_shape, latent_shape):
-    """elements(input) / elements(latent) as an exact rational."""
-    return Fraction(math.prod(input_shape), math.prod(latent_shape))
+def compression_ratio(input_shape, code_shape):
+    """elements(input) / elements(code) as an exact rational."""
+    return Fraction(math.prod(input_shape), math.prod(code_shape))
 
 
 def _as_fraction(cr):
@@ -191,9 +185,8 @@ def build_autoencoder(input_shape, cr):
     h, w, c = (int(d) for d in input_shape)
     requested = _as_fraction(cr)
     if requested == 1:
-        enc = ModelSpec((), (h, w, c), role="encoder")
-        dec = ModelSpec((), (h, w, c), role="decoder")
-        return AutoencoderPair(enc, dec)
+        enc = ModelSpec((), (h, w, c))
+        return AutoencoderPair(enc, enc)
 
     stages, c_z = None, None
     s = 1
@@ -218,8 +211,8 @@ def build_autoencoder(input_shape, cr):
         dec_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), upsample()]
     dec_layers += [conv(c, padding="same"), act("sigmoid")]
 
-    enc = ModelSpec(tuple(enc_layers), (h, w, c), role="encoder")
-    dec = ModelSpec(tuple(dec_layers), latent, role="decoder")
+    enc = ModelSpec(tuple(enc_layers), (h, w, c))
+    dec = ModelSpec(tuple(dec_layers), latent)
     achieved = compression_ratio((h, w, c), latent)
     if achieved != requested:
         raise UnachievableRatioError(
@@ -276,26 +269,4 @@ def build_vanilla_classifier(input_shape, family, num_classes):
     if features < num_classes:
         raise InvalidGeometryError(
             f"trunk leaves {features} features for {num_classes} classes")
-    return ModelSpec(tuple(kept + head), (h, w, c), role="classifier")
-
-
-def spec_to_dict(spec):
-    layers = []
-    for layer in spec.layers:
-        entry = {"kind": layer.kind}
-        for name in _GEOMETRY:
-            value = getattr(layer, name)
-            if value is not None:
-                entry[name] = value
-        layers.append(entry)
-    return {
-        "format": SPEC_FORMAT,
-        "version": SPEC_VERSION,
-        "role": spec.role,
-        "input_shape": list(spec.input_shape),
-        "layers": layers,
-    }
-
-
-def save_spec(spec, path):
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n")
+    return ModelSpec(tuple(kept + head), (h, w, c))

@@ -17,23 +17,17 @@ from latentwire.experiment import (
 )
 
 
-def test_cli_smoke(tmp_path):
-    data = str(tmp_path / "data.npz")
-    assert main(["gen-data", "--out", data, "--classes", "2",
-                 "--samples-per-class", "12", "--image-size", "8"]) == 0
-    assert main(["train-ae", "--data", data, "--cr", "4", "--ae-epochs", "1",
-                 "--out", str(tmp_path / "ae")]) == 0
-    assert (tmp_path / "ae" / "encoder.weights.npz").is_file()
-    assert (tmp_path / "ae" / "decoder.model.json").is_file()
-    assert main(["train-classifier", "--data", data, "--clf-epochs", "1",
-                 "--out", str(tmp_path / "clf")]) == 0
-    assert (tmp_path / "clf" / "classifier.weights.npz").is_file()
-
+def _small_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "format": CONFIG_FORMAT, "version": CONFIG_VERSION,
         "synthetic": {"image_size": [8, 8, 3], "num_classes": 2, "samples_per_class": 12},
         "ratios": [1, 4], "n_devices": 2, "ae": {"epochs": 1}, "clf": {"epochs": 1}}))
+    return cfg
+
+
+def test_cli_smoke(tmp_path):
+    cfg = _small_config(tmp_path)
     report_json = tmp_path / "report.json"
     # the file sets no out, so --out applies
     assert main(["run", "--config", str(cfg), "--out", str(report_json),
@@ -139,14 +133,17 @@ def test_every_run_flag_changes_the_config(flag):
     assert _experiment_config(build_parser().parse_args(argv)) != unflagged
 
 
-@pytest.mark.parametrize("argv", [
-    ["train-ae", "--data", "d.npz", "--out", "o", "--ae-optimizer", "sgd"],
-    ["train-classifier", "--data", "d.npz", "--out", "o", "--clf-optimizer", "sgd"],
-])
-def test_optimizer_flags_take_only_known_algorithms(argv, capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(argv)
-    assert "invalid choice: 'sgd'" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", RUN_FLAGS)
+def test_config_refuses_every_grid_flag(flag, tmp_path, monkeypatch, capsys):
+    def no_training(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_training)
+    value = RUN_FLAG_VALUES[flag]
+    argv = ["run", "--config", str(_small_config(tmp_path)), flag]
+    assert main(argv + ([] if value is None else [value])) == 2
+    err = capsys.readouterr().err
+    assert err == f"latentwire: error: {flag} cannot go with --config\n"
 
 
 def test_serve_stops_cleanly_on_interrupt(monkeypatch, capsys):

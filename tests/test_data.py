@@ -9,8 +9,6 @@ from latentwire.data import (
     gen_synthetic,
     load_cifar10,
     load_cifar10_batch,
-    load_dataset,
-    save_dataset,
 )
 from latentwire.errors import DatasetFormatError, LabelRangeError
 
@@ -134,15 +132,3 @@ def test_subset_selection(tmp_path):
     assert set(sub_train.labels.tolist()) == {0, 1}
     assert sub_train.num_classes == 2
     assert len(sub_test) == 4  # 10//5 per class
-
-
-# --- npz round trip ------------------------------------------------------------
-
-def test_dataset_file_roundtrip(tmp_path):
-    train, test = gen_synthetic(SyntheticSpec(samples_per_class=12), seed=0)
-    path = tmp_path / "data.npz"
-    save_dataset(train, test, path)
-    t2, e2 = load_dataset(path)
-    assert t2.images.tobytes() == train.images.tobytes()
-    assert e2.labels.tolist() == test.labels.tolist()
-    assert t2.num_classes == 4

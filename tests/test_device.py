@@ -45,9 +45,7 @@ def test_export_latents_matches_per_sample_encode(cr):
 @pytest.mark.parametrize("call", [
     lambda dev: dev.encode(dev.data["train"].images[0]),
     lambda dev: dev.export_latents("train", ListSink()),
-    lambda dev: dev.encoder_network(),
-    lambda dev: dev.decoder_network(),
-], ids=["encode", "export_latents", "encoder_network", "decoder_network"])
+], ids=["encode", "export_latents"])
 def test_unfitted_device_raises_not_fitted(call):
     dev = DeviceNode(3, _indexed(4), _indexed(2))
     with pytest.raises(NotFittedError, match="device 3 is not fitted"):

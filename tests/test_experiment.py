@@ -35,7 +35,7 @@ def test_config_roundtrip_with_nested_values(tmp_path):
         synthetic=SyntheticSpec(image_size=(16, 16, 3), num_classes=3,
                                 samples_per_class=12, noise=0.1),
         ratios=(1, 2.5, 8), family="B", n_devices=3,
-        ae=TrainConfig(epochs=2, batch_size=8, optimizer="sgd-momentum", lr=0.01),
+        ae=TrainConfig(epochs=2, batch_size=8, lr=0.01),
         clf=TrainConfig(epochs=4, augment=True),
         seeds=(1, 2), jobs=2, out="report.csv")
     path = tmp_path / "cfg.json"
@@ -63,8 +63,9 @@ def test_partial_config_keeps_defaults():
     {"synthetic": {"margin": 1.5}},
     {"synthetic": {"ratio": [3, 1]}},
     {"dataset": "mnist"},
+    {"ae": {"optimizer": "sgd-momentum"}},
 ], ids=["top", "ae", "synthetic", "ae-patience", "synthetic-jitter",
-        "synthetic-margin", "synthetic-ratio", "dataset"])
+        "synthetic-margin", "synthetic-ratio", "dataset", "ae-optimizer"])
 def test_unknown_config_key_rejected(doc):
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({**HEADER, **doc})
@@ -80,7 +81,7 @@ def test_nested_config_must_be_object(doc):
     {"seeds": []},
     {"ae": {"epochs": -1}},
     {"synthetic": {"num_classes": 1}},
-    {"ae": {"optimizer": "sgd"}},
+    {"ratios": [1, 0]},
     {"clf": {"lr": -1.0}},
     {"ae": {"lr": 0.0}},
     {"ae": {"augment": True}},
@@ -267,6 +268,16 @@ def test_train_seeds_are_refused_for_the_grid_seeds(name):
     with pytest.raises(ValueError, match=f"^{name}.seed .* seeds"):
         config_from_dict({**HEADER, name: {"seed": 5}})
     assert config_from_dict({**HEADER, name: {"seed": 0}}) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("seeds", [(0, -1), (-3,)])
+def test_negative_seeds_refused_when_the_config_is_built(seeds):
+    # a negative seed would fail in SeedSequence after the other seeds' cells
+    # trained, and that error would lose the whole grid
+    with pytest.raises(ValueError, match="^seeds must be one or more ints >= 0"):
+        ExperimentConfig(seeds=seeds)
+    with pytest.raises(ValueError, match="^seeds must be one or more ints >= 0"):
+        config_from_dict({**HEADER, "seeds": list(seeds)})
 
 
 @pytest.mark.parametrize("value", [0, -1])

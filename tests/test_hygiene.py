@@ -39,6 +39,8 @@ ENTRY_POINTS = {
     "Hub.predict": "the hub's per-sample serving call; the benchmark drives it",
     "save_config": "the writer for load_config's file format",
     "FrameScanner.pending": "bytes still buffered; the wire tests check resync by it",
+    "AutoencoderPair.latent_shape": "the wire workload of the benchmark builds its "
+                                    "frame shapes from it",
     "_Handler.handle": "hook that socketserver calls per connection",
 }
 
@@ -131,8 +133,7 @@ SHARED_NAMES = {
     "backward": "Network.backward is called by _fit; ops.backward by Network.backward",
     "dense": "ops.dense is called by Network.forward; zoo.dense by build_vanilla_classifier",
     "dropout": "ops.dropout is called by Network.forward; zoo.dropout by build_vanilla_classifier",
-    "evaluate": "Hub.evaluate is called by run_cell; train.evaluate by Hub.evaluate "
-                "and cmd_train_classifier",
+    "evaluate": "Hub.evaluate is called by run_cell; train.evaluate by Hub.evaluate",
     "flatten": "ops.flatten is called by Network.forward; zoo.flatten by build_vanilla_classifier",
     "num_classes": "LabeledDataset.num_classes is read across the pipeline; "
                    "SyntheticSpec.num_classes by gen_synthetic",
@@ -141,7 +142,7 @@ SHARED_NAMES = {
     "seed": "ReportRow.seed is read by normalize_metrics and cmd_run; "
             "TrainConfig.seed by _fit and fit_autoencoder",
     "train_classifier": "Hub.train_classifier is called by run_cell; "
-                        "train.train_classifier by Hub.train_classifier and the CLI",
+                        "train.train_classifier by Hub.train_classifier",
 }
 
 

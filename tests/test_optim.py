@@ -6,24 +6,15 @@ from latentwire.optim import make_optimizer, optimizer_step
 
 
 def test_zero_gradient_leaves_params_unchanged():
-    for algo in ("rmsprop", "adam", "sgd-momentum"):
+    for algo in ("rmsprop", "adam"):
         p = np.array([1.0, -2.0, 3.0])
         before = p.copy()
         optimizer_step(make_optimizer(algo), [p], [np.zeros(3)])
         np.testing.assert_array_equal(p, before)
 
 
-def test_sgd_momentum_two_steps_scalar():
-    opt = make_optimizer("sgd-momentum", lr=0.1, momentum=0.9)
-    p = np.array([0.0])
-    optimizer_step(opt, [p], [np.array([1.0])])
-    assert abs(p[0] - (-0.1)) < 1e-12  # velocity 1.0
-    optimizer_step(opt, [p], [np.array([1.0])])
-    assert abs(p[0] - (-0.29)) < 1e-12  # velocity 1.9, update 0.19
-
-
 def test_rmsprop_first_step_magnitude():
-    opt = make_optimizer("rmsprop", lr=1e-3, rho=0.9, eps=1e-7)
+    opt = make_optimizer("rmsprop", lr=1e-3)
     p = np.array([0.0])
     optimizer_step(opt, [p], [np.array([1.0])])
     expect = 1e-3 / (np.sqrt(0.1) + 1e-7)
@@ -64,8 +55,6 @@ def test_accumulators_track_parameter_shapes():
 
 
 def test_unknown_algorithm_and_hyper():
-    with pytest.raises(ValueError):
-        make_optimizer("adagrad")
-    with pytest.raises(ValueError):
-        make_optimizer("sgd-momentum", beta1=0.5)
-
+    for algo in ("adagrad", "sgd-momentum"):
+        with pytest.raises(ValueError, match="unknown optimizer"):
+            make_optimizer(algo)

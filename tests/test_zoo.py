@@ -1,5 +1,3 @@
-import json
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -210,19 +208,6 @@ def test_compression_ratio_values():
     assert compression_ratio((8, 8, 3), (8, 8, 3)) == 1
     assert compression_ratio((256, 256, 3), (64, 64, 6)) == 8
 
-
-# --- spec serialization ----------------------------------------------------------------
-
-def test_saved_model_file_names_every_layer(tmp_path):
-    spec = build_vanilla_classifier((16, 16, 3), "B", 4)
-    Network(spec).save(tmp_path / "classifier")
-    doc = json.loads((tmp_path / "classifier.model.json").read_text())
-    assert (doc["format"], doc["version"]) == ("latentwire-model", 2)
-    assert (doc["role"], doc["input_shape"]) == ("classifier", [16, 16, 3])
-    assert doc["layers"] == [{k: v for k, v in asdict(layer).items() if v is not None}
-                             for layer in spec.layers]
-    assert {"conv2d", "maxpool", "dropout", "flatten", "dense", "activation"} == {
-        entry["kind"] for entry in doc["layers"]}
 
 
 def test_builders_are_pure():
