@@ -2,11 +2,12 @@
 latents over TCP and `report` re-emits a report that `run` wrote.
 
 `run` builds its grid from the flags over the ExperimentConfig defaults, or,
-with --config, from the file alone: no grid flag may go with it, keys the
-file leaves out take the defaults, and --out applies only when the file sets
-no out. Relative dataset paths resolve against $LATENTWIRE_DATA_DIR when the
-file is not found where given. A program error ends the command with one
-``latentwire: error:`` line on stderr and exit status 2.
+with --config, from the file alone: no grid flag may go with it, and keys the
+file leaves out take the defaults. The report goes to --out, by default
+report.csv or report.json after --format. Relative dataset paths resolve
+against $LATENTWIRE_DATA_DIR when the file is not found where given. A
+program error ends the command with one ``latentwire: error:`` line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .zoo import FAMILIES
 DATA_DIR_ENV = "LATENTWIRE_DATA_DIR"
 # dests of the `run` flags that set the grid; each is None when not given
 GRID_FLAGS = ("cifar10_dir", "cifar10_subset", "ratios", "family", "devices", "seeds",
-              "ae_epochs", "clf_epochs", "batch_size", "augment", "jobs")
+              "ae_epochs", "clf_epochs", "batch_size", "jobs")
 
 
 def resolve_data_path(path):
@@ -55,8 +56,7 @@ def _experiment_config(args):
         given = [dest for dest in GRID_FLAGS if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"--{given[0].replace('_', '-')} cannot go with --config")
-        cfg = load_config(args.config)
-        return cfg if cfg.out is not None else replace(cfg, out=args.out)
+        return load_config(args.config)
     cfg = ExperimentConfig()
     if args.cifar10_dir is not None:
         cfg = replace(cfg, cifar_dir=str(resolve_data_path(args.cifar10_dir)))
@@ -80,15 +80,13 @@ def _experiment_config(args):
     if args.batch_size is not None:
         ae = replace(ae, batch_size=args.batch_size)
         clf = replace(clf, batch_size=args.batch_size)
-    if args.augment:
-        clf = replace(clf, augment=True)
-    return replace(cfg, ae=ae, clf=clf, out=args.out)
+    return replace(cfg, ae=ae, clf=clf)
 
 
 def cmd_run(args):
     cfg = _experiment_config(args)
     report = run_experiment(cfg)
-    out = cfg.out or "report.csv"
+    out = args.out or f"report.{args.format}"
     emit_report(report, out, fmt=args.format)
     failed = [r for r in report.rows if r.failed]
     for row in report.rows:
@@ -133,8 +131,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run the benchmark grid and emit a report")
-    p.add_argument("--config", help="JSON config; takes no grid flag beside it, "
-                   "--out applies when the file sets no out")
+    p.add_argument("--config", help="JSON config; takes no grid flag beside it")
     p.add_argument("--cifar10-dir", help="run on CIFAR-10 from this directory, "
                    "not on synthetic data")
     p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000; "
@@ -146,9 +143,8 @@ def build_parser():
     p.add_argument("--ae-epochs", type=int)
     p.add_argument("--clf-epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--augment", action="store_true", default=None)
     p.add_argument("--jobs", type=int)
-    p.add_argument("--out", default="report.csv")
+    p.add_argument("--out", help="report path; default report.csv or report.json")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_run)
 

@@ -50,7 +50,6 @@ class ExperimentConfig:
     clf: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
     seeds: tuple = (0,)
     jobs: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:  # SeedSequence takes no negative seed
@@ -64,9 +63,6 @@ class ExperimentConfig:
         for name in ("n_devices", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.ae.augment:
-            raise ValueError("ae.augment is not applied to the autoencoder fit; "
-                             "augmentation is a clf setting")
         for name in ("ae", "clf"):
             if getattr(self, name).seed:
                 raise ValueError(f"{name}.seed is replaced by each cell's seed; "
@@ -138,9 +134,8 @@ def run_cell(name, train, test, cfg, cr, seed):
         dev.export_latents("train", HubSink(hub, "train"))
         dev.export_latents("test", HubSink(hub, "test"))
 
-    clf_cfg = replace(cfg.clf, seed=seed,
-                      augment=cfg.clf.augment and cr == 1)
-    history = hub.train_classifier(cfg.family, clf_cfg, num_classes=train.num_classes)
+    history = hub.train_classifier(cfg.family, replace(cfg.clf, seed=seed),
+                                   num_classes=train.num_classes)
     accuracy, test_s = hub.evaluate("test", num_classes=train.num_classes)
     params = count_parameters(hub.classifier.spec)
 

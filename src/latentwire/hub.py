@@ -96,8 +96,6 @@ def serve_stream(hub, chunks, split, ack_writer=None):
     scanner = FrameScanner()
     accepted = rejected = 0
     for chunk in chunks:
-        if not chunk:
-            break
         for item in scanner.feed(chunk):
             ack = item.ack if isinstance(item, WireDecodeError) else hub.ingest(item, split)
             if ack == ACK_ACCEPTED:

@@ -1,5 +1,5 @@
 """Training: one epoch loop behind the unsupervised autoencoder fit and the
-supervised classifier fit (with optional augmentation), and evaluation.
+supervised classifier fit, and evaluation.
 
 A ratio-1 autoencoder is a network with no layers; it runs the same loop
 and its reconstruction loss is exactly zero."""
@@ -24,7 +24,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float | None = None  # None -> the optimizer's default rate
     seed: int = 0
-    augment: bool = False
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -47,7 +46,7 @@ def _check_finite(value, epoch):
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
 
 
-def _fit(spec, images, labels, cfg, algorithm, augment_batches=False):
+def _fit(spec, images, labels, cfg, algorithm):
     """The epoch loop both trainers share; returns (Network, TrainHistory).
 
     With ``labels`` None the targets are the inputs themselves: the loss is
@@ -55,8 +54,7 @@ def _fit(spec, images, labels, cfg, algorithm, augment_batches=False):
     softmax cross entropy on the network's logits and the metric is
     training accuracy. ``algorithm`` names the optimizer; each trainer
     fixes its own. The rng draws in a fixed order, so a seed fixes the run:
-    weight init, then per epoch one permutation, then per batch augmentation
-    and dropout.
+    weight init, then per epoch one permutation, then per batch dropout.
     """
     rng = np.random.default_rng(cfg.seed)
     net = Network(spec, rng=rng)
@@ -71,8 +69,6 @@ def _fit(spec, images, labels, cfg, algorithm, augment_batches=False):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             xb = images[idx]
-            if augment_batches:
-                xb = augment_batch(xb, rng)
             out, caches = net.forward(xb, training=True, rng=rng, return_caches=True)
             # losses and optimizer_step are module globals read per call, so a
             # tracer that patches them by name sees every call
@@ -114,14 +110,12 @@ def train_autoencoder(pair, images, cfg):
 def train_classifier(spec, data, cfg):
     """Minimize softmax cross entropy of the spec's logits on a labeled dataset.
 
-    Adam fits weights drawn fresh from cfg.seed. Augmentation, when enabled,
-    touches training batches of image-shaped samples only.
+    Adam fits weights drawn fresh from cfg.seed.
     """
     if tuple(data.sample_shape) != spec.input_shape:
         raise ShapeMismatchError(
             f"samples {data.sample_shape} vs model input {spec.input_shape}")
-    return _fit(spec, data.images, data.labels, cfg, "adam",
-                augment_batches=cfg.augment and data.images.ndim == 4)
+    return _fit(spec, data.images, data.labels, cfg, "adam")
 
 
 def evaluate(net, data):
@@ -132,47 +126,3 @@ def evaluate(net, data):
         acc = float((net.infer(data.images).argmax(axis=-1) == data.labels).mean())
     return acc, time.perf_counter() - start
 
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-FLIP_PROB = 0.5
-MAX_SHIFT_FRAC = 0.1  # of each spatial extent
-
-
-def hflip(image):
-    return image[:, ::-1, :]
-
-
-def shift2d(image, dy, dx):
-    """Translate with zero padding; output shape unchanged."""
-    h, w, _ = image.shape
-    out = np.zeros_like(image)
-    ys = slice(max(dy, 0), h + min(dy, 0))
-    yd = slice(max(-dy, 0), h + min(-dy, 0))
-    xs = slice(max(dx, 0), w + min(dx, 0))
-    xd = slice(max(-dx, 0), w + min(-dx, 0))
-    out[ys, xs] = image[yd, xd]
-    return out
-
-
-def augment(image, rng):
-    """Random horizontal flip then a bounded random shift with zero fill."""
-    if image.ndim != 3:
-        raise ShapeMismatchError(f"augment expects HxWxC images, got {image.shape}")
-    out = image
-    if rng.random() < FLIP_PROB:
-        out = hflip(out)
-    h, w, _ = image.shape
-    sy = int(MAX_SHIFT_FRAC * h)
-    sx = int(MAX_SHIFT_FRAC * w)
-    dy = int(rng.integers(-sy, sy + 1)) if sy else 0
-    dx = int(rng.integers(-sx, sx + 1)) if sx else 0
-    if dy or dx:
-        out = shift2d(out, dy, dx)
-    return out
-
-
-def augment_batch(images, rng):
-    return np.stack([augment(img, rng) for img in images])

@@ -9,6 +9,7 @@ import pytest
 import latentwire.cli as cli
 import latentwire.experiment as experiment
 from latentwire.cli import DATA_DIR_ENV, _experiment_config, build_parser, main
+from latentwire.errors import DivergenceError
 from latentwire.experiment import (
     CONFIG_FORMAT,
     CONFIG_VERSION,
@@ -29,7 +30,6 @@ def _small_config(tmp_path):
 def test_cli_smoke(tmp_path):
     cfg = _small_config(tmp_path)
     report_json = tmp_path / "report.json"
-    # the file sets no out, so --out applies
     assert main(["run", "--config", str(cfg), "--out", str(report_json),
                  "--format", "json"]) == 0
     report_csv = tmp_path / "report.csv"
@@ -39,6 +39,32 @@ def test_cli_smoke(tmp_path):
     assert rows == parse_report(report_json, fmt="json").rows
     assert [(r.cr, r.failed) for r in rows] == [(1.0, False), (4.0, False)]
     assert rows[0].acc_norm == 1.0
+
+
+def test_run_json_without_out_writes_report_json(tmp_path, monkeypatch, capsys):
+    cfg = _small_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg), "--format", "json"]) == 0
+    assert capsys.readouterr().out.endswith("report written to report.json\n")
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert [row["cr"] for row in doc["rows"]] == [1.0, 4.0]
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_run_prints_and_reports_a_failed_cell(tmp_path, monkeypatch, capsys):
+    run_cell = experiment.run_cell
+
+    def fail_at_cr4(name, train, test, cfg, cr, seed):
+        if cr == 4:
+            raise DivergenceError("non-finite loss nan at epoch 0")
+        return run_cell(name, train, test, cfg, cr, seed)
+
+    monkeypatch.setattr(experiment, "run_cell", fail_at_cr4)
+    out = tmp_path / "report.csv"
+    assert main(["run", "--config", str(_small_config(tmp_path)), "--out", str(out)]) == 1
+    assert "cr=4 seed=0: FAILED (non-finite loss nan at epoch 0)\n" in capsys.readouterr().out
+    rows = parse_report(out).rows
+    assert [(r.cr, r.error) for r in rows] == [(1.0, None), (4.0, "non-finite loss nan at epoch 0")]
 
 
 def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):
@@ -91,13 +117,13 @@ def test_run_flags_set_the_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path / "work")
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
     args = build_parser().parse_args([
-        "run", "--cifar10-dir", "batches", "--batch-size", "8", "--augment",
+        "run", "--cifar10-dir", "batches", "--batch-size", "8",
         "--family", "B", "--jobs", "3"])
     cfg = _experiment_config(args)
     default = ExperimentConfig()
     assert cfg.cifar_dir == str(tmp_path / "batches")
     assert cfg.ae == replace(default.ae, batch_size=8)
-    assert cfg.clf == replace(default.clf, batch_size=8, augment=True)
+    assert cfg.clf == replace(default.clf, batch_size=8)
     assert (cfg.family, cfg.jobs) == ("B", 3)
 
 
@@ -111,8 +137,7 @@ def _subparser(name):
 RUN_FLAG_VALUES = {
     "--cifar10-dir": "batches", "--cifar10-subset": "2x10",
     "--ratios": "1,2", "--family": "B", "--devices": "3", "--seeds": "1,2",
-    "--ae-epochs": "1", "--clf-epochs": "1", "--batch-size": "8", "--augment": None,
-    "--jobs": "2",
+    "--ae-epochs": "1", "--clf-epochs": "1", "--batch-size": "8", "--jobs": "2",
 }
 RUN_FLAGS = [a.option_strings[-1] for a in _subparser("run")._actions
              if a.option_strings[-1] not in ("--help", "--config", "--out", "--format")]
@@ -124,11 +149,9 @@ RUN_FLAG_NEEDS = {"--cifar10-subset": ["--cifar10-dir", "batches"]}
 
 @pytest.mark.parametrize("flag", RUN_FLAGS)
 def test_every_run_flag_changes_the_config(flag):
-    value = RUN_FLAG_VALUES[flag]
     base = ["run"] + RUN_FLAG_NEEDS.get(flag, [])
-    argv = base + [flag] + ([] if value is None else [value])
-    assert (_experiment_config(build_parser().parse_args(["run"]))
-            == replace(ExperimentConfig(), out="report.csv"))
+    argv = base + [flag, RUN_FLAG_VALUES[flag]]
+    assert _experiment_config(build_parser().parse_args(["run"])) == ExperimentConfig()
     unflagged = _experiment_config(build_parser().parse_args(base))
     assert _experiment_config(build_parser().parse_args(argv)) != unflagged
 
@@ -139,9 +162,8 @@ def test_config_refuses_every_grid_flag(flag, tmp_path, monkeypatch, capsys):
         raise AssertionError("a grid cell ran")
 
     monkeypatch.setattr(experiment, "run_cell", no_training)
-    value = RUN_FLAG_VALUES[flag]
-    argv = ["run", "--config", str(_small_config(tmp_path)), flag]
-    assert main(argv + ([] if value is None else [value])) == 2
+    argv = ["run", "--config", str(_small_config(tmp_path)), flag, RUN_FLAG_VALUES[flag]]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"latentwire: error: {flag} cannot go with --config\n"
 

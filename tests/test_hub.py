@@ -156,6 +156,21 @@ def test_evaluate_empty_split_scores_zero():
     assert hub.evaluate("test")[0] == 0.0
 
 
+def test_predict_matches_the_bulk_forward_of_a_trained_classifier():
+    hub = Hub()
+    r = np.random.default_rng(0)
+    for record in range(32):  # records 0-23 train, 24-31 test; class 1 sits higher
+        label = record % 2
+        payload = (0.2 * r.random(32) + 0.8 * label).astype("<f4")
+        hub.ingest(LatentRecord(1, record, label, (4, 4, 2), payload),
+                   "train" if record < 24 else "test")
+    hub.train_classifier("A", TrainConfig(epochs=10, batch_size=4))
+    test = hub.assemble("test")
+    bulk = hub.classifier.infer(test.images).argmax(axis=-1)
+    assert [hub.predict(rec) for rec in hub.records("test")] == bulk.tolist()
+    assert bulk.tolist() == test.labels.tolist()  # both classes, so not a constant answer
+
+
 def test_assemble_rejects_mixed_latent_shapes():
     hub = Hub()
     hub.ingest(make_record(record=0), "train")

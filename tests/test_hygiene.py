@@ -128,8 +128,6 @@ def test_every_dataclass_field_is_read():
 # counts for every owner; each owner below was checked to be read, at the
 # places the reason names.
 SHARED_NAMES = {
-    "augment": "train.augment is called by augment_batch; TrainConfig.augment "
-               "is read by train_classifier and run_cell",
     "backward": "Network.backward is called by _fit; ops.backward by Network.backward",
     "dense": "ops.dense is called by Network.forward; zoo.dense by build_vanilla_classifier",
     "dropout": "ops.dropout is called by Network.forward; zoo.dropout by build_vanilla_classifier",

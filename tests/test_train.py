@@ -7,10 +7,7 @@ from latentwire.errors import DivergenceError, ShapeMismatchError
 from latentwire.network import Network
 from latentwire.train import (
     TrainConfig,
-    augment,
     evaluate,
-    hflip,
-    shift2d,
     train_autoencoder,
     train_classifier,
 )
@@ -128,13 +125,15 @@ def test_training_reproducible_for_seed():
     assert h1.metrics == h2.metrics
 
 
-def test_augmented_classifier_history_is_pinned():
-    # permutation, augmentation and dropout all draw from the one rng here
+def test_classifier_history_is_pinned():
+    # family B has dropout: weight init, then per epoch one permutation, then
+    # per batch the dropout masks, all from the one rng; a change to the draw
+    # order, the optimizer or the math moves it
     spec = build_vanilla_classifier((8, 8, 3), "B", 2)
     _, hist = train_classifier(spec, _tiny_images(),
-                               TrainConfig(epochs=2, batch_size=8, seed=1, augment=True))
-    assert hist.losses == pytest.approx([0.680951189994812, 0.6449449181556701], rel=1e-6)
-    assert hist.metrics == pytest.approx([0.55, 0.75], rel=1e-6)
+                               TrainConfig(epochs=2, batch_size=8, seed=1))
+    assert hist.losses == pytest.approx([0.6681867122650147, 0.628312635421753], rel=1e-6)
+    assert hist.metrics == pytest.approx([0.7, 0.6], rel=1e-6)
 
 
 def test_label_out_of_range_rejected():
@@ -184,37 +183,6 @@ def test_evaluate_pure_and_deterministic():
     after = [p["w"].tobytes() for p in net.params if p]
     assert a1 == a2
     assert before == after
-
-
-# --- augmentation -------------------------------------------------------------------
-
-def test_double_flip_is_identity():
-    img = rng().random((8, 10, 3))
-    np.testing.assert_array_equal(hflip(hflip(img)), img)
-
-
-def test_shift_is_bounded_translation():
-    img = rng(4).random((20, 20, 3))
-    out = augment(img, rng(9))
-    matches = []
-    bound = int(0.1 * 20)
-    for src in (img, hflip(img)):
-        for dy in range(-bound, bound + 1):
-            for dx in range(-bound, bound + 1):
-                if np.array_equal(out, shift2d(src, dy, dx)):
-                    matches.append((dy, dx))
-    assert matches, "output is not a translation within the declared window"
-
-
-def test_shift2d_zero_padding():
-    img = np.ones((4, 4, 1))
-    out = shift2d(img, 2, 0)
-    assert np.all(out[:2] == 0) and np.all(out[2:] == 1)
-
-
-def test_augment_rejects_flat_input():
-    with pytest.raises(ShapeMismatchError):
-        augment(np.zeros(10), rng(0))
 
 
 def test_forward_rejects_unbatched_sample():
