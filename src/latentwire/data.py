@@ -48,23 +48,8 @@ SPLIT_RATIO = (5, 1)  # train:test samples of each class
 JITTER = 0.25  # largest disc-centre offset, as a fraction of the half extent
 MARGIN = 1.2  # inter-class MSE must exceed intra-class by this factor
 
-
-@dataclass
-class SyntheticSpec:
-    image_size: tuple = (32, 32, 3)
-    num_classes: int = 4
-    samples_per_class: int = 150
-    noise: float = 0.05
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.samples_per_class % sum(SPLIT_RATIO):
-            raise ValueError(
-                f"samples_per_class {self.samples_per_class} not divisible by "
-                f"split ratio total {sum(SPLIT_RATIO)}")
-
-
+# class c takes family c % 4 and colour _PALETTE[c]: a ninth class would
+# repeat class 0's family and colour
 _PALETTE = [
     (0.85, 0.20, 0.20),
     (0.20, 0.80, 0.25),
@@ -77,61 +62,94 @@ _PALETTE = [
 ]
 
 
-def _render(family, color, h, w, rng):
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    img = np.full((h, w, 3), 0.12)
-    color = np.asarray(color)
+@dataclass
+class SyntheticSpec:
+    image_size: tuple = (32, 32, 3)
+    num_classes: int = 4
+    samples_per_class: int = 150
+    noise: float = 0.05
+
+    def __post_init__(self):
+        size = self.image_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 3
+                and all(_is_count(v) for v in size)):
+            raise ValueError(f"image_size must be three positive ints (H, W, C), got {size!r}")
+        if size[2] != 3:
+            raise ValueError(f"synthetic generator renders 3-channel images, got {size[2]}")
+        if not (_is_count(self.num_classes) and 2 <= self.num_classes <= len(_PALETTE)):
+            raise ValueError(f"num_classes must be an int in [2, {len(_PALETTE)}], "
+                             f"got {self.num_classes!r}")
+        if not _is_count(self.samples_per_class) or self.samples_per_class % sum(SPLIT_RATIO):
+            raise ValueError(
+                f"samples_per_class must be a positive multiple of the split ratio "
+                f"total {sum(SPLIT_RATIO)}, got {self.samples_per_class!r}")
+        if not self.noise >= 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise!r}")
+
+
+def _is_count(v):
+    """A positive int; numpy integer scalars count, floats do not."""
+    return isinstance(v, (int, np.integer)) and v >= 1
+
+
+def _render(family, color, y, x, rng):
+    """One noiseless (h, w, 3) float64 image of `family` in `color`, from
+    row coordinates `y` (h, 1) and column coordinates `x` (1, w); draws the
+    family's shape parameters from `rng`."""
+    h, w = len(y), x.shape[1]
     if family == 0:  # filled disc
         cy = h / 2 + rng.uniform(-JITTER, JITTER) * h / 2
         cx = w / 2 + rng.uniform(-JITTER, JITTER) * w / 2
         r = (0.22 + 0.10 * rng.random()) * min(h, w)
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-        img[mask] = color
+        mask = (y - cy) ** 2 + (x - cx) ** 2 <= r * r
     elif family == 1:  # vertical bars
         period = rng.integers(4, 9)
         phase = rng.integers(0, period)
-        mask = ((xx + phase) // (period / 2)).astype(int) % 2 == 0
-        img[mask] = color
+        mask = ((x + phase) // (period / 2)).astype(int) % 2 == 0
     elif family == 2:  # checkerboard
         cell = rng.integers(4, 9)
         oy, ox = rng.integers(0, cell, size=2)
-        mask = (((yy + oy) // cell) + ((xx + ox) // cell)).astype(int) % 2 == 0
-        img[mask] = color
+        mask = (((y + oy) // cell) + ((x + ox) // cell)).astype(int) % 2 == 0
     else:  # linear ramp toward the class color
         theta = rng.uniform(0, 2 * np.pi)
-        ramp = (np.cos(theta) * xx / w + np.sin(theta) * yy / h)
+        ramp = np.cos(theta) * x / w + np.sin(theta) * y / h
         ramp = (ramp - ramp.min()) / (ramp.max() - ramp.min() + 1e-9)
-        img = 0.12 + ramp[..., None] * (color - 0.12)
-    return img
+        return 0.12 + ramp[..., None] * (color - 0.12)
+    return np.where(mask[..., None], color, 0.12)
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int):
-    """Procedural geometric classes; deterministic for a given seed."""
+    """Procedural geometric classes; deterministic for a given seed.
+
+    Class by class, a class's first samples go to train and the rest to
+    test, in the proportion SPLIT_RATIO. Every sample makes its draws from
+    one rng in this order: the shape parameters of its family (`_render`),
+    then H*W*3 standard normals in C order. The normals times `spec.noise`
+    are added to the rendered image, which is clipped to [0, 1] and stored
+    as float32. That order fixes the bytes; `test_generated_bytes_are_pinned`
+    holds them.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, seed]))
-    h, w, c = spec.image_size
-    if c != 3:
-        raise ValueError("synthetic generator renders 3-channel images")
-    total = sum(SPLIT_RATIO)
-    n_test = spec.samples_per_class * SPLIT_RATIO[1] // total
+    h, w, _ = spec.image_size
+    k = spec.num_classes
+    n_test = spec.samples_per_class * SPLIT_RATIO[1] // sum(SPLIT_RATIO)
     n_train = spec.samples_per_class - n_test
+    train = np.empty((k, n_train, h, w, 3), np.float32)
+    test = np.empty((k, n_test, h, w, 3), np.float32)
+    y = np.arange(h, dtype=np.float64)[:, None]
+    x = np.arange(w, dtype=np.float64)[None, :]
+    pixels = np.empty((h, w, 3))
+    for cls in range(k):
+        color = np.asarray(_PALETTE[cls])
+        for out in (*train[cls], *test[cls]):
+            img = _render(cls % 4, color, y, x, rng)
+            rng.standard_normal(out=pixels)
+            pixels *= spec.noise  # == normal(0, noise): its 0.0 + s*z adds nothing to img
+            pixels += img
+            np.clip(pixels, 0.0, 1.0, out=out)
 
-    tr_imgs, tr_lab, te_imgs, te_lab = [], [], [], []
-    for cls in range(spec.num_classes):
-        family = cls % 4
-        color = _PALETTE[cls % len(_PALETTE)]
-        for i in range(spec.samples_per_class):
-            img = _render(family, color, h, w, rng)
-            img = img + rng.normal(0.0, spec.noise, size=img.shape)
-            img = np.clip(img, 0.0, 1.0).astype(np.float32)
-            if i < n_train:
-                tr_imgs.append(img)
-                tr_lab.append(cls)
-            else:
-                te_imgs.append(img)
-                te_lab.append(cls)
-
-    train = LabeledDataset(np.stack(tr_imgs), np.array(tr_lab), spec.num_classes)
-    test = LabeledDataset(np.stack(te_imgs), np.array(te_lab), spec.num_classes)
+    train = LabeledDataset(train.reshape(-1, h, w, 3), np.repeat(np.arange(k), n_train), k)
+    test = LabeledDataset(test.reshape(-1, h, w, 3), np.repeat(np.arange(k), n_test), k)
     _check_separation(train)
     return train, test
 

@@ -87,6 +87,13 @@ def test_nested_config_must_be_object(doc):
     {"ratios": [1, 0]},
     {"clf": {"lr": -1.0}},
     {"ae": {"lr": 0.0}},
+    {"synthetic": {"image_size": [32, 32]}},
+    {"synthetic": {"image_size": [32, 32, 1]}},
+    {"synthetic": {"samples_per_class": 0}},
+    {"synthetic": {"noise": -0.05}},
+    {"synthetic": {"num_classes": 9}},  # class 8 would repeat class 0's family and colour
+    {"synthetic": {"num_classes": 4.0}},
+    {"synthetic": {"samples_per_class": 12.0}},
 ])
 def test_config_values_still_checked(doc):
     with pytest.raises(ValueError):

@@ -1,14 +1,19 @@
-"""Print the pinned grid's accuracies and one sha256 over every network it trains.
+"""Print the pinned grid's accuracies, a sha256 of its data and one sha256
+over every network it trains.
 
     python3 tools/grid_digest.py
 
 Runs the benchmark's pinned grid config (``GridWorkload().setup(0)`` from
 ``perfbench/workloads.py``) through ``run_experiment`` on the ``latentwire``
-in this checkout's ``src``. Every ``train._fit`` result is hashed: each
-layer's parameter arrays by key, then the loss and metric histories as
-float64. The digest is the sha256 of the per-network digests in training
-order. A kernel change that keeps every GEMM's operands, layout and
-summation order prints the same digest as its parent.
+in this checkout's ``src``. ``data_sha256`` hashes the bytes of
+``gen_synthetic(GridWorkload().spec, seed=0)``: train images, train labels,
+test images, test labels, in that order, as ``tests/test_data.py`` pins
+them. Every ``train._fit`` result is hashed: each layer's parameter arrays
+by key, then the loss and metric histories as float64. The digest is the
+sha256 of the per-network digests in training order. A kernel change that
+keeps every GEMM's operands, layout and summation order prints the same
+digest as its parent; a data-path change that keeps every byte prints the
+same ``data_sha256``.
 
 Results are bit-reproducible only at a fixed BLAS thread count, so BLAS is
 pinned to one thread before numpy is imported.
@@ -42,6 +47,14 @@ def network_digest(net, hist):
     return h.digest()
 
 
+def data_digest(spec):
+    train, test = lw.gen_synthetic(spec, seed=0)
+    h = hashlib.sha256()
+    for a in (train.images, train.labels, test.images, test.labels):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def main():
     digests = []
     fit = lw.train._fit
@@ -59,6 +72,7 @@ def main():
     for row in sorted(report.rows, key=lambda r: r.cr):
         print(f"cr={row.cr:g} accuracy={row.accuracy}"
               + (f" failed: {row.error}" if row.failed else ""))
+    print(f"data_sha256={data_digest(GridWorkload().spec)}")
     print(f"networks={len(digests)}")
     print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
     return 1 if any(row.failed for row in report.rows) else 0
