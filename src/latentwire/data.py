@@ -64,7 +64,7 @@ _PALETTE = [
 
 @dataclass
 class SyntheticSpec:
-    image_size: tuple = (32, 32, 3)
+    image_size: tuple[int, ...] = (32, 32, 3)
     num_classes: int = 4
     samples_per_class: int = 150
     noise: float = 0.05

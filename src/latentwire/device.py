@@ -18,8 +18,9 @@ from .errors import (
     SinkFailure,
     TooManyDevicesError,
 )
+from .hub import serve_stream
 from .train import TrainConfig, train_autoencoder
-from .wire import ACK_ACCEPTED, UNLABELED, LatentRecord, decode_record, encode_record
+from .wire import ACK_ACCEPTED, UNLABELED, LatentRecord, encode_record
 from .zoo import build_autoencoder
 
 
@@ -113,19 +114,27 @@ def make_devices(train, test, n_devices, mode, rng):
             for i, (tr, te) in enumerate(zip(train_shards, test_shards))]
 
 
+def _require_accepted(ack):
+    """Raise SinkFailure unless `ack` is the one byte ACK_ACCEPTED."""
+    if len(ack) != 1:
+        raise SinkFailure("connection closed before ack")
+    if ack[0] != ACK_ACCEPTED:
+        raise SinkFailure(f"hub rejected record with ack 0x{ack[0]:02x}")
+
+
 @dataclass
 class HubSink:
-    """In-process sink: round-trips each record through the wire codec
-    before handing it to the hub, so encode, decode and their range checks
-    run even without a socket."""
+    """In-process sink: hands each record's frame to the hub through
+    serve_stream, the TCP server's own loop, so scanning, decoding and the
+    ack run on the same path as over a socket."""
 
     hub: object
     split: str
 
     def push(self, record):
-        ack = self.hub.ingest(decode_record(encode_record(record)), self.split)
-        if ack != ACK_ACCEPTED:
-            raise SinkFailure(f"hub rejected record with ack 0x{ack:02x}")
+        ack = bytearray()
+        serve_stream(self.hub, [encode_record(record)], self.split, ack.extend)
+        _require_accepted(ack)
 
 
 class WireClientSink:
@@ -136,11 +145,7 @@ class WireClientSink:
 
     def push(self, record):
         self._sock.sendall(encode_record(record))
-        ack = self._sock.recv(1)
-        if len(ack) != 1:
-            raise SinkFailure("connection closed before ack")
-        if ack[0] != ACK_ACCEPTED:
-            raise SinkFailure(f"server rejected record with ack 0x{ack[0]:02x}")
+        _require_accepted(self._sock.recv(1))
 
     def close(self):
         self._sock.close()

@@ -42,13 +42,13 @@ class ExperimentConfig:
     cifar_dir: str | None = None  # set: the grid runs on CIFAR-10, else on synthetic
     cifar_subset: str | None = None  # "CLASSESxPER_CLASS", e.g. "2x1000"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    ratios: tuple = (1, 4, 8, 16)
+    ratios: tuple[float, ...] = (1, 4, 8, 16)
     family: str = "A"
     n_devices: int = 4
     partition: str = "iid"  # the only value; perfbench and v1 files still name it
     ae: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=12))
     clf: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     jobs: int = 1
 
     def __post_init__(self):
@@ -283,23 +283,45 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **asdict(cfg)}
 
 
+# the JSON values a field of each type takes; a bool is never one of them
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _json_value(value, hint, where):
+    """A JSON `value` as a field typed `hint` holds it: a list becomes a
+    tuple. A value of another type is a ValueError naming `where`."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_json_value(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint]):
+        raise ValueError(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
+
+
 def _merge(base, doc, where):
     """`base` with the fields named in `doc` replaced. Nested dataclasses
-    merge recursively and JSON lists become tuples; the dataclasses'
-    own checks run on the result."""
+    merge recursively; other values must have their field's JSON type. The
+    dataclasses' own checks run on the result."""
     if not isinstance(doc, dict):
         raise ValueError(f"config {where} must be an object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(base)})
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+    hints = typing.get_type_hints(type(base))
     changes = {}
     for name, value in doc.items():
         current = getattr(base, name)
         if is_dataclass(current):
-            value = _merge(current, value, f"{where}.{name}")
-        elif isinstance(value, list):
-            value = tuple(value)
-        changes[name] = value
+            changes[name] = _merge(current, value, f"{where}.{name}")
+        else:
+            changes[name] = _json_value(value, hints[name], f"{where}.{name}")
     return replace(base, **changes)
 
 

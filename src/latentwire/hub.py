@@ -1,6 +1,11 @@
 """Server side: framed ingestion, latent aggregation, and classifier training
 and serving.
 
+Every record reaches a Hub through serve_stream: a FrameScanner splits the
+bytes into frames, decodes each frame once, and Hub.ingest decides its ack.
+The TCP server feeds it a connection's chunks; the in-process HubSink feeds
+it one frame per record.
+
 The hub only ever holds latents. It never receives or stores a device's
 decoder, so it has no way to rebuild the images behind the latents.
 """
@@ -87,7 +92,8 @@ class Hub:
 
 
 def serve_stream(hub, chunks, split, ack_writer=None):
-    """Ingestion loop over an ordered byte source.
+    """The one ingestion loop, over an ordered byte source: a TCP
+    connection's chunks, or HubSink's single frame per record.
 
     Scans frames out of the stream, ingests each, and emits one ack byte per
     frame attempt; garbage between frames is skipped by magic resync.

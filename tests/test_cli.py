@@ -111,6 +111,26 @@ def test_cli_rejects_zero_devices(capsys):
     assert capsys.readouterr().err.startswith("latentwire: error: n_devices must be at least 1")
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"ratios": ["4"]}, "config.ratios[0] must be float"),
+    ({"seeds": 5}, "config.seeds must be a list"),
+    ({"n_devices": "4"}, "config.n_devices must be int"),
+    ({"ae": {"epochs": "3"}}, "config.ae.epochs must be int"),
+], ids=["ratios", "seeds", "n_devices", "ae-epochs"])
+def test_config_value_of_the_wrong_type_is_one_error_line(doc, key, tmp_path,
+                                                          monkeypatch, capsys):
+    def no_training(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_training)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **doc}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"latentwire: error: {key}")
+    assert err.count("\n") == 1 and err.count("latentwire: error:") == 1
+
+
 def test_run_flags_set_the_config(tmp_path, monkeypatch):
     (tmp_path / "batches").mkdir()
     (tmp_path / "work").mkdir()

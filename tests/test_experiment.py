@@ -94,6 +94,11 @@ def test_nested_config_must_be_object(doc):
     {"synthetic": {"num_classes": 9}},  # class 8 would repeat class 0's family and colour
     {"synthetic": {"num_classes": 4.0}},
     {"synthetic": {"samples_per_class": 12.0}},
+    {"cifar_subset": 5},  # values of the wrong JSON type
+    {"jobs": True},
+    {"seeds": [1.5]},
+    {"clf": {"lr": "0.1"}},
+    {"synthetic": {"image_size": "32x32x3"}},
 ])
 def test_config_values_still_checked(doc):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import socket
 import struct
 from types import SimpleNamespace
 
@@ -106,6 +107,30 @@ def test_hub_sink_round_trips_through_codec():
         sink.push(make_record(record=1, label=0x10000))
 
 
+def test_hub_sink_push_runs_the_server_loop(monkeypatch):
+    feeds, decodes = [], []
+    feed, decode = wire.FrameScanner.feed, wire.decode_frame_at
+
+    def counting_feed(scanner, chunk):
+        feeds.append(len(chunk))
+        return feed(scanner, chunk)
+
+    def counting_decode(buf):
+        decodes.append(len(buf))
+        return decode(buf)
+
+    monkeypatch.setattr(wire.FrameScanner, "feed", counting_feed)
+    monkeypatch.setattr(wire, "decode_frame_at", counting_decode)
+    recs = [make_record(record=i, seed=i) for i in range(4)]
+    hub = Hub()
+    sink = HubSink(hub, "train")
+    for rec in recs:
+        sink.push(rec)
+    frame_bytes = [len(encode_record(r)) for r in recs]
+    assert feeds == frame_bytes and decodes == frame_bytes
+    assert hub.records("train") == recs
+
+
 def test_wire_client_pushes_over_loopback():
     recs = [make_record(record=i, seed=i) for i in range(3)]
     hub = Hub()
@@ -116,6 +141,15 @@ def test_wire_client_pushes_over_loopback():
         with pytest.raises(SinkFailure, match="0x06"):
             sink.push(recs[1])
     assert hub.records("test") == recs
+
+
+def test_wire_client_fails_when_the_server_closes_before_acking():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with WireClientSink(*listener.getsockname()) as sink:
+            conn, _ = listener.accept()
+            conn.close()
+            with pytest.raises(SinkFailure, match="closed before ack"):
+                sink.push(make_record())
 
 
 class _AckPipeBroken:

@@ -42,6 +42,8 @@ ENTRY_POINTS = {
     "AutoencoderPair.latent_shape": "the wire workload of the benchmark builds its "
                                     "frame shapes from it",
     "_Handler.handle": "hook that socketserver calls per connection",
+    "decode_record": "one frame to one record; the wire tests decode with it and "
+                     "the benchmark's tracer wraps it by name",
 }
 
 

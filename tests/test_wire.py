@@ -91,10 +91,13 @@ def test_payload_must_match_shape():
 
 
 def test_oversize_fields_rejected():
-    rec = make_record()
-    rec.device_id = 2 ** 32
-    with pytest.raises(OversizeRecordError):
-        encode_record(rec)
+    for name, value, field in (("device_id", 2 ** 32, "device id"),
+                               ("record_id", 2 ** 64, "record id"),
+                               ("label", 2 ** 16, "label")):
+        rec = make_record()
+        setattr(rec, name, value)
+        with pytest.raises(OversizeRecordError, match=f"^{field} {value} exceeds"):
+            encode_record(rec)
 
 
 def test_body_above_frame_bound_rejected():
@@ -157,6 +160,7 @@ def shaped_body(dims, payload_bytes, ndim=None):
 
 # CRC-valid bodies whose shape no record can hold
 BAD_SHAPE_BODIES = {
+    "short-fixed-fields": struct.pack("<IQ", 1, 1),  # 12 of the 15 fixed bytes
     "ndim-0": shaped_body((), 4),
     "ndim-5": shaped_body((1, 1, 1, 1, 1), 4),
     "zero-dim": shaped_body((0, 2), 0),
