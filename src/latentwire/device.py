@@ -9,7 +9,7 @@ decoder once the fit ends and keeps only the encoder.
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .errors import (
     SinkFailure,
     TooManyDevicesError,
 )
-from .hub import serve_stream
+from .hub import ingest_chunk
 from .train import TrainConfig, train_autoencoder
-from .wire import ACK_ACCEPTED, UNLABELED, LatentRecord, encode_record
+from .wire import ACK_ACCEPTED, UNLABELED, FrameScanner, LatentRecord, encode_record
 from .zoo import build_autoencoder
 
 
@@ -115,7 +115,8 @@ def make_devices(train, test, n_devices, mode, rng):
 
 
 def _require_accepted(ack):
-    """Raise SinkFailure unless `ack` is the one byte ACK_ACCEPTED."""
+    """Raise SinkFailure unless `ack`, the ack codes one push drew, is the
+    one code ACK_ACCEPTED."""
     if len(ack) != 1:
         raise SinkFailure("connection closed before ack")
     if ack[0] != ACK_ACCEPTED:
@@ -125,16 +126,17 @@ def _require_accepted(ack):
 @dataclass
 class HubSink:
     """In-process sink: hands each record's frame to the hub through
-    serve_stream, the TCP server's own loop, so scanning, decoding and the
-    ack run on the same path as over a socket."""
+    ingest_chunk, the TCP server's own step, so scanning, decoding and the
+    ack run on the same path as over a socket. Its pushes are one stream,
+    read by one scanner."""
 
     hub: object
     split: str
+    _scanner: FrameScanner = field(default_factory=FrameScanner, init=False, repr=False)
 
     def push(self, record):
-        ack = bytearray()
-        serve_stream(self.hub, [encode_record(record)], self.split, ack.extend)
-        _require_accepted(ack)
+        _require_accepted(ingest_chunk(self.hub, self._scanner, encode_record(record),
+                                       self.split))
 
 
 class WireClientSink:

@@ -1,10 +1,11 @@
 """Server side: framed ingestion, latent aggregation, and classifier training
 and serving.
 
-Every record reaches a Hub through serve_stream: a FrameScanner splits the
+Every record reaches a Hub through ingest_chunk: a FrameScanner splits the
 bytes into frames, decodes each frame once, and Hub.ingest decides its ack.
-The TCP server feeds it a connection's chunks; the in-process HubSink feeds
-it one frame per record.
+serve_stream, the TCP server's loop, runs it over a connection's chunks; the
+in-process HubSink runs it over one frame per record, with one scanner for
+the sink's whole life.
 
 The hub only ever holds latents. It never receives or stores a device's
 decoder, so it has no way to rebuild the images behind the latents.
@@ -91,36 +92,46 @@ class Hub:
         return evaluate(self.classifier, self.assemble(split, num_classes))
 
 
-def serve_stream(hub, chunks, split, ack_writer=None):
-    """The one ingestion loop, over an ordered byte source: a TCP
-    connection's chunks, or HubSink's single frame per record.
+def ingest_chunk(hub, scanner, chunk, split):
+    """The one ingestion step: feed a stream's next chunk to its `scanner`
+    and ingest each record it yields. Returns one ack code per frame
+    attempt, in stream order; garbage between frames draws none."""
+    return [item.ack if isinstance(item, WireDecodeError) else hub.ingest(item, split)
+            for item in scanner.feed(chunk)]
 
-    Scans frames out of the stream, ingests each, and emits one ack byte per
-    frame attempt; garbage between frames is skipped by magic resync.
-    Returns (accepted, rejected) counts.
+
+_ACK_BYTES = [bytes([code]) for code in range(256)]
+
+
+def serve_stream(hub, chunks, split, ack_writer=None):
+    """Ingest an ordered byte source, such as a TCP connection's chunks,
+    with one scanner, and emit one ack byte per frame attempt. Returns
+    (accepted, rejected) counts.
     """
     scanner = FrameScanner()
     accepted = rejected = 0
     for chunk in chunks:
-        for item in scanner.feed(chunk):
-            ack = item.ack if isinstance(item, WireDecodeError) else hub.ingest(item, split)
+        for ack in ingest_chunk(hub, scanner, chunk, split):
             if ack == ACK_ACCEPTED:
                 accepted += 1
             else:
                 rejected += 1
             if ack_writer is not None:
-                ack_writer(bytes([ack]))
+                ack_writer(_ACK_BYTES[ack])
     return accepted, rejected
 
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         def chunks():
+            # one receive buffer per connection; the scanner copies out of it
+            buf = bytearray(65536)
+            view = memoryview(buf)
             while True:
-                data = self.request.recv(65536)
-                if not data:
+                n = self.request.recv_into(buf)
+                if not n:
                     return
-                yield data
+                yield view[:n]
 
         try:
             serve_stream(self.server.hub, chunks(), self.server.split,

@@ -20,6 +20,7 @@ mapped to a 1-byte ack code.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -45,6 +46,11 @@ ACK_DUPLICATE = 0x06
 _HEADER = struct.Struct("<4sBBI")
 _BODY_FIXED = struct.Struct("<IQHB")
 _CRC = struct.Struct("<I")
+_F4 = np.dtype("<f4")
+# by ndim: the dims and dtype tag after the fixed body fields, and all of a
+# frame before its payload (header, fixed fields, dims and tag)
+_DIMS = {n: struct.Struct(f"<{n}IB") for n in range(1, MAX_DIMS + 1)}
+_FRAME_HEAD = {n: struct.Struct(f"<4sBBIIQHB{n}IB") for n in range(1, MAX_DIMS + 1)}
 
 # the one bound on a frame's body: encode_record refuses a larger record and
 # FrameScanner resyncs past a header that declares one instead of waiting for
@@ -91,15 +97,16 @@ class LatentRecord:
     payload: np.ndarray  # flat float32, row-major
 
     def __post_init__(self):
-        self.shape = tuple(int(d) for d in self.shape)
-        self.payload = np.ascontiguousarray(self.payload, dtype="<f4").reshape(-1)
-        if not 1 <= len(self.shape) <= MAX_DIMS:
-            raise ValueError(f"shape must have 1..{MAX_DIMS} dims, got {self.shape}")
-        if any(d < 1 for d in self.shape):
-            raise ValueError(f"dims must be positive, got {self.shape}")
-        n = 1
-        for d in self.shape:
-            n *= d
+        shape = self.shape = tuple(map(int, self.shape))
+        p = self.payload
+        if not (isinstance(p, np.ndarray) and p.dtype == _F4 and p.ndim == 1
+                and p.flags.c_contiguous):
+            self.payload = np.ascontiguousarray(p, dtype=_F4).reshape(-1)
+        if not 1 <= len(shape) <= MAX_DIMS:
+            raise ValueError(f"shape must have 1..{MAX_DIMS} dims, got {shape}")
+        if min(shape) < 1:
+            raise ValueError(f"dims must be positive, got {shape}")
+        n = math.prod(shape)
         if self.payload.size != n:
             raise ValueError(f"payload has {self.payload.size} elements, shape needs {n}")
 
@@ -124,61 +131,69 @@ def encode_record(rec: LatentRecord) -> bytes:
         raise OversizeRecordError(f"record id {rec.record_id} exceeds u64")
     if not 0 <= rec.label <= 0xFFFF:
         raise OversizeRecordError(f"label {rec.label} exceeds u16")
-    body = bytearray()
-    body += _BODY_FIXED.pack(rec.device_id, rec.record_id, rec.label, len(rec.shape))
-    body += struct.pack(f"<{len(rec.shape)}I", *rec.shape)
-    body.append(DTYPE_F32)
-    body += rec.payload.tobytes()
-    if len(body) > MAX_FRAME_BYTES:
+    ndim = len(rec.shape)
+    head = _FRAME_HEAD[ndim]
+    payload = rec.payload  # contiguous <f4, which LatentRecord ensures
+    length = head.size - _HEADER.size + payload.nbytes
+    if length > MAX_FRAME_BYTES:
         raise OversizeRecordError(
-            f"body of {len(body)} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
-    frame = _HEADER.pack(MAGIC, VERSION, 0, len(body)) + bytes(body)
-    return frame + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
+            f"body of {length} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
+    head_bytes = head.pack(MAGIC, VERSION, 0, length, rec.device_id, rec.record_id,
+                           rec.label, ndim, *rec.shape, DTYPE_F32)
+    crc = zlib.crc32(payload, zlib.crc32(head_bytes[_HEADER.size:]))
+    return b"".join((head_bytes, payload, _CRC.pack(crc)))  # the payload's one copy
 
 
-def _parse_body(body: bytes) -> LatentRecord:
-    """Read the body's byte layout; LatentRecord checks the shape it holds."""
-    if len(body) < _BODY_FIXED.size:
-        raise FrameShapeError(f"body of {len(body)} bytes too short for fixed fields")
-    device_id, record_id, label, ndim = _BODY_FIXED.unpack_from(body, 0)
+def _parse_body(buf, off, end) -> LatentRecord:
+    """Read the body in buf[off:end]; LatentRecord checks the shape it holds.
+
+    Binds no view of `buf` to a name: a raised error's traceback keeps this
+    frame's locals alive, and a live view stops a scanner's buffer from
+    resizing."""
+    if end - off < _BODY_FIXED.size:
+        raise FrameShapeError(f"body of {end - off} bytes too short for fixed fields")
+    device_id, record_id, label, ndim = _BODY_FIXED.unpack_from(buf, off)
     if not 1 <= ndim <= MAX_DIMS:
         raise FrameShapeError(f"ndim {ndim} outside 1..{MAX_DIMS}")
-    off = _BODY_FIXED.size
-    if len(body) < off + 4 * ndim + 1:
+    off += _BODY_FIXED.size
+    dims_tag = _DIMS[ndim]
+    if end - off < dims_tag.size:
         raise FrameShapeError("body too short for declared dims")
-    dims = struct.unpack_from(f"<{ndim}I", body, off)
-    off += 4 * ndim
-    dtype = body[off]
-    off += 1
+    *dims, dtype = dims_tag.unpack_from(buf, off)
+    off += dims_tag.size
     if dtype != DTYPE_F32:
         raise FrameShapeError(f"unknown dtype tag {dtype}")
+    count, ragged = divmod(end - off, _F4.itemsize)
+    if ragged:
+        raise FrameShapeError(f"payload of {end - off} bytes is not whole f32s")
     try:
-        payload = np.frombuffer(body, dtype="<f4", offset=off).copy()
-        return LatentRecord(device_id, record_id, label, dims, payload)
-    except ValueError as exc:  # a ragged payload, or one that misfits dims
-        raise FrameShapeError(f"shape {dims}: {exc}") from exc
+        return LatentRecord(device_id, record_id, label, dims,
+                            np.frombuffer(buf, _F4, count, off).copy())
+    except ValueError as exc:  # a payload that misfits dims
+        raise FrameShapeError(f"shape {tuple(dims)}: {exc}") from exc
 
 
-def decode_frame_at(buf):
-    """Decode the frame at the start of `buf`; returns (record, end offset)."""
-    if len(buf) < _HEADER.size:
+def decode_frame_at(buf, start=0):
+    """Decode the frame at offset `start` of `buf`; returns (record, end
+    offset). The payload is copied once, out of `buf` into the record."""
+    if len(buf) - start < _HEADER.size:
         raise TruncatedFrameError("incomplete header")
-    magic, version, flags, length = _HEADER.unpack_from(buf, 0)
+    magic, version, flags, length = _HEADER.unpack_from(buf, start)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {bytes(magic)!r}")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
     if flags != 0:
         raise BadVersionError(f"unknown flags 0x{flags:02x}")
-    body_start = _HEADER.size
-    end = body_start + length + _CRC.size
+    body = start + _HEADER.size
+    crc_at = body + length
+    end = crc_at + _CRC.size
     if len(buf) < end:
-        raise TruncatedFrameError(f"frame needs {end} bytes")
-    body = bytes(buf[body_start:body_start + length])
-    (crc,) = _CRC.unpack_from(buf, body_start + length)
-    if crc != zlib.crc32(body) & 0xFFFFFFFF:
+        raise TruncatedFrameError(f"frame needs {end - start} bytes")
+    (crc,) = _CRC.unpack_from(buf, crc_at)
+    if crc != zlib.crc32(memoryview(buf)[body:crc_at]):
         raise BadCrcError("body checksum mismatch")
-    return _parse_body(body), end
+    return _parse_body(buf, body, crc_at), end
 
 
 def decode_record(buf) -> LatentRecord:
@@ -196,37 +211,48 @@ class FrameScanner:
     fails to decode. Bytes before a magic are discarded silently, and so is
     a magic whose header declares a body above MAX_FRAME_BYTES. After a
     failure or a discarded magic the scan resumes one byte past the magic.
+
+    Each header is parsed once. A frame whose header is sound is decoded
+    once all of it is buffered, so a frame split across chunks is not
+    retried; one whose version or flags are wrong is decoded, and so
+    refused, at once. What stays buffered after a feed is at most one
+    incomplete frame, or a possible magic prefix.
     """
 
     _buf: bytearray = field(default_factory=bytearray)
 
-    def feed(self, chunk: bytes):
-        self._buf += chunk
+    def feed(self, chunk):
+        buf = self._buf
+        buf += chunk
+        size = len(buf)
         items = []
+        pos = 0
         while True:
-            start = self._buf.find(MAGIC)
+            start = buf.find(MAGIC, pos)
             if start < 0:
                 # keep a potential magic prefix at the tail
-                keep = min(len(MAGIC) - 1, len(self._buf))
-                del self._buf[: len(self._buf) - keep]
-                return items
-            if start:
-                del self._buf[:start]
-            if len(self._buf) >= _HEADER.size:
-                _, _, _, length = _HEADER.unpack_from(self._buf, 0)
-                if length > MAX_FRAME_BYTES:
-                    del self._buf[:1]
-                    continue
+                pos = max(pos, size - (len(MAGIC) - 1))
+                break
+            if size - start < _HEADER.size:
+                pos = start  # wait for the rest of the header
+                break
+            _, version, flags, length = _HEADER.unpack_from(buf, start)
+            if length > MAX_FRAME_BYTES:
+                pos = start + 1
+                continue
+            if (version == VERSION and flags == 0
+                    and size - start < _HEADER.size + length + _CRC.size):
+                pos = start  # wait for the rest of the frame
+                break
             try:
-                record, end = decode_frame_at(self._buf)
-            except TruncatedFrameError:
-                return items  # wait for more bytes
+                record, pos = decode_frame_at(buf, start)
             except WireDecodeError as err:
                 items.append(err)
-                del self._buf[:1]
+                pos = start + 1
                 continue
             items.append(record)
-            del self._buf[:end]
+        del buf[:pos]
+        return items
 
     @property
     def pending(self):

@@ -1,9 +1,11 @@
 import socket
 import struct
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latentwire.wire as wire
 from latentwire.device import HubSink, WireClientSink
@@ -20,13 +22,14 @@ from latentwire.wire import (
     ACK_BAD_CRC,
     ACK_DUPLICATE,
     ACK_SHAPE_MISMATCH,
+    MAX_FRAME_BYTES,
     UNLABELED,
     LatentRecord,
     OversizeRecordError,
     encode_record,
 )
 
-from test_wire import BAD_SHAPE_BODIES, frame_around
+from test_wire import BAD_SHAPE_BODIES, CRC_LEN, HEADER_LEN, frame_around
 
 
 def make_record(record=0, device=1, label=3, seed=0):
@@ -42,21 +45,45 @@ def test_ingest_accepts_then_flags_duplicate():
     assert hub.store == [(rec, "train")]
 
 
-def test_serve_stream_decodes_each_frame_once(monkeypatch):
+def counting_decodes(monkeypatch):
+    """Patch wire.decode_frame_at to log each call: the frame length of a
+    decode, or the error it raised."""
     calls = []
     decode = wire.decode_frame_at
 
-    def counting(buf):
-        calls.append(len(buf))
-        return decode(buf)
+    def counting(buf, start=0):
+        try:
+            record, end = decode(buf, start)
+        except wire.WireDecodeError as err:
+            calls.append(err)
+            raise
+        calls.append(end - start)
+        return record, end
 
     monkeypatch.setattr(wire, "decode_frame_at", counting)
+    return calls
+
+
+def test_serve_stream_decodes_each_frame_once(monkeypatch):
+    calls = counting_decodes(monkeypatch)
     recs = [make_record(record=i, seed=i) for i in range(5)]
+    stream = b"".join(encode_record(r) for r in recs)
+    frame_bytes = [len(encode_record(r)) for r in recs]
     hub = Hub()
-    accepted, rejected = serve_stream(
-        hub, [b"".join(encode_record(r) for r in recs)], "train")
+    accepted, rejected = serve_stream(hub, [stream], "train")
     assert (accepted, rejected) == (5, 0)
-    assert len(calls) == len(recs)
+    assert calls == frame_bytes
+    assert hub.records("train") == recs
+
+    # frames that span chunks are decoded once too, never retried as truncated
+    rng = np.random.default_rng(0)
+    cuts = np.cumsum(rng.integers(1, 8, len(stream)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], cuts) if a < len(stream)]
+    assert {len(c) for c in chunks[:-1]} == set(range(1, 8))
+    calls.clear()
+    hub = Hub()
+    assert serve_stream(hub, chunks, "train") == (5, 0)
+    assert calls == frame_bytes
     assert hub.records("train") == recs
 
 
@@ -84,6 +111,69 @@ def test_serve_stream_acks_frames_behind_oversize_header():
     assert counts == (5, 0)
 
 
+def damaged_frame(kind, frame):
+    """`frame` with one kind of damage; "intact" leaves it whole."""
+    b = bytearray(frame)
+    if kind == "crc":
+        b[-1] ^= 0xFF
+    elif kind == "version":
+        b[4] += 1
+    elif kind == "truncated":  # its declared body runs into what follows
+        del b[-16:]
+    elif kind == "magic":
+        b[3] = ord("X")
+    elif kind == "oversize":
+        b[6:10] = struct.pack("<I", MAX_FRAME_BYTES + 1)
+    return bytes(b)
+
+
+STREAM_PARTS = st.lists(
+    st.one_of(st.tuples(st.sampled_from(["intact", "crc", "version", "truncated",
+                                         "magic", "oversize"]), st.integers(1, 40)),
+              st.tuples(st.just("garbage"), st.binary(min_size=1, max_size=60))),
+    max_size=12)
+
+
+def build_stream(parts):
+    """Frames of (n,)-shaped records, damaged or not, and garbage runs."""
+    out = []
+    for i, (kind, arg) in enumerate(parts):
+        if kind == "garbage":
+            out.append(arg)
+        else:
+            rec = LatentRecord(2, i, i % 7, (arg,), np.arange(arg, dtype="<f4") * (i + 1))
+            out.append(damaged_frame(kind, encode_record(rec)))
+    return b"".join(out)
+
+
+@given(STREAM_PARTS, st.lists(st.integers(1, 64), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_serve_stream_is_the_same_in_any_chunking(parts, sizes):
+    stream = build_stream(parts)
+    chunks, at = [], 0
+    while at < len(stream):
+        size = sizes[len(chunks) % len(sizes)]
+        chunks.append(stream[at:at + size])
+        at += size
+    pending = []
+    feed = wire.FrameScanner.feed
+
+    def recording_feed(scanner, chunk):
+        items = feed(scanner, chunk)
+        pending.append(scanner.pending)
+        return items
+
+    results = []
+    with mock.patch.object(wire.FrameScanner, "feed", recording_feed):
+        for source in ([stream], chunks):
+            hub, acks = Hub(), bytearray()
+            counts = serve_stream(hub, source, "train", acks.extend)
+            assert counts == (acks.count(ACK_ACCEPTED), len(acks) - acks.count(ACK_ACCEPTED))
+            results.append((bytes(acks), hub.records("train")))
+    assert results[0] == results[1]
+    assert max(pending, default=0) <= HEADER_LEN + MAX_FRAME_BYTES + CRC_LEN
+
+
 @pytest.mark.parametrize("body", BAD_SHAPE_BODIES.values(), ids=BAD_SHAPE_BODIES.keys())
 def test_serve_stream_acks_bad_shape_and_stores_nothing(body):
     acks = bytearray()
@@ -108,24 +198,21 @@ def test_hub_sink_round_trips_through_codec():
 
 
 def test_hub_sink_push_runs_the_server_loop(monkeypatch):
-    feeds, decodes = [], []
-    feed, decode = wire.FrameScanner.feed, wire.decode_frame_at
+    feeds = []
+    feed = wire.FrameScanner.feed
 
     def counting_feed(scanner, chunk):
         feeds.append(len(chunk))
         return feed(scanner, chunk)
 
-    def counting_decode(buf):
-        decodes.append(len(buf))
-        return decode(buf)
-
     monkeypatch.setattr(wire.FrameScanner, "feed", counting_feed)
-    monkeypatch.setattr(wire, "decode_frame_at", counting_decode)
+    decodes = counting_decodes(monkeypatch)
     recs = [make_record(record=i, seed=i) for i in range(4)]
     hub = Hub()
     sink = HubSink(hub, "train")
     for rec in recs:
         sink.push(rec)
+        assert sink._scanner.pending == 0
     frame_bytes = [len(encode_record(r)) for r in recs]
     assert feeds == frame_bytes and decodes == frame_bytes
     assert hub.records("train") == recs
@@ -159,8 +246,10 @@ class _AckPipeBroken:
     def __init__(self, *chunks):
         self.chunks = list(chunks)
 
-    def recv(self, size):
-        return self.chunks.pop(0) if self.chunks else b""
+    def recv_into(self, buf):
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        buf[:len(chunk)] = chunk
+        return len(chunk)
 
     def sendall(self, data):
         raise BrokenPipeError("peer closed")

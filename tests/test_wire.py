@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -107,6 +108,33 @@ def test_body_above_frame_bound_rejected():
     encode_record(make_record(shape=(payload_max, 1)))
     with pytest.raises(OversizeRecordError):
         encode_record(make_record(shape=(payload_max + 1, 1)))
+
+
+# the latent shapes of a 32x32x3 input at CR 1, 4, 8 and 16
+PINNED_SHAPES = ((32, 32, 3), (16, 16, 3), (8, 8, 6), (8, 8, 3))
+# sha256 of the frames of pinned_records(); any change to the wire bytes moves it
+PINNED_FRAMES_SHA256 = "a1edb5b74c72bd06dcadb6c7be1dfff14d15d0d54e2e61af9782289a452ff449"
+
+
+def pinned_records():
+    recs = []
+    for k, shape in enumerate(PINNED_SHAPES):
+        n = int(np.prod(shape))
+        payload = ((np.arange(n) % 251 - 125) / 8).astype("<f4")
+        recs.append(LatentRecord(k, 1000 + k, k, shape, payload))
+    small = np.array([-0.0, 1.5, np.inf, -2.25], "<f4")
+    recs.append(LatentRecord(0xFFFFFFFF, 2 ** 64 - 1, 0xFFFE, (2, 2), small))
+    recs.append(LatentRecord(7, 8, UNLABELED, (4,), small))
+    return recs
+
+
+def test_frame_bytes_are_pinned():
+    h = hashlib.sha256()
+    for rec in pinned_records():
+        frame = encode_record(rec)
+        assert decode_record(frame) == rec
+        h.update(frame)
+    assert h.hexdigest() == PINNED_FRAMES_SHA256
 
 
 # --- decode errors --------------------------------------------------------------

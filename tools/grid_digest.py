@@ -1,5 +1,5 @@
-"""Print the pinned grid's accuracies, a sha256 of its data and one sha256
-over every network it trains.
+"""Print the pinned grid's accuracies, a sha256 of its data, one sha256
+over every network it trains and one over every frame it pushes.
 
     python3 tools/grid_digest.py
 
@@ -13,7 +13,9 @@ by key, then the loss and metric histories as float64. The digest is the
 sha256 of the per-network digests in training order. A kernel change that
 keeps every GEMM's operands, layout and summation order prints the same
 digest as its parent; a data-path change that keeps every byte prints the
-same ``data_sha256``.
+same ``data_sha256``. ``frames_sha256`` hashes every LTNT frame that
+``encode_record`` builds for the devices' pushes, in push order, so a codec
+change that keeps the wire bytes prints the same value.
 
 Results are bit-reproducible only at a fixed BLAS thread count, so BLAS is
 pinned to one thread before numpy is imported.
@@ -33,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import latentwire as lw  # noqa: E402
+import latentwire.device  # noqa: E402
 import latentwire.train  # noqa: E402
 from workloads import GridWorkload  # noqa: E402
 
@@ -64,17 +67,28 @@ def main():
         digests.append(network_digest(net, hist))
         return net, hist
 
+    frames = hashlib.sha256()
+    encode = lw.device.encode_record
+
+    def hashed_encode(record):
+        frame = encode(record)
+        frames.update(frame)
+        return frame
+
     lw.train._fit = hashed_fit
+    lw.device.encode_record = hashed_encode
     try:
         report = lw.run_experiment(GridWorkload().setup(0))
     finally:
         lw.train._fit = fit
+        lw.device.encode_record = encode
     for row in sorted(report.rows, key=lambda r: r.cr):
         print(f"cr={row.cr:g} accuracy={row.accuracy}"
               + (f" failed: {row.error}" if row.failed else ""))
     print(f"data_sha256={data_digest(GridWorkload().spec)}")
     print(f"networks={len(digests)}")
     print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
+    print(f"frames_sha256={frames.hexdigest()}")
     return 1 if any(row.failed for row in report.rows) else 0
 
 
