@@ -1,46 +1,30 @@
-"""Command-line front end: `run` trains and scores the grid, `serve` ingests
-latents over TCP and `report` re-emits a report that `run` wrote.
+"""Command-line front end. Its one command, `run`, trains and scores the
+grid and writes the report.
 
 `run` builds its grid from the flags over the ExperimentConfig defaults, or,
 with --config, from the file alone: no grid flag may go with it, and keys the
 file leaves out take the defaults. The report goes to --out, by default
-report.csv or report.json after --format. Relative dataset paths resolve
-against $LATENTWIRE_DATA_DIR when the file is not found where given. A
-program error ends the command with one ``latentwire: error:`` line on
-stderr and exit status 2.
+report.csv or report.json after --format. A CIFAR-10 directory, from
+--cifar10-dir or the file's cifar_dir, is kept as given and resolved where
+the grid loads it (see experiment.load_experiment_data). A program error
+ends the command with one ``latentwire: error:`` line on stderr and exit
+status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import LatentWireError
-from .experiment import ExperimentConfig, emit_report, load_config, parse_report, run_experiment
-from .hub import Hub, HubServer
+from .experiment import ExperimentConfig, emit_report, load_config, run_experiment
 from .zoo import FAMILIES
 
-DATA_DIR_ENV = "LATENTWIRE_DATA_DIR"
 # dests of the `run` flags that set the grid; each is None when not given
 GRID_FLAGS = ("cifar10_dir", "cifar10_subset", "ratios", "family", "devices", "seeds",
               "ae_epochs", "clf_epochs", "batch_size", "jobs")
-
-
-def resolve_data_path(path):
-    p = Path(path)
-    if p.exists():
-        return p
-    root = os.environ.get(DATA_DIR_ENV)
-    if root and not p.is_absolute():
-        candidate = Path(root) / p
-        if candidate.exists():
-            return candidate
-    return p
 
 
 def _int_list(text):
@@ -59,7 +43,7 @@ def _experiment_config(args):
         return load_config(args.config)
     cfg = ExperimentConfig()
     if args.cifar10_dir is not None:
-        cfg = replace(cfg, cifar_dir=str(resolve_data_path(args.cifar10_dir)))
+        cfg = replace(cfg, cifar_dir=args.cifar10_dir)
     if args.cifar10_subset is not None:
         cfg = replace(cfg, cifar_subset=args.cifar10_subset)
     if args.ratios is not None:
@@ -99,30 +83,6 @@ def cmd_run(args):
     return 1 if failed else 0
 
 
-def cmd_serve(args):
-    hub = Hub()
-    server = HubServer(hub, split=args.split, host=args.host, port=args.port)
-    server.start()
-    host, port = server.address
-    print(f"ingesting {args.split} latents on {host}:{port} (ctrl-c to stop)")
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        print(f"stored {len(hub.store)} records")
-    return 0
-
-
-def cmd_report(args):
-    report = parse_report(args.input, fmt=args.input_format)
-    emit_report(report, args.out, fmt=args.format)
-    print(f"rewrote {len(report.rows)} rows to {args.out}")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="latentwire",
@@ -146,20 +106,6 @@ def build_parser():
     p.add_argument("--jobs", type=int)
     p.add_argument("--out", help="report path; default report.csv or report.json")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("serve", help="run the latent ingestion server")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--split", choices=("train", "test"), default="train")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("report", help="convert or re-emit a report")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -169,7 +115,7 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        return cmd_run(args)
     except (LatentWireError, ValueError, OSError) as exc:
         print(f"latentwire: error: {exc}", file=sys.stderr)
         return 2

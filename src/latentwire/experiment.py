@@ -1,13 +1,16 @@
 """Benchmark harness: grid of (compression ratio, seed) cells, each running
 the full device -> wire -> hub pipeline, with metric normalization against
-the ratio-1 baseline and CSV/JSON report emission.
+the ratio-1 baseline and CSV/JSON report emission. A relative ``cifar_dir``
+that is not found where given is looked up under $LATENTWIRE_DATA_DIR when
+the grid loads its data; the config keeps the path as given.
 
 File rules. A config file is a JSON object holding ``format`` and
 ``version`` plus the :class:`ExperimentConfig` fields; nested objects hold
 the fields of ``synthetic``, ``ae`` and ``clf``. A key left out takes its
 ``ExperimentConfig()`` default, at any depth, and an unknown key is an error.
 The columns of a CSV report are the :class:`ReportRow` fields in order; an
-empty cell means ``None``.
+empty cell means ``None``. A JSON report holds ``format``, ``version`` and
+``rows``, one object of the ReportRow fields per row.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -35,6 +39,7 @@ CONFIG_FORMAT = "latentwire-config"
 CONFIG_VERSION = 1
 REPORT_FORMAT = "latentwire-report"
 REPORT_VERSION = 1
+DATA_DIR_ENV = "LATENTWIRE_DATA_DIR"
 
 
 @dataclass
@@ -54,8 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:  # SeedSequence takes no negative seed
             raise ValueError(f"seeds must be one or more ints >= 0, got {self.seeds!r}")
-        if any(r <= 0 for r in self.ratios):
-            raise ValueError("ratios must be positive")
+        if not self.ratios or min(self.ratios) <= 0:
+            raise ValueError(f"ratios must be one or more positive numbers, got {self.ratios!r}")
         for name, choices in (("family", FAMILIES), ("partition", ("iid",))):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
@@ -111,12 +116,26 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
 
 
+def resolve_data_path(path):
+    """`path`, or, when it is relative and not found, the same path under
+    $LATENTWIRE_DATA_DIR if it exists there."""
+    p = Path(path)
+    if p.exists():
+        return p
+    root = os.environ.get(DATA_DIR_ENV)
+    if root and not p.is_absolute():
+        candidate = Path(root) / p
+        if candidate.exists():
+            return candidate
+    return p
+
+
 def load_experiment_data(cfg):
     """(name, train, test): CIFAR-10 when cfg.cifar_dir is set, else synthetic."""
     if cfg.cifar_dir is None:
         train, test = gen_synthetic(cfg.synthetic, seed=0)
         return "synthetic", train, test
-    train, test = load_cifar10(cfg.cifar_dir)
+    train, test = load_cifar10(resolve_data_path(cfg.cifar_dir))
     if cfg.cifar_counts:
         train, test = cifar10_subset(train, test, *cfg.cifar_counts)
         return f"cifar10-{cfg.cifar_subset}", train, test
@@ -216,16 +235,6 @@ def normalize_metrics(report: ExperimentReport) -> ExperimentReport:
 # report files
 
 
-def _cell_parser(hint):
-    """Parser for the CSV cells of a field typed `hint`; "" is None for an
-    optional field."""
-    args = typing.get_args(hint)
-    if type(None) not in args:
-        return hint
-    (typ,) = [a for a in args if a is not type(None)]
-    return lambda cell: None if cell == "" else typ(cell)
-
-
 def emit_report(report, path, fmt="csv"):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -243,44 +252,8 @@ def emit_report(report, path, fmt="csv"):
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def parse_report(path, fmt="csv") -> ExperimentReport:
-    path = Path(path)
-    names = [f.name for f in fields(ReportRow)]
-    if fmt == "csv":
-        hints = typing.get_type_hints(ReportRow)
-        parsers = [_cell_parser(hints[name]) for name in names]
-        rows = []
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != names:
-                raise ValueError(f"unexpected report header {header}")
-            for cells in reader:
-                if len(cells) != len(names):
-                    raise ValueError(f"report row has {len(cells)} cells, not {len(names)}")
-                rows.append(ReportRow(*(parse(c) for parse, c in zip(parsers, cells))))
-        return ExperimentReport(rows)
-    if fmt == "json":
-        doc = json.loads(path.read_text())
-        if doc.get("format") != REPORT_FORMAT:
-            raise ValueError("not a latentwire report document")
-        if doc.get("version") != REPORT_VERSION:
-            raise ValueError(f"unsupported report version {doc.get('version')!r}")
-        if set(doc) != {"format", "version", "rows"}:
-            raise ValueError(f"report keys {sorted(doc)} are not format, version and rows")
-        for r in doc["rows"]:
-            if not isinstance(r, dict) or set(r) != set(names):
-                raise ValueError(f"report row {r!r} does not hold exactly the ReportRow fields")
-        return ExperimentReport([ReportRow(**r) for r in doc["rows"]])
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
 # ---------------------------------------------------------------------------
 # config files (versioned JSON of the ExperimentConfig fields)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **asdict(cfg)}
 
 
 # the JSON values a field of each type takes; a bool is never one of them
@@ -332,10 +305,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValueError(f"unsupported config version {doc.get('version')!r}")
     body = {k: v for k, v in doc.items() if k not in ("format", "version")}
     return _merge(ExperimentConfig(), body, "config")
-
-
-def save_config(cfg, path):
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
 
 
 def load_config(path):

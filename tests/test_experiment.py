@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 from dataclasses import replace
@@ -10,6 +11,9 @@ from latentwire.errors import DatasetFormatError
 from latentwire.experiment import (
     CONFIG_FORMAT,
     CONFIG_VERSION,
+    DATA_DIR_ENV,
+    REPORT_FORMAT,
+    REPORT_VERSION,
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
@@ -18,9 +22,7 @@ from latentwire.experiment import (
     load_config,
     load_experiment_data,
     normalize_metrics,
-    parse_report,
     run_experiment,
-    save_config,
 )
 from latentwire.train import TrainConfig
 
@@ -30,7 +32,16 @@ HEADER = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION}
 # --- config files ---------------------------------------------------------------
 
 def test_config_roundtrip_with_nested_values(tmp_path):
-    cfg = ExperimentConfig(
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        **HEADER, "cifar_dir": "/data/cifar", "cifar_subset": "2x100",
+        "synthetic": {"image_size": [16, 16, 3], "num_classes": 3,
+                      "samples_per_class": 12, "noise": 0.1},
+        "ratios": [1, 2.5, 8], "family": "B", "n_devices": 3, "partition": "iid",
+        "ae": {"epochs": 2, "batch_size": 8, "lr": 0.01, "seed": 0},
+        "clf": {"epochs": 4, "batch_size": 32, "lr": None},
+        "seeds": [1, 2], "jobs": 2}))
+    assert load_config(path) == ExperimentConfig(
         cifar_dir="/data/cifar", cifar_subset="2x100",
         synthetic=SyntheticSpec(image_size=(16, 16, 3), num_classes=3,
                                 samples_per_class=12, noise=0.1),
@@ -38,9 +49,6 @@ def test_config_roundtrip_with_nested_values(tmp_path):
         ae=TrainConfig(epochs=2, batch_size=8, lr=0.01),
         clf=TrainConfig(epochs=4),
         seeds=(1, 2), jobs=2)
-    path = tmp_path / "cfg.json"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
 
 
 def test_partial_config_keeps_defaults():
@@ -82,7 +90,9 @@ def test_nested_config_must_be_object(doc):
 
 @pytest.mark.parametrize("doc", [
     {"seeds": []},
+    {"ratios": []},
     {"ae": {"epochs": -1}},
+    {"ae": {"batch_size": 0}},
     {"synthetic": {"num_classes": 1}},
     {"ratios": [1, 0]},
     {"clf": {"lr": -1.0}},
@@ -134,48 +144,43 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_report_roundtrip_keeps_failed_rows(tmp_path, fmt):
-    path = tmp_path / f"report.{fmt}"
-    emit_report(ExperimentReport(list(ROWS)), path, fmt=fmt)
-    back = parse_report(path, fmt=fmt).rows
-    assert back == ROWS
-    assert [r.failed for r in back] == [False, False, True]
-
-
-def test_csv_report_rejects_ragged_row(tmp_path):
+def test_csv_report_is_pinned(tmp_path):
+    # the header is the ReportRow fields in order; None is an empty cell
     path = tmp_path / "report.csv"
-    emit_report(ExperimentReport(ROWS[:1]), path)
-    path.write_text(path.read_text() + "synthetic,4.0,0\n")
-    with pytest.raises(ValueError, match="cells"):
-        parse_report(path)
+    emit_report(ExperimentReport(list(ROWS)), path)
+    with path.open(newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["dataset", "cr", "seed", "accuracy", "params", "train_s", "test_s",
+             "acc_norm", "params_norm", "train_norm", "test_norm", "error"],
+            ["synthetic", "1.0", "0", "0.875", "12386", "1.25", "0.0625",
+             "1.0", "1.0", "1.0", "1.0", ""],
+            ["synthetic", "4.0", "0", "0.8123456789012345", "3138", "0.30000000000000004",
+             "0.03", "0.9283950616014109", "0.25335055708057486", "0.24000000000000005",
+             "0.48", ""],
+            ["synthetic", "8.0", "0", "", "", "", "", "", "", "", "",
+             "sink failed after 3 records: boom"],
+        ]
 
 
-def _edited_json_report(tmp_path, edit):
+def test_json_report_is_pinned(tmp_path):
     path = tmp_path / "report.json"
-    emit_report(ExperimentReport(ROWS[:1]), path, fmt="json")
+    emit_report(ExperimentReport(list(ROWS)), path, fmt="json")
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def test_json_report_version_checked(tmp_path):
-    path = _edited_json_report(tmp_path, lambda doc: doc.update(version=7))
-    with pytest.raises(ValueError, match="version"):
-        parse_report(path, fmt="json")
-
-
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["rows"][0].update(acc=0.5),
-    lambda doc: doc["rows"][0].pop("seed"),
-    lambda doc: doc.update(notes="x"),
-    lambda doc: doc.pop("rows"),
-], ids=["unknown-row-key", "missing-row-key", "unknown-key", "missing-rows"])
-def test_json_report_keys_checked(tmp_path, edit):
-    path = _edited_json_report(tmp_path, edit)
-    with pytest.raises(ValueError, match="keys|fields"):
-        parse_report(path, fmt="json")
+    assert list(doc) == ["format", "version", "rows"]
+    assert (doc["format"], doc["version"]) == (REPORT_FORMAT, REPORT_VERSION) == (
+        "latentwire-report", 1)
+    assert doc["rows"] == [
+        {"dataset": "synthetic", "cr": 1.0, "seed": 0, "accuracy": 0.875, "params": 12386,
+         "train_s": 1.25, "test_s": 0.0625, "acc_norm": 1.0, "params_norm": 1.0,
+         "train_norm": 1.0, "test_norm": 1.0, "error": None},
+        {"dataset": "synthetic", "cr": 4.0, "seed": 0, "accuracy": 0.8123456789012345,
+         "params": 3138, "train_s": 0.30000000000000004, "test_s": 0.03,
+         "acc_norm": 0.9283950616014109, "params_norm": 0.25335055708057486,
+         "train_norm": 0.24000000000000005, "test_norm": 0.48, "error": None},
+        {"dataset": "synthetic", "cr": 8.0, "seed": 0, "accuracy": None, "params": None,
+         "train_s": None, "test_s": None, "acc_norm": None, "params_norm": None,
+         "train_norm": None, "test_norm": None, "error": "sink failed after 3 records: boom"},
+    ]
 
 
 def test_unknown_report_format(tmp_path):
@@ -242,11 +247,16 @@ def test_load_experiment_data_reads_cifar10(cifar_dir):
     assert np.bincount(test.labels).tolist() == [1, 1]  # 3 // 5, at least 1
 
 
-def test_cifar10_needs_a_directory_at_run_time(tmp_path):
+def test_cifar10_needs_a_directory_at_run_time(tmp_path, monkeypatch):
     # cifar_dir alone selects CIFAR-10; a directory without the batches
     # fails when the data loads, not silently on synthetic data
     with pytest.raises(DatasetFormatError, match="missing batch file"):
         load_experiment_data(ExperimentConfig(cifar_dir=str(tmp_path)))
+    # a relative directory found nowhere, $LATENTWIRE_DATA_DIR included, is named as given
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DatasetFormatError, match="missing batch file no-such-dir/"):
+        load_experiment_data(ExperimentConfig(cifar_dir="no-such-dir"))
     assert load_experiment_data(ExperimentConfig())[0] == "synthetic"
 
 

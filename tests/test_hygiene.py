@@ -37,7 +37,8 @@ ENTRY_POINTS = {
     "WireClientSink": "the wire's TCP client; the benchmark drives it",
     "DeviceNode.encode": "the device's per-sample encode call; the serve workload drives it",
     "Hub.predict": "the hub's per-sample serving call; the benchmark drives it",
-    "save_config": "the writer for load_config's file format",
+    "HubServer": "the hub's TCP server; the wire workload drives them",
+    "HubServer.address": "the server's bound (host, port); the wire workload drives them",
     "FrameScanner.pending": "bytes still buffered; the wire tests check resync by it",
     "AutoencoderPair.latent_shape": "the wire workload of the benchmark builds its "
                                     "frame shapes from it",
