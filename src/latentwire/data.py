@@ -22,9 +22,6 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.images) != len(self.labels):
-            raise DatasetFormatError(
-                f"{len(self.images)} images vs {len(self.labels)} labels")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise LabelRangeError(
                 f"labels must lie in [0,{self.num_classes})")

@@ -1,9 +1,11 @@
 """Simulated edge devices: local shards, per-device autoencoders, and latent
 export through a sink (in-process hub or wire client).
 
-Only latents leave a device. Its decoder never does: a hub holding the
-decoders could rebuild the images from the latents. The device drops the
-decoder once the fit ends and keeps only the encoder.
+Only latents leave a device. At CR=1 the autoencoder has no layers, so a
+latent is the image itself as f32. For CR > 1 the decoder never leaves the
+device: the device drops it once the fit ends and keeps only the encoder.
+That keeps the ready-made inverse away from the hub; it does not make the
+latents impossible to invert.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class DeviceNode:
     encoder Network. Its records carry the encoder's latents; the decoder
     trained beside it is dropped when the fit ends."""
 
-    def __init__(self, device_id, train_data, test_data=None):
+    def __init__(self, device_id, train_data, test_data):
         self.device_id = int(device_id)
         self.data = {"train": train_data, "test": test_data}
         self._encoder = None
@@ -53,8 +55,6 @@ class DeviceNode:
         ids keep counting.
         """
         local = self.data["train"]
-        if local is None or len(local) == 0:
-            raise NotFittedError(f"device {self.device_id} has no local data")
         pair = build_autoencoder(local.sample_shape, cr)
         seed = int(np.random.SeedSequence([cfg.seed, self.device_id]).generate_state(1)[0])
         self._encoder, _, history = train_autoencoder(
@@ -85,8 +85,6 @@ class DeviceNode:
         export and reports how many records made it out."""
         self._require_fit()
         data = self.data[split]
-        if data is None:
-            raise ValueError(f"device {self.device_id} holds no {split!r} split")
         latents = self._encoder.infer(np.asarray(data.images, dtype=np.float32))
         emitted = 0
         for latent, label in zip(latents, data.labels):

@@ -10,14 +10,8 @@ class ShapeMismatchError(LatentWireError):
 
 
 class InvalidGeometryError(LatentWireError):
-    """A layer cannot be applied to its input shape.
-
-    Carries the index of the offending layer when raised during a shape walk.
-    """
-
-    def __init__(self, message, layer_index=None):
-        super().__init__(message)
-        self.layer_index = layer_index
+    """A layer cannot be applied to its input shape; raised during a shape
+    walk, the message names the offending layer's index."""
 
 
 class UnachievableRatioError(LatentWireError):

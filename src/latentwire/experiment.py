@@ -59,8 +59,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:  # SeedSequence takes no negative seed
             raise ValueError(f"seeds must be one or more ints >= 0, got {self.seeds!r}")
-        if not self.ratios or min(self.ratios) <= 0:
-            raise ValueError(f"ratios must be one or more positive numbers, got {self.ratios!r}")
+        if not (self.ratios and all(0 < r < np.inf for r in self.ratios)):  # NaN fails too
+            raise ValueError(f"ratios must be one or more finite positive numbers, "
+                             f"got {self.ratios!r}")
         for name, choices in (("family", FAMILIES), ("partition", ("iid",))):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "

@@ -7,8 +7,10 @@ serve_stream, the TCP server's loop, runs it over a connection's chunks; the
 in-process HubSink runs it over one frame per record, with one scanner for
 the sink's whole life.
 
-The hub only ever holds latents. It never receives or stores a device's
-decoder, so it has no way to rebuild the images behind the latents.
+The hub only ever holds latents; it never receives or stores a device's
+decoder. At CR=1 the autoencoder has no layers, so each record is the image
+itself as f32. For CR > 1 what the design provides is that the decoder never
+leaves the device; that does not make the latents impossible to invert.
 """
 
 from __future__ import annotations
@@ -165,10 +167,12 @@ class HubServer:
         return self
 
     def stop(self):
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop serving and close the socket; shutdown waits for a
+        serve_forever loop, so only a started server runs it."""
         if self._thread:
+            self._server.shutdown()
             self._thread.join()
+        self._server.server_close()
 
     def __enter__(self):
         return self.start()

@@ -9,10 +9,7 @@ def _fans(shape):
     if len(shape) == 4:  # conv (K, K, C_in, F)
         k, _, c, f = shape
         return k * k * c, k * k * f
-    if len(shape) == 2:  # dense (N, M)
-        return shape[0], shape[1]
-    n = int(np.prod(shape))
-    return n, n
+    return shape[0], shape[1]  # dense (N, M)
 
 
 def glorot_limit(shape):
@@ -21,9 +18,7 @@ def glorot_limit(shape):
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-def glorot_uniform(shape, rng, dtype=np.float32):
-    """Uniform on [-L, L] with L = glorot_limit(shape)."""
-    if not shape:
-        raise ValueError("shape must be nonempty")
+def glorot_uniform(shape, rng):
+    """float32 uniform on [-L, L] with L = glorot_limit(shape)."""
     limit = glorot_limit(shape)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)

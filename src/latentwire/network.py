@@ -21,12 +21,7 @@ class Network:
 
     def __init__(self, spec: ModelSpec, params=None, rng=None):
         self.spec = spec
-        if params is not None:
-            self.params = params
-        else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            self.params = self._init_params(rng)
+        self.params = params if params is not None else self._init_params(rng)
 
     def _init_params(self, rng):
         shapes = infer_shapes(self.spec)

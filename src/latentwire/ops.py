@@ -9,6 +9,11 @@ C-contiguous, so the element-wise ops that follow run over contiguous
 memory. All math preserves the input dtype, so suites that need double
 precision simply pass float64 arrays.
 
+Network hands each op the rank, weights, biases, padding and dropout rate
+that it built from the spec, so the ops do not check them again. They
+refuse only operands that disagree (channels, dense widths), a kernel or
+pool larger than its input, an unknown activation and a reused cache.
+
 One layer geometry: pooling is 2x2 max pooling at stride 2, upsampling
 repeats each pixel 2x2, and the activations are relu and sigmoid; a
 classifier ends in a dense layer and emits logits, whose softmax only the
@@ -31,7 +36,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CacheError, InvalidGeometryError, ShapeMismatchError
 
-ACTIVATIONS = ("relu", "sigmoid")
 # up to this many channels * K * K, one GEMM over the materialized K x K
 # windows beats K*K shifted GEMMs
 _WINDOW_MAX = 72
@@ -54,11 +58,6 @@ class LayerCache:
         return self.data
 
 
-def _check_rank(x, ndim):
-    if x.ndim != ndim:
-        raise ShapeMismatchError(f"expected a rank-{ndim} batch, got shape {x.shape}")
-
-
 def conv2d(x, w, b, padding="valid"):
     """2-D cross-correlation at stride 1 with per-filter bias.
 
@@ -66,21 +65,14 @@ def conv2d(x, w, b, padding="valid"):
     "same" gives (N,H,W,F), reading (K-1)//2 zeros before and K-1-(K-1)//2
     after the input on each axis, so an even K pads one more after.
     """
-    if w.ndim != 4 or w.shape[0] != w.shape[1]:
-        raise ShapeMismatchError(f"conv weights must be (K,K,C,F), got {w.shape}")
-    _check_rank(x, 4)
     _, h, wd, c = x.shape
-    k, _, wc, f = w.shape
+    k, _, wc, _ = w.shape
     if wc != c:
         raise ShapeMismatchError(f"input has {c} channels, weights expect {wc}")
-    if b.shape != (f,):
-        raise ShapeMismatchError(f"bias shape {b.shape} != ({f},)")
     if padding == "same":
         lead, pad = (k - 1) // 2, k - 1
-    elif padding == "valid":
+    else:  # valid
         lead = pad = 0
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
     if k > h + pad or k > wd + pad:
         raise InvalidGeometryError(f"kernel {k} exceeds padded input {h}x{wd}")
     if pad:
@@ -162,7 +154,6 @@ def _conv2d_backward(data, g, need_dx):
 def maxpool2d(x):
     """2x2 max pooling at stride 2, dropping an odd last row or column, which
     no window covers; the cache keeps the input and the output."""
-    _check_rank(x, 4)
     h, wd = x.shape[1], x.shape[2]
     if h < 2 or wd < 2:
         raise InvalidGeometryError(f"2x2 pool exceeds input {h}x{wd}")
@@ -203,7 +194,6 @@ def _maxpool2d_backward(data, g):
 
 def upsample2d(x):
     """Nearest-neighbour upsampling: each pixel becomes a 2x2 block."""
-    _check_rank(x, 4)
     y = x.repeat(2, axis=1).repeat(2, axis=2)
     return y, LayerCache("upsample2d", in_shape=x.shape)
 
@@ -221,11 +211,8 @@ def _upsample2d_backward(data, g):
 
 def dense(x, w, b):
     """Affine map x @ w + b; x is (N,D), w is (D,M)."""
-    _check_rank(x, 2)
     if w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatchError(f"dense input {x.shape[1]} vs weights {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeMismatchError(f"bias shape {b.shape} != ({w.shape[1]},)")
     return x @ w + b, LayerCache("dense", x=x, w=w)
 
 
@@ -267,12 +254,8 @@ def _activation_backward(data, g):
 
 def dropout(x, rate, rng=None, training=False):
     """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if not training or rate == 0.0:
         return x, LayerCache("dropout", mask=None, scale=1.0)
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     mask = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     y = x * mask * np.asarray(scale, dtype=x.dtype)

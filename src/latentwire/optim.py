@@ -29,12 +29,6 @@ class OptimizerState:
                 raise ShapeMismatchError(
                     f"optimizer tracks {len(self.slots)} tensors, got {len(params)}"
                 )
-            for slot, p in zip(self.slots, params):
-                for acc in slot.values():
-                    if acc.shape != p.shape:
-                        raise ShapeMismatchError(
-                            f"accumulator {acc.shape} vs parameter {p.shape}"
-                        )
             return
         for p in params:
             if self.algorithm == "rmsprop":
@@ -55,9 +49,7 @@ def make_optimizer(algorithm, lr=None):
 def optimizer_step(state, params, grads):
     """Apply one update step in place to aligned lists of parameter and
     gradient arrays."""
-    if len(params) != len(grads):
-        raise ShapeMismatchError(f"{len(params)} params vs {len(grads)} grads")
-    for p, g in zip(params, grads):
+    for p, g in zip(params, grads, strict=True):
         if p.shape != g.shape:
             raise ShapeMismatchError(f"param {p.shape} vs grad {g.shape}")
     state._ensure_slots(params)

@@ -112,9 +112,6 @@ def train_classifier(spec, data, cfg):
 
     Adam fits weights drawn fresh from cfg.seed.
     """
-    if tuple(data.sample_shape) != spec.input_shape:
-        raise ShapeMismatchError(
-            f"samples {data.sample_shape} vs model input {spec.input_shape}")
     return _fit(spec, data.images, data.labels, cfg, "adam")
 
 

@@ -9,6 +9,11 @@ Every model has one layer geometry: KERNEL x KERNEL convs at stride 1 with
 "valid" or "same" padding, 2x2 max pools at stride 2 and 2x upsampling.
 A classifier ends in ``dense(num_classes)`` and emits logits; training takes
 softmax cross entropy on them and inference takes their argmax.
+
+Specs come only from the layer helpers and the builders below, so a
+LayerSpec checks nothing itself, and the shape walk refuses only a conv or
+pool that no longer fits its input: that refusal is how a classifier finds
+its feasible trunk.
 """
 
 from __future__ import annotations
@@ -18,23 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidGeometryError, UnachievableRatioError
-from .ops import ACTIVATIONS
 
-KINDS = ("conv2d", "maxpool", "upsample", "dense", "activation", "dropout", "flatten")
 FAMILIES = ("A", "B")  # classifier families
 HIDDEN_WIDTH = 32  # channels of the autoencoder's inner convs
 KERNEL = 3  # side of every conv kernel
-
-_REQUIRED = {
-    "conv2d": ("filters", "padding"),
-    "maxpool": (),
-    "upsample": (),
-    "dense": ("width",),
-    "activation": ("fn",),
-    "dropout": ("rate",),
-    "flatten": (),
-}
-_GEOMETRY = ("filters", "padding", "width", "fn", "rate")
 
 
 @dataclass(frozen=True)
@@ -45,23 +37,6 @@ class LayerSpec:
     width: int | None = None
     fn: str | None = None
     rate: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        required = _REQUIRED[self.kind]
-        for name in _GEOMETRY:
-            value = getattr(self, name)
-            if name in required and value is None:
-                raise ValueError(f"{self.kind} layer needs {name}")
-            if name not in required and value is not None:
-                raise ValueError(f"{self.kind} layer does not take {name}")
-        if self.kind == "activation" and self.fn not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.fn!r}")
-        if self.kind == "conv2d" and self.padding not in ("valid", "same"):
-            raise ValueError(f"conv padding must be valid|same, got {self.padding!r}")
-        if self.kind == "dropout" and not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0,1), got {self.rate}")
 
 
 def conv(filters, padding="valid"):
@@ -104,27 +79,20 @@ class ModelSpec:
 
 def _layer_out(shape, layer, index):
     if layer.kind in ("conv2d", "maxpool", "upsample"):
-        if len(shape) != 3:
-            raise InvalidGeometryError(
-                f"layer {index} ({layer.kind}) needs HxWxC input, got {shape}", index)
         h, w, c = shape
         if layer.kind == "conv2d":
             if layer.padding == "same":
                 return (h, w, layer.filters)
             if h < KERNEL or w < KERNEL:
                 raise InvalidGeometryError(
-                    f"layer {index}: conv {KERNEL}x{KERNEL} does not fit {h}x{w}", index)
+                    f"layer {index}: conv {KERNEL}x{KERNEL} does not fit {h}x{w}")
             return (h - KERNEL + 1, w - KERNEL + 1, layer.filters)
         if layer.kind == "maxpool":
             if h < 2 or w < 2:
-                raise InvalidGeometryError(
-                    f"layer {index}: 2x2 pool exceeds {h}x{w}", index)
+                raise InvalidGeometryError(f"layer {index}: 2x2 pool exceeds {h}x{w}")
             return (h // 2, w // 2, c)
         return (2 * h, 2 * w, c)
     if layer.kind == "dense":
-        if len(shape) != 1:
-            raise InvalidGeometryError(
-                f"layer {index}: dense needs a flat input, got {shape}", index)
         return (layer.width,)
     if layer.kind == "flatten":
         return (int(math.prod(shape)),)
@@ -153,18 +121,6 @@ def count_parameters(spec):
     return total
 
 
-def compression_ratio(input_shape, code_shape):
-    """elements(input) / elements(code) as an exact rational."""
-    return Fraction(math.prod(input_shape), math.prod(code_shape))
-
-
-def _as_fraction(cr):
-    frac = Fraction(cr)
-    if frac <= 0:
-        raise UnachievableRatioError(f"compression ratio must be positive, got {cr}")
-    return frac
-
-
 @dataclass(frozen=True)
 class AutoencoderPair:
     encoder: ModelSpec
@@ -183,7 +139,7 @@ def build_autoencoder(input_shape, cr):
     degenerates to identity pass-through (no layers at all).
     """
     h, w, c = (int(d) for d in input_shape)
-    requested = _as_fraction(cr)
+    requested = Fraction(cr)
     if requested == 1:
         enc = ModelSpec((), (h, w, c))
         return AutoencoderPair(enc, enc)
@@ -213,12 +169,6 @@ def build_autoencoder(input_shape, cr):
 
     enc = ModelSpec(tuple(enc_layers), (h, w, c))
     dec = ModelSpec(tuple(dec_layers), latent)
-    achieved = compression_ratio((h, w, c), latent)
-    if achieved != requested:
-        raise UnachievableRatioError(
-            f"built ratio {achieved} != requested {requested}")
-    assert infer_shapes(enc)[-1] == latent
-    assert infer_shapes(dec)[-1] == (h, w, c)
     return AutoencoderPair(enc, dec)
 
 
@@ -263,8 +213,6 @@ def build_vanilla_classifier(input_shape, family, num_classes):
         raise ValueError(f"unknown classifier family {family!r}")
 
     kept, shape = _feasible_prefix(trunk, (h, w, c))
-    if not any(l.kind == "conv2d" for l in kept):
-        raise InvalidGeometryError(f"first conv block does not fit {h}x{w}x{c}")
     features = math.prod(shape)
     if features < num_classes:
         raise InvalidGeometryError(

@@ -113,6 +113,18 @@ def test_cli_subset_selects_cifar10_and_needs_a_directory(monkeypatch, capsys):
     assert (cfg.cifar_subset, cfg.cifar_dir) == ("2x3", "batches")
 
 
+@pytest.mark.parametrize("ratios", ["1,inf", "1,nan"])
+def test_cli_rejects_a_non_finite_ratio_before_any_cell(ratios, monkeypatch, capsys):
+    def no_training(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_training)
+    assert main(["run", "--ratios", ratios, "--ae-epochs", "0", "--clf-epochs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latentwire: error: ratios must be one or more finite positive")
+    assert err.count("\n") == 1
+
+
 def test_cli_rejects_zero_devices(capsys):
     assert main(["run", "--devices", "0"]) == 2
     assert capsys.readouterr().err.startswith("latentwire: error: n_devices must be at least 1")

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,8 @@ def test_nested_config_must_be_object(doc):
     {"seeds": [1.5]},
     {"clf": {"lr": "0.1"}},
     {"synthetic": {"image_size": "32x32x3"}},
+    {"ratios": [1, math.inf]},  # what json.loads makes of Infinity and NaN
+    {"ratios": [math.nan]},
 ])
 def test_config_values_still_checked(doc):
     with pytest.raises(ValueError):

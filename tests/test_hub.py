@@ -1,5 +1,6 @@
 import socket
 import struct
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -267,6 +268,16 @@ def test_handler_keeps_the_record_when_the_ack_pipe_breaks():
         with WireClientSink(*server.address) as sink:
             sink.push(make_record(record=2))
     assert [r.record_id for r in hub.records("train")] == [0, 1, 2]
+
+
+def test_stop_without_start_returns_and_closes_the_socket():
+    # shutdown() waits for a serve_forever loop, and an unstarted server has none
+    server = HubServer(Hub())
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    assert server._server.fileno() == -1
 
 
 def test_evaluate_empty_split_scores_zero():

@@ -1,12 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "latentwire"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "latentwire"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -163,3 +165,19 @@ def test_every_shared_name_is_listed():
     Names shared with foreign attributes, such as numpy's ``.shape``, are
     out of scope: the bare-name checks cannot tell those reads apart."""
     assert shared_names(sorted(PACKAGE.glob("*.py"))) == sorted(SHARED_NAMES)
+
+
+def test_every_not_run_entry_names_a_line_that_exists():
+    """tools/line_reach.py traces the suite to find unrun lines; this static
+    half fails as soon as a change deletes or rewrites a line that its
+    NOT_RUN allowlist still names, without tracing."""
+    spec = importlib.util.spec_from_file_location("line_reach", ROOT / "tools" / "line_reach.py")
+    line_reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(line_reach)
+    listed = Counter((name, text) for name, text, _ in line_reach.NOT_RUN)
+    stale = []
+    for (name, text), n in sorted(listed.items()):
+        lines = [line.strip() for line in (PACKAGE / name).read_text().splitlines()]
+        if lines.count(text) < n:
+            stale.append((name, text))
+    assert stale == []

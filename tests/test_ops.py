@@ -510,10 +510,11 @@ def test_glorot_deterministic_for_seed():
 
 
 def test_glorot_sample_mean_near_zero():
-    w = glorot_uniform((100_000,), rng(10), dtype=np.float64)
-    limit = glorot_limit((100_000,))
-    stderr = limit / np.sqrt(3 * 100_000)
-    assert abs(w.mean()) < 3 * stderr
+    w = glorot_uniform((400, 250), rng(10))
+    assert w.dtype == np.float32
+    limit = glorot_limit((400, 250))
+    stderr = limit / np.sqrt(3 * w.size)
+    assert abs(w.mean(dtype=np.float64)) < 3 * stderr
 
 
 def test_glorot_conv_fans():

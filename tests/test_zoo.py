@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from latentwire.zoo import (
     ModelSpec,
     build_autoencoder,
     build_vanilla_classifier,
-    compression_ratio,
     conv,
     count_parameters,
     dense,
@@ -27,7 +27,7 @@ def test_cifar_shape_cr4_latent():
     pair = build_autoencoder((32, 32, 3), 4)
     assert pair.latent_shape == (16, 16, 3)
     assert int(np.prod(pair.latent_shape)) == 3072 // 4
-    assert compression_ratio((32, 32, 3), pair.latent_shape) == 4
+    assert Fraction(math.prod((32, 32, 3)), math.prod(pair.latent_shape)) == 4
 
 
 def test_cifar_shape_cr8_needs_two_stages():
@@ -73,7 +73,7 @@ def test_achieved_ratio_always_exact(shape, cr):
         pair = build_autoencoder(shape, cr)
     except UnachievableRatioError:
         return
-    assert compression_ratio(shape, pair.latent_shape) == Fraction(cr)
+    assert Fraction(math.prod(shape), math.prod(pair.latent_shape)) == Fraction(cr)
 
 
 # --- split/compose -----------------------------------------------------------
@@ -95,7 +95,8 @@ def test_split_compose_bitwise():
 def test_maxpool_cache_shares_the_relu_output(family):
     # the pool keeps its input for the backward; were it a copy of the relu
     # output and not the same array, every training batch would hold both
-    net = Network(build_vanilla_classifier((16, 16, 3), family, 4))
+    net = Network(build_vanilla_classifier((16, 16, 3), family, 4),
+                  rng=np.random.default_rng(0))
     x = np.random.default_rng(0).random((4, 16, 16, 3)).astype(np.float32)
     _, caches = net.forward(x, return_caches=True)
     pools = [i for i, layer in enumerate(net.spec.layers) if layer.kind == "maxpool"]
@@ -152,6 +153,20 @@ def test_family_a_infeasible_input():
         build_vanilla_classifier((2, 2, 3), "A", 10)
 
 
+def test_unknown_family_rejected():
+    # Hub.train_classifier hands a caller's family straight in
+    with pytest.raises(ValueError, match="unknown classifier family 'C'"):
+        build_vanilla_classifier((16, 16, 3), "C", 4)
+
+
+def test_more_classes_than_trunk_features_rejected():
+    # Hub.assemble derives the class count from wire labels; a 3x3 input
+    # keeps one conv, whose 1x1x32 output cannot separate 40 classes
+    with pytest.raises(InvalidGeometryError,
+                       match="trunk leaves 32 features for 40 classes"):
+        build_vanilla_classifier((3, 3, 1), "A", 40)
+
+
 def test_shape_walk_matches_hand_oracle():
     spec = build_vanilla_classifier((32, 32, 3), "A", 10)
     shapes = infer_shapes(spec)
@@ -170,9 +185,8 @@ def test_infer_shapes_empty_spec():
 
 def test_infer_shapes_reports_failing_layer_index():
     spec = ModelSpec((conv(8), conv(8), conv(8)), (4, 4, 1))
-    with pytest.raises(InvalidGeometryError) as exc:
-        infer_shapes(spec)
-    assert exc.value.layer_index == 1  # 4->2, then 3x3 no longer fits
+    with pytest.raises(InvalidGeometryError, match="layer 1"):
+        infer_shapes(spec)  # 4->2, then 3x3 no longer fits
 
 
 # --- parameter counting ----------------------------------------------------------
@@ -199,15 +213,6 @@ def test_param_counts_non_increasing_in_cr():
         counts = [count_parameters(build_vanilla_classifier(latents[cr], family, 10))
                   for cr in (1, 4, 8, 16)]
         assert all(a >= b for a, b in zip(counts, counts[1:])), (family, counts)
-
-
-# --- compression ratio -------------------------------------------------------------
-
-def test_compression_ratio_values():
-    assert compression_ratio((32, 32, 3), (16, 16, 3)) == 4
-    assert compression_ratio((8, 8, 3), (8, 8, 3)) == 1
-    assert compression_ratio((256, 256, 3), (64, 64, 6)) == 8
-
 
 
 def test_builders_are_pure():

@@ -32,85 +32,6 @@ TIER1_ARGS = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # A text that stands on several unrun lines of a file is listed once per line.
 NOT_RUN = [
     ("cli.py", "sys.exit(main())", "runs only when cli.py is run as a script; tests call main"),
-    ("data.py", "raise DatasetFormatError(",
-     "images and labels of unequal length; every LabeledDataset in src is built from "
-     "one source"),
-    ("data.py", 'f"{len(self.images)} images vs {len(self.labels)} labels")',
-     "the message of the line above"),
-    ("device.py", 'raise NotFittedError(f"device {self.device_id} has no local data")',
-     "make_devices refuses a split that would leave a device empty"),
-    ("device.py", 'raise ValueError(f"device {self.device_id} holds no {split!r} split")',
-     "make_devices gives every device both splits"),
-    ("initializers.py", 'raise ValueError("shape must be nonempty")',
-     "Network._init_params asks only for conv and dense weight shapes"),
-    ("losses.py", 'raise ShapeMismatchError(f"logits must be (B,K), got {lg.shape}")',
-     "every classifier ends in a dense layer, so its logits are (B,K)"),
-    ("losses.py", 'raise ShapeMismatchError(f"{b} logit rows vs labels {lab.shape}")',
-     "_fit slices logits and labels from the same batch indices"),
-    ("ops.py",
-     'raise ShapeMismatchError(f"expected a rank-{ndim} batch, got shape {x.shape}")',
-     "Network feeds each op the rank infer_shapes gives its layer"),
-    ("ops.py",
-     'raise ShapeMismatchError(f"conv weights must be (K,K,C,F), got {w.shape}")',
-     "Network._init_params builds (K,K,C,F) conv weights"),
-    ("ops.py", 'raise ShapeMismatchError(f"bias shape {b.shape} != ({f},)")',
-     "Network._init_params builds one conv bias per filter"),
-    ("ops.py", 'raise ValueError(f"unknown padding {padding!r}")',
-     "LayerSpec refuses a padding other than valid or same first"),
-    ("ops.py", 'raise ShapeMismatchError(f"bias shape {b.shape} != ({w.shape[1]},)")',
-     "Network._init_params builds one dense bias per output"),
-    ("ops.py", 'raise ValueError(f"dropout rate must be in [0,1), got {rate}")',
-     "LayerSpec refuses a rate outside [0,1) first"),
-    ("ops.py", 'raise ValueError("training-mode dropout needs an rng")',
-     "_fit, the only caller with training=True, passes its rng"),
-    ("optim.py", "raise ShapeMismatchError(",
-     "an accumulator of another shape than its parameter; _ensure_slots builds each "
-     "zeros_like its parameter, and _fit makes one optimizer per network"),
-    ("optim.py", 'f"accumulator {acc.shape} vs parameter {p.shape}"',
-     "the message of the line above"),
-    ("optim.py", 'raise ShapeMismatchError(f"{len(params)} params vs {len(grads)} grads")',
-     "Network.backward returns one gradient per parameter"),
-    ("train.py", "raise ShapeMismatchError(",
-     "data of another shape than the classifier's input; Hub.train_classifier builds "
-     "the spec from the data's shape"),
-    ("train.py", 'f"samples {data.sample_shape} vs model input {spec.input_shape}")',
-     "the message of the line above"),
-    ("zoo.py", 'raise ValueError(f"unknown layer kind {self.kind!r}")',
-     "the zoo's layer helpers name only known kinds"),
-    ("zoo.py", 'raise ValueError(f"{self.kind} layer needs {name}")',
-     "each zoo layer helper sets its kind's fields"),
-    ("zoo.py", 'raise ValueError(f"{self.kind} layer does not take {name}")',
-     "each zoo layer helper sets only its kind's fields"),
-    ("zoo.py", 'raise ValueError(f"unknown activation {self.fn!r}")',
-     "the zoo asks only for relu and sigmoid"),
-    ("zoo.py", 'raise ValueError(f"conv padding must be valid|same, got {self.padding!r}")',
-     "the zoo passes only valid or same"),
-    ("zoo.py", 'raise ValueError(f"dropout rate must be in [0,1), got {self.rate}")',
-     "the zoo's dropout rates are 0.25 and 0.5"),
-    ("zoo.py", "raise InvalidGeometryError(",
-     "a spatial layer after flatten; no zoo model has one"),
-    ("zoo.py", 'f"layer {index} ({layer.kind}) needs HxWxC input, got {shape}", index)',
-     "the message of the line above"),
-    ("zoo.py", "raise InvalidGeometryError(",
-     "a dense layer before flatten; no zoo model has one"),
-    ("zoo.py", 'f"layer {index}: dense needs a flat input, got {shape}", index)',
-     "the message of the line above"),
-    ("zoo.py",
-     'raise UnachievableRatioError(f"compression ratio must be positive, got {cr}")',
-     "ExperimentConfig refuses ratios <= 0 first"),
-    ("zoo.py", "raise UnachievableRatioError(",
-     "build_autoencoder picks the latent channels that give the requested ratio"),
-    ("zoo.py", 'f"built ratio {achieved} != requested {requested}")',
-     "the message of the line above"),
-    ("zoo.py", 'raise ValueError(f"unknown classifier family {family!r}")',
-     "ExperimentConfig and the run flags take only FAMILIES"),
-    ("zoo.py", 'raise InvalidGeometryError(f"first conv block does not fit {h}x{w}x{c}")',
-     "inputs under 3x3 are refused first, and a 3x3 conv fits a 3x3 input"),
-    ("zoo.py", "raise InvalidGeometryError(",
-     "fewer trunk features than classes; the first conv block leaves at least 32 "
-     "features, and a dataset has at most 10 classes"),
-    ("zoo.py", 'f"trunk leaves {features} features for {num_classes} classes")',
-     "the message of the line above"),
 ]
 
 
