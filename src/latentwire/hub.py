@@ -142,6 +142,11 @@ class _Handler(socketserver.BaseRequestHandler):
             pass
 
 
+# serve_forever checks for a shutdown request once per poll, so stop() waits
+# up to this long
+_POLL_S = 0.02
+
+
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -162,7 +167,7 @@ class HubServer:
 
     def start(self):
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True)
+            target=self._server.serve_forever, args=(_POLL_S,), daemon=True)
         self._thread.start()
         return self
 

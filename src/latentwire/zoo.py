@@ -7,6 +7,10 @@ keeping the longest feasible prefix of their conv/pool trunk.
 
 Every model has one layer geometry: KERNEL x KERNEL convs at stride 1 with
 "valid" or "same" padding, 2x2 max pools at stride 2 and 2x upsampling.
+A pooled block runs conv -> maxpool -> relu, the pool ahead of the relu:
+relu is monotone, so relu(max(window)) == max(relu(window)) and the block
+computes conv -> relu -> maxpool's function with the relu on a quarter of
+the map.
 A classifier ends in ``dense(num_classes)`` and emits logits; training takes
 softmax cross entropy on them and inference takes their argmax.
 
@@ -158,7 +162,7 @@ def build_autoencoder(input_shape, cr):
 
     enc_layers = []
     for _ in range(stages):
-        enc_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), maxpool()]
+        enc_layers += [conv(HIDDEN_WIDTH, padding="same"), maxpool(), act("relu")]
     enc_layers += [conv(c_z, padding="same"), act("relu")]
     latent = (h // 2 ** stages, w // 2 ** stages, c_z)
 
@@ -192,7 +196,8 @@ def build_vanilla_classifier(input_shape, family, num_classes):
     Family B: two double-conv (same padding) blocks with dropout, dense 512 head.
     Both end in dense(num_classes), so the model emits logits.
     Trailing trunk layers that no longer fit the input are dropped, so the
-    same family applies to compressed latent inputs.
+    same family applies to compressed latent inputs; a conv whose pool no
+    longer fits keeps its relu.
     """
     h, w, c = (int(d) for d in input_shape)
     if min(h, w) < KERNEL:
@@ -200,19 +205,21 @@ def build_vanilla_classifier(input_shape, family, num_classes):
     if family == "A":
         trunk = []
         for _ in range(3):
-            trunk += [conv(32, padding="valid"), act("relu"), maxpool()]
+            trunk += [conv(32, padding="valid"), maxpool(), act("relu")]
         head = [flatten(), dense(64), act("relu"), dropout(0.5), dense(num_classes)]
     elif family == "B":
         trunk = []
         for filters in (32, 64):
             trunk += [conv(filters, padding="same"), act("relu"),
-                      conv(filters, padding="same"), act("relu"),
-                      maxpool(), dropout(0.25)]
+                      conv(filters, padding="same"), maxpool(), act("relu"),
+                      dropout(0.25)]
         head = [flatten(), dense(512), act("relu"), dropout(0.5), dense(num_classes)]
     else:
         raise ValueError(f"unknown classifier family {family!r}")
 
     kept, shape = _feasible_prefix(trunk, (h, w, c))
+    if kept[-1].kind == "conv2d":  # its pool does not fit, its relu does
+        kept.append(act("relu"))
     features = math.prod(shape)
     if features < num_classes:
         raise InvalidGeometryError(

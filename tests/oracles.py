@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
 from latentwire.losses import cross_entropy_loss, mse_loss
+from latentwire.zoo import ModelSpec, act, conv, dense, dropout, flatten, maxpool, upsample
 
 
 def conv2d_oracle(x, w, b, padding="valid"):
@@ -176,6 +177,63 @@ def count_parameters_oracle(spec):
             total += (shape[0] + 1) * layer.width
             shape = (layer.width,)
     return total
+
+
+def swap_relu_pool(layers):
+    """`layers` with every relu that a maxpool follows moved after it."""
+    out = list(layers)
+    for i in range(len(out) - 1):
+        if out[i] == act("relu") and out[i + 1] == maxpool():
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+def autoencoder_spec_oracle(input_shape, cr):
+    """(encoder, decoder) ModelSpecs as build_autoencoder wrote them with
+    conv -> relu -> maxpool encoder stages, then swap_relu_pool'd: s stages
+    for the smallest s whose 2**s divides H and W and turns C * 4**s / cr
+    into a whole latent channel count. The ratio must be achievable."""
+    h, w, c = input_shape
+    if cr == 1:
+        return ModelSpec((), input_shape), ModelSpec((), input_shape)
+    s = 1
+    while not (h % 2 ** s == 0 and w % 2 ** s == 0
+               and (c * 4 ** s) % cr == 0 and c * 4 ** s >= cr):
+        s += 1
+    enc = [conv(32, "same"), act("relu"), maxpool()] * s + [conv(c * 4 ** s // cr, "same"),
+                                                              act("relu")]
+    dec = [conv(32, "same"), act("relu"), upsample()] * s + [conv(c, "same"),
+                                                               act("sigmoid")]
+    latent = (h // 2 ** s, w // 2 ** s, c * 4 ** s // cr)
+    return ModelSpec(swap_relu_pool(enc), input_shape), ModelSpec(dec, latent)
+
+
+def classifier_spec_oracle(input_shape, family, num_classes):
+    """build_vanilla_classifier's ModelSpec as it was written: the family's
+    conv -> relu -> maxpool trunk cut before the first conv or pool that a
+    naive shape walk finds too large, then swap_relu_pool'd, then the head."""
+    if family == "A":
+        trunk = [conv(32), act("relu"), maxpool()] * 3
+        head = [flatten(), dense(64), act("relu"), dropout(0.5), dense(num_classes)]
+    else:
+        trunk = []
+        for f in (32, 64):
+            trunk += [conv(f, "same"), act("relu"), conv(f, "same"), act("relu"),
+                      maxpool(), dropout(0.25)]
+        head = [flatten(), dense(512), act("relu"), dropout(0.5), dense(num_classes)]
+    h, w = input_shape[:2]
+    kept = []
+    for layer in trunk:
+        if layer.kind == "maxpool":
+            if h < 2 or w < 2:
+                break
+            h, w = h // 2, w // 2
+        elif layer.kind == "conv2d" and layer.padding == "valid":
+            if h < 3 or w < 3:
+                break
+            h, w = h - 2, w - 2
+        kept.append(layer)
+    return ModelSpec(swap_relu_pool(kept) + head, input_shape)
 
 
 def nearest_centroid_accuracy(train, test):

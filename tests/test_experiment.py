@@ -2,7 +2,11 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +359,47 @@ def test_test_split_smaller_than_devices_fails_every_cell():
     rows = run_experiment(cfg).rows
     assert len(rows) == 2
     assert all(r.failed and "4 devices" in r.error for r in rows)
+
+
+# --- bits --------------------------------------------------------------------
+
+# Run in a fresh interpreter with BLAS on one thread, since the float32 bits
+# depend on the BLAS thread count. 16x16x3 images at CR 1, 4 and 16 reach
+# the truncated trunks: family A keeps two blocks on the image, a block and
+# a conv with its relu on the 8x8x3 latent and one block on the 4x4x3
+# latent, and family B runs its second block on 2x2 maps.
+BITS_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from grid_digest import network_digest
+import latentwire as lw
+import latentwire.train
+
+digests, fit = [], lw.train._fit
+
+def hashed_fit(*args, **kwargs):
+    net, hist = fit(*args, **kwargs)
+    digests.append(network_digest(net, hist))
+    return net, hist
+
+lw.train._fit = hashed_fit
+spec = lw.SyntheticSpec(image_size=(16, 16, 3), samples_per_class=30)
+for family in ("A", "B"):
+    report = lw.run_experiment(lw.ExperimentConfig(
+        synthetic=spec, ratios=(1, 4, 16), family=family, n_devices=2,
+        ae=lw.TrainConfig(epochs=1), clf=lw.TrainConfig(epochs=1)))
+    assert not any(row.failed for row in report.rows), report.rows
+print(len(digests), hashlib.sha256(b"".join(digests)).hexdigest())
+"""
+# recorded when each block ran its relu before its pool; a kernel or zoo
+# change that keeps the math prints it unchanged
+BITS_PIN = "4db2445d144e43a51fba12678d8454b15799d2e6fa38bf271a2af84775c53512"
+
+
+def test_both_families_train_the_pinned_networks():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", BITS_SCRIPT, str(root / "tools")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["18", BITS_PIN]

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 from types import SimpleNamespace
 from unittest import mock
 
@@ -278,6 +279,15 @@ def test_stop_without_start_returns_and_closes_the_socket():
     stopper.join(timeout=5)
     assert not stopper.is_alive()
     assert server._server.fileno() == -1
+
+
+def test_stop_of_a_started_server_returns_promptly():
+    # serve_forever sees the shutdown request only between polls
+    server = HubServer(Hub()).start()
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 0.2
+    assert not server._thread.is_alive() and server._server.fileno() == -1
 
 
 def test_evaluate_empty_split_scores_zero():

@@ -230,17 +230,25 @@ def test_conv_bitwise_equals_column_oracle(geometry, n, monkeypatch):
         assert a.shape == e.shape and a.tobytes() == e.tobytes(), name
 
 
-# The view of a cropped array must honour its offset and strides, and
-# every window must end inside it.
+# Every window must end inside the array. The view takes C-contiguous
+# arrays only, so conv2d hands it a contiguous copy of a cropped input and
+# must read the same windows as from the contiguous original.
 @pytest.mark.parametrize("h,wd,k", [(8, 8, 3), (9, 9, 3), (7, 11, 5), (8, 10, 2), (8, 10, 3)])
 @pytest.mark.parametrize("cropped", [False, True])
 def test_window_view_bounds(h, wd, k, cropped):
-    x = rng(h + wd).standard_normal((2, h + 3, wd + 2, 3)).astype(np.float32)
+    r = rng(h + wd)
+    x = r.standard_normal((2, h + 3, wd + 2, 3)).astype(np.float32)
     xp = x[:, 1 : h + 1, 2:] if cropped else np.ascontiguousarray(x[:, :h, :wd])
-    win = ops._windows(xp, k)
+    dense = np.ascontiguousarray(xp)
+    win = ops._windows(dense, k)
     want = sliding_window_view(xp, (k, k), axis=(1, 2))
     assert np.array_equal(win, want.transpose(0, 1, 2, 4, 5, 3))
     assert not win.flags.writeable
+    w = r.standard_normal((k, k, 3, 4)).astype(np.float32)
+    b = r.standard_normal(4).astype(np.float32)
+    y, cache = ops.conv2d(xp, w, b)
+    assert cache.data["xp"].flags.c_contiguous
+    assert y.tobytes() == ops.conv2d(dense, w, b)[0].tobytes()
 
 
 def test_valid_conv_caches_its_input_uncopied():
@@ -291,6 +299,37 @@ def test_maxpool_backward_first_max_bitwise_on_ties(shape):
     assert (windows.max(axis=(2, 4)) == 0).mean() > 0.2  # the ties are there
     for i in range(len(x)):
         assert dx[i].tobytes() == maxpool2d_backward_oracle(x[i], g[i]).tobytes()
+
+
+# The zoo pools a conv's output before its relu. On ties, +0.0, -0.0 and
+# all-negative windows, pool then relu must give the bytes of relu then pool,
+# the same dW and db bytes to the conv below, and an input gradient that may
+# differ only in the sign of a zero. Odd sizes leave a row or column unpooled.
+@pytest.mark.parametrize("shape", [(4, 8, 8, 5), (3, 7, 9, 2)])
+def test_pool_then_relu_equals_relu_then_pool(shape):
+    r = rng(shape[1])
+    n, h, wd, c = shape
+    x = (np.round(2 * r.standard_normal(shape)) / 2).astype(np.float32)
+    zeros = x == 0
+    x[zeros] = np.where(r.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    x[:, :2] = -np.abs(x[:, :2]) - 0.5  # the first row of windows is all negative
+    assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+    g = r.standard_normal((n, h // 2, wd // 2, c)).astype(np.float32)
+    z = r.standard_normal((n, h + 2, wd + 2, 3)).astype(np.float32)
+    w = r.standard_normal((3, 3, 3, c)).astype(np.float32)
+    relu = lambda a: ops.activation(a, "relu")
+    results = []
+    for first, second in ((relu, ops.maxpool2d), (ops.maxpool2d, relu)):
+        mid, first_cache = first(x)
+        y, second_cache = second(mid)
+        dx, _ = ops.backward(first_cache, ops.backward(second_cache, g)[0])
+        _, conv_cache = ops.conv2d(z, w, np.zeros(c, np.float32))
+        results.append((y, dx, ops.backward(conv_cache, dx)[1]))
+    (y1, dx1, grads1), (y2, dx2, grads2) = results
+    assert y1.tobytes() == y2.tobytes()
+    assert np.array_equal(dx1, dx2)
+    assert grads1["w"].tobytes() == grads2["w"].tobytes()
+    assert grads1["b"].tobytes() == grads2["b"].tobytes()
 
 
 def test_maxpool_pool_exceeds_input():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentwire import ops
 from latentwire.errors import InvalidGeometryError, UnachievableRatioError
 from latentwire.network import Network
 from latentwire.train import TrainConfig, train_autoencoder
 from latentwire.zoo import (
+    FAMILIES,
     ModelSpec,
     build_autoencoder,
     build_vanilla_classifier,
@@ -18,7 +20,7 @@ from latentwire.zoo import (
     infer_shapes,
 )
 
-from oracles import count_parameters_oracle
+from oracles import autoencoder_spec_oracle, classifier_spec_oracle, count_parameters_oracle
 
 
 # --- autoencoder builder -----------------------------------------------------
@@ -91,19 +93,54 @@ def test_split_compose_bitwise():
         assert full.tobytes() == split.tobytes()
 
 
-@pytest.mark.parametrize("family", ["A", "B"])
-def test_maxpool_cache_shares_the_relu_output(family):
-    # the pool keeps its input for the backward; were it a copy of the relu
-    # output and not the same array, every training batch would hold both
-    net = Network(build_vanilla_classifier((16, 16, 3), family, 4),
-                  rng=np.random.default_rng(0))
+@pytest.mark.parametrize("model", ["A", "B", "encoder"])
+def test_maxpool_caches_the_conv_output(model, monkeypatch):
+    # the pool keeps its input, the conv's own output, for the backward, and
+    # the relu after it keeps only the pooled map; a copy of the full map in
+    # either would hold one more full-resolution array per training batch
+    outputs, conv2d = [], ops.conv2d
+
+    def recorded_conv2d(*args, **kwargs):
+        y, cache = conv2d(*args, **kwargs)
+        outputs.append(y)
+        return y, cache
+
+    monkeypatch.setattr(ops, "conv2d", recorded_conv2d)
+    spec = (build_autoencoder((16, 16, 3), 16).encoder if model == "encoder"
+            else build_vanilla_classifier((16, 16, 3), model, 4))
+    net = Network(spec, rng=np.random.default_rng(0))
     x = np.random.default_rng(0).random((4, 16, 16, 3)).astype(np.float32)
     _, caches = net.forward(x, return_caches=True)
-    pools = [i for i, layer in enumerate(net.spec.layers) if layer.kind == "maxpool"]
+    pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
     assert pools
+    conv_outputs = dict(zip((i for i, layer in enumerate(spec.layers)
+                             if layer.kind == "conv2d"), outputs, strict=True))
     for i in pools:
-        assert net.spec.layers[i - 1].fn == "relu"
-        assert np.shares_memory(caches[i].data["x"], caches[i - 1].data["y"])
+        assert spec.layers[i + 1].fn == "relu"
+        assert caches[i].data["x"] is conv_outputs[i - 1]
+        pooled, relu_out = caches[i].data["y"], caches[i + 1].data["y"]
+        assert relu_out.shape == pooled.shape
+        assert not np.shares_memory(relu_out, conv_outputs[i - 1])
+
+
+# The builders must equal their conv -> relu -> maxpool layouts with each
+# pool moved ahead of its relu, truncating ones included: at 8x8 family A
+# keeps conv, pool, conv, relu, and at 3x3 family B keeps two convs on 1x1.
+@pytest.mark.parametrize("shape", sorted({(h, w, c) for h in range(3, 10) for w in (h, 5, 8)
+                                          for c in (1, 3)}
+                                         | {(8, 8, 6), (4, 4, 3), (16, 16, 3), (32, 32, 3),
+                                            (11, 13, 3)}),
+                         ids=str)
+def test_builders_match_the_swapped_spec_oracle(shape):
+    for family in FAMILIES:
+        assert build_vanilla_classifier(shape, family, 2) == classifier_spec_oracle(
+            shape, family, 2)
+    for cr in (1, 2, 4, 8, 16):
+        try:
+            pair = build_autoencoder(shape, cr)
+        except UnachievableRatioError:
+            continue
+        assert (pair.encoder, pair.decoder) == autoencoder_spec_oracle(shape, cr)
 
 
 def test_decoder_rejects_non_latent_shape():
@@ -119,7 +156,7 @@ def test_decoder_rejects_non_latent_shape():
 def test_family_a_table_layout_on_raw_cifar_shape():
     spec = build_vanilla_classifier((32, 32, 3), "A", 10)
     kinds = [l.kind for l in spec.layers]
-    assert kinds == ["conv2d", "activation", "maxpool"] * 3 + [
+    assert kinds == ["conv2d", "maxpool", "activation"] * 3 + [
         "flatten", "dense", "activation", "dropout", "dense"]
     widths = [l.width for l in spec.layers if l.kind == "dense"]
     assert widths == [64, 10]
@@ -141,10 +178,11 @@ def test_family_b_table_layout():
 
 def test_family_a_truncates_on_small_latents():
     # 8x8 input: conv->6, pool->3, conv->1; the second pool no longer fits,
-    # so the trunk stops there and later blocks are dropped entirely
+    # so the trunk stops there, its conv keeps its relu, and later blocks
+    # are dropped entirely
     spec = build_vanilla_classifier((8, 8, 3), "A", 10)
     trunk = [l.kind for l in spec.layers[:5]]
-    assert trunk == ["conv2d", "activation", "maxpool", "conv2d", "activation"]
+    assert trunk == ["conv2d", "maxpool", "activation", "conv2d", "activation"]
     assert spec.layers[5].kind == "flatten"
 
 
