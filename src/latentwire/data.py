@@ -174,8 +174,8 @@ def _check_separation(data, per_class=12):
 # CIFAR-10 binary batches
 
 
-def load_cifar10_batch(path):
-    """One binary batch file -> (images (N,32,32,3) in [0,1], labels)."""
+def _batch_records(path):
+    """One binary batch file -> its (N, CIFAR_RECORD) uint8 records, checked."""
     path = Path(path)
     if not path.is_file():
         raise DatasetFormatError(f"missing batch file {path}")
@@ -184,26 +184,35 @@ def load_cifar10_batch(path):
         raise DatasetFormatError(
             f"{path}: {raw.size} bytes is not a whole number of {CIFAR_RECORD}-byte records")
     records = raw.reshape(-1, CIFAR_RECORD)
-    labels = records[:, 0].astype(np.int64)
-    if labels.max(initial=0) > 9:
-        raise DatasetFormatError(f"{path}: label {labels.max()} out of range 0..9")
-    pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    images = (pixels.astype(np.float32) / 255.0)
-    return images, labels
+    if records[:, 0].max(initial=0) > 9:
+        raise DatasetFormatError(f"{path}: label {records[:, 0].max()} out of range 0..9")
+    return records
+
+
+def _decode_batches(batches):
+    """Checked record arrays -> (images (N,32,32,3) in [0,1], labels), each
+    batch's images divided straight into one float32 array: no per-batch
+    float copy and no concatenated copy."""
+    images = np.empty((sum(map(len, batches)), 32, 32, 3), np.float32)
+    lo = 0
+    for records in batches:
+        pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+        np.divide(pixels, np.float32(255), out=images[lo:lo + len(records)])
+        lo += len(records)
+    return images, np.concatenate([records[:, 0] for records in batches]).astype(np.int64)
+
+
+def load_cifar10_batch(path):
+    """One binary batch file -> (images (N,32,32,3) in [0,1], labels)."""
+    return _decode_batches([_batch_records(path)])
 
 
 def load_cifar10(directory):
     """Standard binary archive -> (train 50000, test 10000)."""
     directory = Path(directory)
-    imgs, labs = [], []
-    for name in CIFAR_TRAIN_FILES:
-        i, l = load_cifar10_batch(directory / name)
-        imgs.append(i)
-        labs.append(l)
-    train = LabeledDataset(np.concatenate(imgs), np.concatenate(labs), 10)
-    ti, tl = load_cifar10_batch(directory / CIFAR_TEST_FILE)
-    test = LabeledDataset(ti, tl, 10)
-    return train, test
+    train = _decode_batches([_batch_records(directory / name) for name in CIFAR_TRAIN_FILES])
+    test = load_cifar10_batch(directory / CIFAR_TEST_FILE)
+    return LabeledDataset(*train, 10), LabeledDataset(*test, 10)
 
 
 def cifar10_subset(train, test, num_classes, per_class):

@@ -28,7 +28,6 @@ import numpy as np
 
 from .data import SyntheticSpec, cifar10_subset, gen_synthetic, load_cifar10
 from .device import HubSink, make_devices
-from .errors import LatentWireError
 from .hub import Hub
 from .train import TrainConfig
 from .zoo import FAMILIES, count_parameters
@@ -174,6 +173,10 @@ def run_cell(name, train, test, cfg, cr, seed):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full grid; a failing cell is recorded and the rest continue.
 
+    Any ``Exception`` a cell raises becomes a failed row whose ``error``
+    starts with the exception's type name, and its traceback is logged;
+    ``KeyboardInterrupt`` and ``SystemExit`` still end the run.
+
     The trained bits are reproducible only at a fixed BLAS thread count: the
     same config and seeds train other float32 weights (with the same
     accuracies so far) at another thread count, so pin it to compare runs.
@@ -185,9 +188,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         cr, seed = cell
         try:
             return run_cell(name, train, test, cfg, cr, seed)
-        except LatentWireError as exc:
-            log.warning("cell cr=%s seed=%d failed: %s", cr, seed, exc)
-            return ReportRow(dataset=name, cr=float(cr), seed=seed, error=str(exc))
+        except Exception as exc:  # one cell's failure must not discard the others' rows
+            log.exception("cell cr=%s seed=%d failed", cr, seed)
+            error = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+            return ReportRow(dataset=name, cr=float(cr), seed=seed, error=error)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -42,11 +42,22 @@ class Network:
             raise ShapeMismatchError(
                 f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
 
-    def forward(self, x, training=False, rng=None, return_caches=False):
-        """Run the chain over a batch."""
+    def forward(self, x, training=False, rng=None, caches=None):
+        """Run the chain over a batch and return its output.
+
+        ``caches``, when given, is a caller-owned list with one entry per
+        layer, None at first. Layer i stores its cache for :meth:`backward`
+        at ``caches[i]`` after dropping the one a previous forward left there,
+        so a training loop that passes one list on every step holds one step
+        of activations, not two, and malloc hands each freed array straight
+        back for the same-size array the layer allocates next. Dropping the
+        caches earlier, as backward consumes them, lets malloc trim the freed
+        heap top and fault it back in on every step.
+        """
         self._check_input(x)
-        caches = [] if return_caches else None
-        for layer, p in zip(self.spec.layers, self.params):
+        for i, (layer, p) in enumerate(zip(self.spec.layers, self.params)):
+            if caches is not None:
+                caches[i] = None
             if layer.kind == "conv2d":
                 x, cache = ops.conv2d(x, p["w"], p["b"], padding=layer.padding)
             elif layer.kind == "maxpool":
@@ -61,9 +72,9 @@ class Network:
                 x, cache = ops.dropout(x, layer.rate, rng=rng, training=training)
             else:
                 x, cache = ops.flatten(x)
-            if return_caches:
-                caches.append(cache)
-        return (x, caches) if return_caches else x
+            if caches is not None:
+                caches[i] = cache
+        return x
 
     def infer(self, x):
         """Inference-mode forward over a batch, INFER_BATCH samples at a time.

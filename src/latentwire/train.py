@@ -55,9 +55,13 @@ def _fit(spec, images, labels, cfg, algorithm):
     training accuracy. ``algorithm`` names the optimizer; each trainer
     fixes its own. The rng draws in a fixed order, so a seed fixes the run:
     weight init, then per epoch one permutation, then per batch dropout.
+
+    One cache list serves every step, so the fit holds one step of
+    activations, not two (see ``Network.forward``).
     """
     rng = np.random.default_rng(cfg.seed)
     net = Network(spec, rng=rng)
+    caches = [None] * len(spec.layers)
     opt = make_optimizer(algorithm, lr=cfg.lr)
     hist = TrainHistory()
     n = len(images)
@@ -69,7 +73,7 @@ def _fit(spec, images, labels, cfg, algorithm):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             xb = images[idx]
-            out, caches = net.forward(xb, training=True, rng=rng, return_caches=True)
+            out = net.forward(xb, training=True, rng=rng, caches=caches)
             # losses and optimizer_step are module globals read per call, so a
             # tracer that patches them by name sees every call
             if labels is None:

@@ -55,9 +55,26 @@ def test_run_prints_and_reports_a_failed_cell(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiment, "run_cell", fail_at_cr4)
     out = tmp_path / "report.csv"
     assert main(["run", "--config", str(_small_config(tmp_path)), "--out", str(out)]) == 1
-    assert "cr=4 seed=0: FAILED (non-finite loss nan at epoch 0)\n" in capsys.readouterr().out
+    assert ("cr=4 seed=0: FAILED (DivergenceError: non-finite loss nan at epoch 0)\n"
+            in capsys.readouterr().out)
     assert [(r["cr"], r["error"]) for r in _csv_rows(out)] == [
-        ("1.0", ""), ("4.0", "non-finite loss nan at epoch 0")]
+        ("1.0", ""), ("4.0", "DivergenceError: non-finite loss nan at epoch 0")]
+
+
+def test_run_reports_a_cell_that_runs_out_of_memory(tmp_path, monkeypatch, capsys):
+    run_cell = experiment.run_cell
+
+    def out_of_memory_at_cr4(name, train, test, cfg, cr, seed):
+        if cr == 4:
+            raise MemoryError
+        return run_cell(name, train, test, cfg, cr, seed)
+
+    monkeypatch.setattr(experiment, "run_cell", out_of_memory_at_cr4)
+    out = tmp_path / "report.csv"
+    assert main(["run", "--config", str(_small_config(tmp_path)), "--out", str(out)]) == 1
+    assert "cr=4 seed=0: FAILED (MemoryError)\n" in capsys.readouterr().out
+    assert [(r["cr"], r["error"]) for r in _csv_rows(out)] == [
+        ("1.0", ""), ("4.0", "MemoryError")]
 
 
 def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,31 @@ def test_full_directory_counts(tmp_path):
     train, test = load_cifar10(tmp_path)
     assert len(train) == 100 and len(test) == 20
     assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+
+
+def test_archive_decodes_into_one_array(tmp_path):
+    # the five train batches are divided straight into one float32 array:
+    # no per-batch float copies beside it and no concatenated copy after it
+    rng = np.random.default_rng(2)
+    refs = {}
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        records = rng.integers(0, 256, (400, CIFAR_RECORD), dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / name).write_bytes(records.tobytes())
+        pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+        refs[name] = (pixels.astype(np.float32) / 255.0, records[:, 0])
+    tracemalloc.start()
+    try:
+        train, test = load_cifar10(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (train.images.nbytes + test.images.nbytes)
+    want = [refs[f"data_batch_{i}.bin"] for i in range(1, 6)]
+    assert train.images.tobytes() == np.concatenate([i for i, _ in want]).tobytes()
+    assert train.labels.tolist() == np.concatenate([l for _, l in want]).tolist()
+    assert test.images.tobytes() == refs["test_batch.bin"][0].tobytes()
+    assert test.labels.tolist() == refs["test_batch.bin"][1].tolist()
 
 
 def test_subset_selection(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import logging
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import latentwire.experiment as experiment
 from latentwire.data import SyntheticSpec
 from latentwire.errors import DatasetFormatError
 from latentwire.experiment import (
@@ -361,6 +363,35 @@ def test_test_split_smaller_than_devices_fails_every_cell():
     assert all(r.failed and "4 devices" in r.error for r in rows)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_any_exception_in_a_cell_fails_that_cell_only(jobs, monkeypatch, caplog):
+    # a cell that runs out of memory must not throw away the finished rows
+    run_cell = experiment.run_cell
+
+    def out_of_memory_at_cr4(name, train, test, cfg, cr, seed):
+        if cr == 4:
+            raise MemoryError
+        return run_cell(name, train, test, cfg, cr, seed)
+
+    monkeypatch.setattr(experiment, "run_cell", out_of_memory_at_cr4)
+    with caplog.at_level(logging.WARNING, logger="latentwire"):
+        rows = run_experiment(replace(TINY_GRID, jobs=jobs)).rows
+    assert [(r.cr, r.seed, r.error) for r in rows] == [
+        (1.0, 0, None), (4.0, 0, "MemoryError"), (1.0, 1, None), (4.0, 1, "MemoryError")]
+    assert all(r.acc_norm == 1.0 for r in rows if r.cr == 1)
+    logged = [r for r in caplog.records if r.exc_info]
+    assert len(logged) == 2 and all(r.exc_info[0] is MemoryError for r in logged)
+
+
+def test_interrupt_in_a_cell_ends_the_run(monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment, "run_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(TINY_GRID)
+
+
 # --- bits --------------------------------------------------------------------
 
 # Run in a fresh interpreter with BLAS on one thread, since the float32 bits
@@ -403,3 +434,20 @@ def test_both_families_train_the_pinned_networks():
     out = subprocess.run([sys.executable, "-c", BITS_SCRIPT, str(root / "tools")],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["18", BITS_PIN]
+
+
+# --- tools -------------------------------------------------------------------
+
+
+def test_peak_memory_tool_prints_each_cell(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool prepends src and perfbench
+    path = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
+    spec = importlib.util.spec_from_file_location("peak_memory", path)
+    peak_memory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(peak_memory)
+    assert peak_memory.main(TINY_GRID) == 0
+    *cells, rss = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in cells] == [
+        "cr=1 seed=0", "cr=4 seed=0", "cr=1 seed=1", "cr=4 seed=1"]
+    assert all(float(line.rsplit("=", 1)[1]) > 0 for line in cells)
+    assert rss.startswith("ru_maxrss_mb=") and float(rss.split("=")[1]) > 0

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -216,7 +218,8 @@ def _ae_chain(input_shape, cr):
 def test_backward_stops_at_the_first_weighted_layer(spec, monkeypatch):
     net = Network(spec, rng=rng(0))
     x = rng(1).random((4, *spec.input_shape)).astype(np.float32)
-    out, caches = net.forward(x, return_caches=True)
+    caches = [None] * len(spec.layers)
+    out = net.forward(x, caches=caches)
     g = rng(2).standard_normal(out.shape).astype(np.float32)
     full_backward = ops.backward
     layer_of = {id(cache): i for i, cache in enumerate(caches)}
@@ -232,7 +235,8 @@ def test_backward_stops_at_the_first_weighted_layer(spec, monkeypatch):
     assert calls == [(i, i > first) for i in range(len(caches) - 1, first - 1, -1)]
 
     # a full backward to the input gives the same parameter gradients
-    _, caches = net.forward(x, return_caches=True)
+    caches = [None] * len(spec.layers)
+    net.forward(x, caches=caches)
     grad, expect = g, [{} for _ in caches]
     for i in range(len(caches) - 1, -1, -1):
         grad, pgrads = full_backward(caches[i], grad)
@@ -279,3 +283,25 @@ def test_one_training_step_keeps_every_array_c_contiguous(model, monkeypatch):
     kinds = {name for name, _ in recorded}
     assert {"conv2d", "conv2d dx", "activation", "activation dx"} <= kinds
     assert [name for name, a in recorded if not a.flags.c_contiguous] == []
+
+
+def test_a_fit_frees_each_conv_cache_before_the_conv_runs_again(monkeypatch):
+    # each forward drops a layer's cache of the previous step just before it
+    # runs the layer again, so a fit never holds two steps of one layer's
+    # arrays; a "same" conv's padded input is owned by its cache alone
+    conv2d, held, freed = ops.conv2d, {}, []
+
+    def checked_conv2d(x, w, b, padding="valid"):
+        if id(w) in held:  # the optimizer updates w in place: one id per layer
+            freed.append(held[id(w)]() is None)
+        y, cache = conv2d(x, w, b, padding=padding)
+        held[id(w)] = weakref.ref(cache.data["xp"])
+        return y, cache
+
+    monkeypatch.setattr(ops, "conv2d", checked_conv2d)
+    pair = build_autoencoder((8, 8, 3), 4)
+    convs = [l for l in pair.encoder.layers + pair.decoder.layers if l.kind == "conv2d"]
+    assert convs and all(l.padding == "same" for l in convs)
+    images = rng(0).random((12, 8, 8, 3)).astype(np.float32)
+    train_autoencoder(pair, images, TrainConfig(epochs=1, batch_size=4))
+    assert freed == [True] * (2 * len(convs))  # steps 2 and 3 of 3

@@ -110,7 +110,8 @@ def test_maxpool_caches_the_conv_output(model, monkeypatch):
             else build_vanilla_classifier((16, 16, 3), model, 4))
     net = Network(spec, rng=np.random.default_rng(0))
     x = np.random.default_rng(0).random((4, 16, 16, 3)).astype(np.float32)
-    _, caches = net.forward(x, return_caches=True)
+    caches = [None] * len(spec.layers)
+    net.forward(x, caches=caches)
     pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
     assert pools
     conv_outputs = dict(zip((i for i, layer in enumerate(spec.layers)
