@@ -23,7 +23,6 @@ from .zoo import (
     ModelSpec,
     build_autoencoder,
     build_vanilla_classifier,
-    count_parameters,
     infer_shapes,
 )
 

@@ -1,14 +1,14 @@
 """Command-line front end. Its one command, `run`, trains and scores the
 grid and writes the report.
 
-`run` builds its grid from the flags over the ExperimentConfig defaults, or,
-with --config, from the file alone: no grid flag may go with it, and keys the
-file leaves out take the defaults. The report goes to --out, by default
-report.csv or report.json after --format. A CIFAR-10 directory, from
---cifar10-dir or the file's cifar_dir, is kept as given and resolved where
-the grid loads it (see experiment.load_experiment_data). A program error
-ends the command with one ``latentwire: error:`` line on stderr and exit
-status 2.
+`run` builds its grid from the flags, merged and checked as a file's keys
+are, or, with --config, from the file alone: no grid flag may go with it,
+and keys left out take the ExperimentConfig defaults. The report goes to
+--out, by default report.csv or report.json after --format. A CIFAR-10
+directory, from --cifar10-dir or the file's cifar_dir, is kept as given and
+resolved where the grid loads it (see experiment.load_experiment_data). A
+program error ends the command with one ``latentwire: error:`` line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -16,55 +16,45 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 from .errors import LatentWireError
-from .experiment import ExperimentConfig, emit_report, load_config, run_experiment
+from .experiment import emit_report, load_config, merge_config, run_experiment
 from .zoo import FAMILIES
 
-# dests of the `run` flags that set the grid; each is None when not given
-GRID_FLAGS = ("cifar10_dir", "cifar10_subset", "ratios", "family", "devices", "seeds",
-              "ae_epochs", "clf_epochs", "batch_size", "jobs")
+# dest of each `run` grid flag -> the (section, field) pairs it sets; None: top level
+GRID_FLAGS = {
+    "cifar10_dir": ((None, "cifar_dir"),),
+    "cifar10_subset": ((None, "cifar_subset"),),
+    "ratios": ((None, "ratios"),),
+    "family": ((None, "family"),),
+    "devices": ((None, "n_devices"),),
+    "seeds": ((None, "seeds"),),
+    "ae_epochs": (("ae", "epochs"),),
+    "clf_epochs": (("clf", "epochs"),),
+    "batch_size": (("ae", "batch_size"), ("clf", "batch_size")),
+    "jobs": ((None, "jobs"),),
+}
 
 
 def _int_list(text):
-    return tuple(int(v) for v in text.split(","))
+    return [int(v) for v in text.split(",")]
 
 
 def _float_list(text):
-    return tuple(float(v) for v in text.split(","))
+    return [float(v) for v in text.split(",")]
 
 
 def _experiment_config(args):
+    given = [dest for dest in GRID_FLAGS if getattr(args, dest) is not None]
     if args.config:
-        given = [dest for dest in GRID_FLAGS if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"--{given[0].replace('_', '-')} cannot go with --config")
         return load_config(args.config)
-    cfg = ExperimentConfig()
-    if args.cifar10_dir is not None:
-        cfg = replace(cfg, cifar_dir=args.cifar10_dir)
-    if args.cifar10_subset is not None:
-        cfg = replace(cfg, cifar_subset=args.cifar10_subset)
-    if args.ratios is not None:
-        cfg = replace(cfg, ratios=args.ratios)
-    if args.family is not None:
-        cfg = replace(cfg, family=args.family)
-    if args.devices is not None:
-        cfg = replace(cfg, n_devices=args.devices)
-    if args.seeds is not None:
-        cfg = replace(cfg, seeds=args.seeds)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
-    ae, clf = cfg.ae, cfg.clf
-    if args.ae_epochs is not None:
-        ae = replace(ae, epochs=args.ae_epochs)
-    if args.clf_epochs is not None:
-        clf = replace(clf, epochs=args.clf_epochs)
-    if args.batch_size is not None:
-        ae = replace(ae, batch_size=args.batch_size)
-        clf = replace(clf, batch_size=args.batch_size)
-    return replace(cfg, ae=ae, clf=clf)
+    body = {}
+    for dest in given:
+        for section, name in GRID_FLAGS[dest]:
+            (body.setdefault(section, {}) if section else body)[name] = getattr(args, dest)
+    return merge_config(body)
 
 
 def cmd_run(args):

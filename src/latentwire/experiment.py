@@ -30,7 +30,7 @@ from .data import SyntheticSpec, cifar10_subset, gen_synthetic, load_cifar10
 from .device import HubSink, make_devices
 from .hub import Hub
 from .train import TrainConfig
-from .zoo import FAMILIES, count_parameters
+from .zoo import FAMILIES
 
 log = logging.getLogger("latentwire")
 
@@ -156,7 +156,7 @@ def run_cell(name, train, test, cfg, cr, seed):
     history = hub.train_classifier(cfg.family, replace(cfg.clf, seed=seed),
                                    num_classes=train.num_classes)
     accuracy, test_s = hub.evaluate("test", num_classes=train.num_classes)
-    params = count_parameters(hub.classifier.spec)
+    params = sum(a.size for p in hub.classifier.params for a in p.values())
 
     if log.isEnabledFor(logging.INFO):
         test_data = hub.assemble("test", num_classes=train.num_classes)
@@ -303,13 +303,16 @@ def _merge(base, doc, where):
     return replace(base, **changes)
 
 
+def merge_config(body: dict) -> ExperimentConfig:
+    return _merge(ExperimentConfig(), body, "config")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if doc.get("format") != CONFIG_FORMAT:
         raise ValueError(f"not a latentwire config document: {doc.get('format')!r}")
     if doc.get("version") != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {doc.get('version')!r}")
-    body = {k: v for k, v in doc.items() if k not in ("format", "version")}
-    return _merge(ExperimentConfig(), body, "config")
+    return merge_config({k: v for k, v in doc.items() if k not in ("format", "version")})
 
 
 def load_config(path):

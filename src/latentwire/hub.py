@@ -3,9 +3,12 @@ and serving.
 
 Every record reaches a Hub through ingest_chunk: a FrameScanner splits the
 bytes into frames, decodes each frame once, and Hub.ingest decides its ack.
-serve_stream, the TCP server's loop, runs it over a connection's chunks; the
-in-process HubSink runs it over one frame per record, with one scanner for
-the sink's whole life.
+A (device id, record id) key is stored once: an identical re-send (same
+payload and split), as after a lost ack, is ACCEPTED and stores nothing,
+and anything else under a held key is DUPLICATE. serve_stream, the TCP
+server's loop, runs ingest_chunk over a connection's chunks; the in-process
+HubSink runs it over one frame per record, with one scanner for the sink's
+whole life.
 
 The hub only ever holds latents; it never receives or stores a device's
 decoder. At CR=1 the autoencoder has no layers, so each record is the image
@@ -21,9 +24,9 @@ import threading
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import HeterogeneousShapeError, NoClassifierError, ShapeMismatchError
+from .errors import HeterogeneousShapeError, NoClassifierError
 from .train import evaluate, train_classifier
-from .wire import ACK_ACCEPTED, ACK_DUPLICATE, UNLABELED, FrameScanner, WireDecodeError
+from .wire import ACK_ACCEPTED, ACK_DUPLICATE, FrameScanner, WireDecodeError
 from .zoo import build_vanilla_classifier
 
 
@@ -34,31 +37,26 @@ class Hub:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.store = []  # (LatentRecord, split), ingestion order
-        self.seen = set()  # (device_id, record_id), global
+        self.store = {}  # (device_id, record_id) -> (LatentRecord, split), ingestion order
         self.classifier = None
 
     def ingest(self, record, split) -> int:
-        """Append one decoded record; returns ACK_ACCEPTED, or ACK_DUPLICATE
-        (store untouched) for a (device id, record id) pair already seen."""
-        key = (record.device_id, record.record_id)
+        """ACCEPTED for a new (device id, record id) key, which is stored, or an
+        identical re-send of the held (record, split); else DUPLICATE."""
+        entry = (record, split)
         with self._lock:
-            if key in self.seen:
-                return ACK_DUPLICATE
-            self.seen.add(key)
-            self.store.append((record, split))
-        return ACK_ACCEPTED
+            held = self.store.setdefault((record.device_id, record.record_id), entry)
+        return ACK_ACCEPTED if held is entry or held == entry else ACK_DUPLICATE
 
     def records(self, split):
         with self._lock:
-            return [rec for rec, s in self.store if s == split]
+            return [rec for rec, s in self.store.values() if s == split]
 
-    def assemble(self, split, num_classes=None) -> LabeledDataset:
+    def assemble(self, split, num_classes) -> LabeledDataset:
         """Latent records of one split as a dataset, in ingestion order."""
         records = self.records(split)
         if not records:
-            return LabeledDataset(np.zeros((0, 1), np.float32), np.zeros(0, np.int64),
-                                  num_classes or 1)
+            return LabeledDataset(np.zeros((0, 1), np.float32), [], num_classes)
         shape = records[0].shape
         for rec in records:
             if rec.shape != shape:
@@ -66,18 +64,14 @@ class Hub:
                     f"latents of shape {rec.shape} and {shape} in split {split!r}")
         images = np.stack([rec.tensor for rec in records])
         labels = np.array([rec.label for rec in records], dtype=np.int64)
-        if (labels == UNLABELED).any():
-            raise ShapeMismatchError("split contains unlabeled records")
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1
         return LabeledDataset(images, labels, num_classes)
 
-    def train_classifier(self, family, cfg, num_classes=None):
+    def train_classifier(self, family, cfg, num_classes):
         """Fit a classifier of `family` ("A"/"B") on the assembled train split."""
         data = self.assemble("train", num_classes)
         if len(data) == 0:
             raise NoClassifierError("no train-split latents ingested")
-        spec = build_vanilla_classifier(data.sample_shape, family, data.num_classes)
+        spec = build_vanilla_classifier(data.sample_shape, family, num_classes)
         net, history = train_classifier(spec, data, cfg)
         self.classifier = net
         return history
@@ -87,7 +81,7 @@ class Hub:
             raise NoClassifierError("train a classifier before predicting")
         return int(self.classifier.forward(record.tensor[None]).argmax())
 
-    def evaluate(self, split, num_classes=None):
+    def evaluate(self, split, num_classes):
         """Accuracy of the stored classifier over one assembled split."""
         if self.classifier is None:
             raise NoClassifierError("train a classifier before evaluating")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeMismatchError
+from .errors import DivergenceError
 from .losses import cross_entropy_loss, mse_loss
 from .network import Network
 from .optim import make_optimizer, optimizer_step
@@ -100,9 +100,6 @@ def train_autoencoder(pair, images, cfg):
     specs over the chain's own parameter arrays, so nothing is copied, and
     history carries the per-epoch mean reconstruction MSE.
     """
-    if tuple(images.shape[1:]) != pair.encoder.input_shape:
-        raise ShapeMismatchError(
-            f"images {images.shape[1:]} vs encoder input {pair.encoder.input_shape}")
     chain_spec = ModelSpec(pair.encoder.layers + pair.decoder.layers,
                            pair.encoder.input_shape)
     net, hist = _fit(chain_spec, images, None, cfg, "rmsprop")

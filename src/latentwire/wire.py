@@ -15,7 +15,9 @@ Body layout:
     | dtype u8 (0 = f32) | payload 4*prod(dims) bytes of f32, row-major
 
 Decoding never raises anything but :class:`WireDecodeError` subtypes, each
-mapped to a 1-byte ack code.
+mapped to a 1-byte ack code. A FrameScanner waits for the rest of a frame
+whose header is sound, so it never yields TruncatedFrameError: ack 0x04
+comes only from decode_record on a short buffer.
 """
 
 from __future__ import annotations
@@ -213,10 +215,12 @@ class FrameScanner:
     failure or a discarded magic the scan resumes one byte past the magic.
 
     Each header is parsed once. A frame whose header is sound is decoded
-    once all of it is buffered, so a frame split across chunks is not
-    retried; one whose version or flags are wrong is decoded, and so
-    refused, at once. What stays buffered after a feed is at most one
-    incomplete frame, or a possible magic prefix.
+    once all of it is buffered, so a frame split across chunks is neither
+    retried nor refused as truncated; one whose version or flags are wrong
+    is decoded, and so refused, at once. What stays buffered after a feed
+    is at most one incomplete frame, or a possible magic prefix. A known
+    limit: a forged sound header stalls every frame behind it until its
+    declared body, up to MAX_FRAME_BYTES, has arrived.
     """
 
     _buf: bytearray = field(default_factory=bytearray)

@@ -113,18 +113,6 @@ def infer_shapes(spec):
     return out
 
 
-def count_parameters(spec):
-    """conv: (K*K*C_in+1)*F; dense: (N+1)*M; everything else contributes 0."""
-    shapes = infer_shapes(spec)
-    total = 0
-    for layer, shape_in in zip(spec.layers, shapes):
-        if layer.kind == "conv2d":
-            total += (KERNEL * KERNEL * shape_in[2] + 1) * layer.filters
-        elif layer.kind == "dense":
-            total += (shape_in[0] + 1) * layer.width
-    return total
-
-
 @dataclass(frozen=True)
 class AutoencoderPair:
     encoder: ModelSpec

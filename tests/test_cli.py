@@ -8,7 +8,13 @@ import pytest
 import latentwire.experiment as experiment
 from latentwire.cli import _experiment_config, build_parser, main
 from latentwire.errors import DivergenceError
-from latentwire.experiment import CONFIG_FORMAT, CONFIG_VERSION, DATA_DIR_ENV, ExperimentConfig
+from latentwire.experiment import (
+    CONFIG_FORMAT,
+    CONFIG_VERSION,
+    DATA_DIR_ENV,
+    ExperimentConfig,
+    load_config,
+)
 
 
 def _small_config(tmp_path):
@@ -206,6 +212,33 @@ RUN_FLAGS = [a.option_strings[-1] for a in _commands()["run"]._actions
 
 # flags a flag needs beside it; the flag must change the config they build
 RUN_FLAG_NEEDS = {"--cifar10-subset": ["--cifar10-dir", "batches"]}
+
+
+# the config file keys each `run` grid flag stands for, at RUN_FLAG_VALUES
+RUN_FLAG_KEYS = {
+    "--cifar10-dir": {"cifar_dir": "batches"},
+    "--cifar10-subset": {"cifar_subset": "2x10"},
+    "--ratios": {"ratios": [1, 2]},
+    "--family": {"family": "B"},
+    "--devices": {"n_devices": 3},
+    "--seeds": {"seeds": [1, 2]},
+    "--ae-epochs": {"ae": {"epochs": 1}},
+    "--clf-epochs": {"clf": {"epochs": 1}},
+    "--batch-size": {"ae": {"batch_size": 8}, "clf": {"batch_size": 8}},
+    "--jobs": {"jobs": 2},
+}
+
+
+@pytest.mark.parametrize("flag", RUN_FLAG_VALUES)
+def test_each_run_flag_sets_what_its_file_keys_set(flag, tmp_path):
+    needs = RUN_FLAG_NEEDS.get(flag, [])
+    doc = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION}
+    for given in needs[::2] + [flag]:
+        doc.update(RUN_FLAG_KEYS[given])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    args = build_parser().parse_args(["run", *needs, flag, RUN_FLAG_VALUES[flag]])
+    assert _experiment_config(args) == load_config(path)
 
 
 @pytest.mark.parametrize("flag", RUN_FLAGS)

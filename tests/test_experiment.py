@@ -32,6 +32,9 @@ from latentwire.experiment import (
     run_experiment,
 )
 from latentwire.train import TrainConfig
+from latentwire.zoo import build_autoencoder, build_vanilla_classifier
+
+from oracles import count_parameters_oracle
 
 HEADER = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION}
 
@@ -340,6 +343,16 @@ def test_run_experiment_is_deterministic():
     assert len(first) == 4 and all(cell[2] is not None for cell in first)
     assert _cells(run_experiment(TINY_GRID)) == first
     assert _cells(run_experiment(replace(TINY_GRID, jobs=2))) == first
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_each_row_counts_the_parameters_of_its_classifier(family):
+    rows = run_experiment(replace(TINY_GRID, family=family, seeds=(0,))).rows
+    assert [r.cr for r in rows] == [1.0, 4.0] and not any(r.failed for r in rows)
+    for row in rows:
+        latent = build_autoencoder((8, 8, 3), row.cr).latent_shape
+        spec = build_vanilla_classifier(latent, family, 2)
+        assert row.params == count_parameters_oracle(spec)
 
 
 def test_per_device_accuracy_logged_only_at_info(caplog):

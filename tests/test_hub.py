@@ -13,8 +13,8 @@ import latentwire.wire as wire
 from latentwire.device import HubSink, WireClientSink
 from latentwire.errors import (
     HeterogeneousShapeError,
+    LabelRangeError,
     NoClassifierError,
-    ShapeMismatchError,
     SinkFailure,
 )
 from latentwire.hub import Hub, HubServer, _Handler, serve_stream
@@ -24,6 +24,7 @@ from latentwire.wire import (
     ACK_BAD_CRC,
     ACK_DUPLICATE,
     ACK_SHAPE_MISMATCH,
+    ACK_TRUNCATED,
     MAX_FRAME_BYTES,
     UNLABELED,
     LatentRecord,
@@ -43,8 +44,11 @@ def test_ingest_accepts_then_flags_duplicate():
     hub = Hub()
     rec = make_record()
     assert hub.ingest(rec, "train") == ACK_ACCEPTED
-    assert hub.ingest(make_record(seed=1), "test") == ACK_DUPLICATE
-    assert hub.store == [(rec, "train")]
+    assert hub.ingest(make_record(seed=1), "train") == ACK_DUPLICATE  # another payload
+    assert hub.ingest(make_record(), "test") == ACK_DUPLICATE  # another split
+    # an identical re-send, as after a lost ack, is acked and stores nothing
+    assert hub.ingest(make_record(), "train") == ACK_ACCEPTED
+    assert hub.store == {(1, 0): (rec, "train")} and hub.store[1, 0][0] is rec
 
 
 def counting_decodes(monkeypatch):
@@ -93,13 +97,15 @@ def test_serve_stream_ack_sequence():
     bad = bytearray(encode_record(make_record(record=1)))
     bad[-1] ^= 0xFF
     first, last = encode_record(make_record(record=0)), encode_record(make_record(record=2))
+    clash = encode_record(make_record(record=0, seed=1))  # first's key, another payload
     acks = bytearray()
     hub = Hub()
-    stream = first + first + bytes(bad) + last
+    stream = first + clash + bytes(bad) + last + first
     counts = serve_stream(hub, [stream[i:i + 9] for i in range(0, len(stream), 9)],
                           "train", ack_writer=acks.extend)
-    assert bytes(acks) == bytes([ACK_ACCEPTED, ACK_DUPLICATE, ACK_BAD_CRC, ACK_ACCEPTED])
-    assert counts == (2, 2)
+    assert bytes(acks) == bytes([ACK_ACCEPTED, ACK_DUPLICATE, ACK_BAD_CRC, ACK_ACCEPTED,
+                                 ACK_ACCEPTED])
+    assert counts == (3, 2)
     assert [r.record_id for r in hub.records("train")] == [0, 2]
 
 
@@ -173,6 +179,8 @@ def test_serve_stream_is_the_same_in_any_chunking(parts, sizes):
             assert counts == (acks.count(ACK_ACCEPTED), len(acks) - acks.count(ACK_ACCEPTED))
             results.append((bytes(acks), hub.records("train")))
     assert results[0] == results[1]
+    # a sound header waits for its body, so the scanner never refuses a frame as truncated
+    assert ACK_TRUNCATED not in results[0][0]
     assert max(pending, default=0) <= HEADER_LEN + MAX_FRAME_BYTES + CRC_LEN
 
 
@@ -183,7 +191,7 @@ def test_serve_stream_acks_bad_shape_and_stores_nothing(body):
     counts = serve_stream(hub, [frame_around(body)], "train", ack_writer=acks.extend)
     assert bytes(acks) == bytes([ACK_SHAPE_MISMATCH]) == b"\x05"
     assert counts == (0, 1)
-    assert hub.store == [] and hub.seen == set()
+    assert hub.store == {}
 
 
 def test_hub_sink_round_trips_through_codec():
@@ -193,8 +201,10 @@ def test_hub_sink_round_trips_through_codec():
     sink.push(rec)
     stored = hub.records("test")
     assert stored == [rec] and stored[0] is not rec
+    sink.push(rec)  # an identical re-send is acked and stores nothing
+    assert hub.records("test") == [rec] and hub.records("test")[0] is stored[0]
     with pytest.raises(SinkFailure, match="0x06"):
-        sink.push(rec)
+        sink.push(make_record(seed=1))
     with pytest.raises(OversizeRecordError):
         sink.push(make_record(record=1, label=0x10000))
 
@@ -227,8 +237,9 @@ def test_wire_client_pushes_over_loopback():
         for rec in recs:
             sink.push(rec)
         assert hub.records("test") == recs
+        sink.push(recs[1])  # an identical re-send is acked and stores nothing
         with pytest.raises(SinkFailure, match="0x06"):
-            sink.push(recs[1])
+            sink.push(make_record(record=1, seed=9))
     assert hub.records("test") == recs
 
 
@@ -296,8 +307,8 @@ def test_evaluate_empty_split_scores_zero():
     for i in range(8):
         payload = r.random(32).astype("<f4")
         hub.ingest(LatentRecord(1, i, i % 2, (4, 4, 2), payload), "train")
-    hub.train_classifier("A", TrainConfig(epochs=1, batch_size=4))
-    assert hub.evaluate("test")[0] == 0.0
+    hub.train_classifier("A", TrainConfig(epochs=1, batch_size=4), num_classes=2)
+    assert hub.evaluate("test", num_classes=2)[0] == 0.0
 
 
 def test_predict_matches_the_bulk_forward_of_a_trained_classifier():
@@ -308,8 +319,8 @@ def test_predict_matches_the_bulk_forward_of_a_trained_classifier():
         payload = (0.2 * r.random(32) + 0.8 * label).astype("<f4")
         hub.ingest(LatentRecord(1, record, label, (4, 4, 2), payload),
                    "train" if record < 24 else "test")
-    hub.train_classifier("A", TrainConfig(epochs=10, batch_size=4))
-    test = hub.assemble("test")
+    hub.train_classifier("A", TrainConfig(epochs=10, batch_size=4), num_classes=2)
+    test = hub.assemble("test", num_classes=2)
     bulk = hub.classifier.infer(test.images).argmax(axis=-1)
     assert [hub.predict(rec) for rec in hub.records("test")] == bulk.tolist()
     assert bulk.tolist() == test.labels.tolist()  # both classes, so not a constant answer
@@ -321,16 +332,17 @@ def test_assemble_rejects_mixed_latent_shapes():
     hub.ingest(LatentRecord(1, 1, 0, (3, 2), np.zeros(6, "<f4")), "train")
     hub.ingest(make_record(record=2), "test")
     with pytest.raises(HeterogeneousShapeError):
-        hub.assemble("train")
-    assert len(hub.assemble("test")) == 1
+        hub.assemble("train", num_classes=4)
+    assert len(hub.assemble("test", num_classes=4)) == 1
 
 
 def test_assemble_rejects_unlabeled_record():
+    # UNLABELED (0xFFFF) lies outside any class count the grid passes
     hub = Hub()
     hub.ingest(make_record(record=0), "train")
     hub.ingest(make_record(record=1, label=UNLABELED), "train")
-    with pytest.raises(ShapeMismatchError, match="unlabeled"):
-        hub.assemble("train")
+    with pytest.raises(LabelRangeError, match="labels must lie in"):
+        hub.assemble("train", num_classes=4)
 
 
 def test_no_classifier_until_trained():
@@ -338,8 +350,8 @@ def test_no_classifier_until_trained():
     with pytest.raises(NoClassifierError):
         hub.predict(make_record())
     with pytest.raises(NoClassifierError):
-        hub.evaluate("test")
+        hub.evaluate("test", num_classes=4)
     hub.ingest(make_record(), "test")
     with pytest.raises(NoClassifierError):
-        hub.train_classifier("A", TrainConfig(epochs=1))
+        hub.train_classifier("A", TrainConfig(epochs=1), num_classes=4)
     assert hub.classifier is None

@@ -15,7 +15,6 @@ from latentwire.zoo import (
     build_autoencoder,
     build_vanilla_classifier,
     conv,
-    count_parameters,
     dense,
     infer_shapes,
 )
@@ -199,7 +198,7 @@ def test_unknown_family_rejected():
 
 
 def test_more_classes_than_trunk_features_rejected():
-    # Hub.assemble derives the class count from wire labels; a 3x3 input
+    # the hub passes the grid's class count straight in; a 3x3 input
     # keeps one conv, whose 1x1x32 output cannot separate 40 classes
     with pytest.raises(InvalidGeometryError,
                        match="trunk leaves 32 features for 40 classes"):
@@ -230,27 +229,35 @@ def test_infer_shapes_reports_failing_layer_index():
 
 # --- parameter counting ----------------------------------------------------------
 
+def count_arrays(spec):
+    """Elements of the parameter arrays a Network builds for `spec`: the
+    count run_cell reports as a row's params."""
+    net = Network(spec, rng=np.random.default_rng(0))
+    return sum(a.size for p in net.params for a in p.values())
+
+
 def test_single_conv_count():
     spec = ModelSpec((conv(32),), (8, 8, 3))
-    assert count_parameters(spec) == (27 + 1) * 32 == 896
+    assert count_arrays(spec) == count_parameters_oracle(spec) == (27 + 1) * 32 == 896
 
 
 def test_dense_count():
     spec = ModelSpec((dense(64),), (128,))
-    assert count_parameters(spec) == 129 * 64 == 8256
+    assert count_arrays(spec) == count_parameters_oracle(spec) == 129 * 64 == 8256
 
 
 def test_family_a_total_matches_recount_oracle():
     for shape in [(32, 32, 3), (16, 16, 3), (8, 8, 6), (8, 8, 3)]:
         spec = build_vanilla_classifier(shape, "A", 10)
-        assert count_parameters(spec) == count_parameters_oracle(spec)
+        assert count_arrays(spec) == count_parameters_oracle(spec)
 
 
 def test_param_counts_non_increasing_in_cr():
     latents = {1: (32, 32, 3), 4: (16, 16, 3), 8: (8, 8, 6), 16: (8, 8, 3)}
     for family in ("A", "B"):
-        counts = [count_parameters(build_vanilla_classifier(latents[cr], family, 10))
-                  for cr in (1, 4, 8, 16)]
+        specs = [build_vanilla_classifier(latents[cr], family, 10) for cr in (1, 4, 8, 16)]
+        counts = [count_arrays(spec) for spec in specs]
+        assert counts == [count_parameters_oracle(spec) for spec in specs]
         assert all(a >= b for a, b in zip(counts, counts[1:])), (family, counts)
 
 

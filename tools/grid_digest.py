@@ -1,14 +1,16 @@
-"""Print the pinned grid's accuracies, a sha256 of its data, one sha256
-over every network it trains and one over every frame it pushes.
+"""Print the pinned grid's accuracies and parameter counts, a sha256 of its
+data, one sha256 over every network it trains and one over every frame it
+pushes.
 
     python3 tools/grid_digest.py
 
 Runs the benchmark's pinned grid config (``GridWorkload().setup(0)`` from
 ``perfbench/workloads.py``) through ``run_experiment`` on the ``latentwire``
-in this checkout's ``src``. ``data_sha256`` hashes the bytes of
-``gen_synthetic(GridWorkload().spec, seed=0)``: train images, train labels,
-test images, test labels, in that order, as ``tests/test_data.py`` pins
-them. Every ``train._fit`` result is hashed: each layer's parameter arrays
+in this checkout's ``src``. Each ``cr=`` line holds the cell's accuracy and
+its report ``params``, the model-complexity column. ``data_sha256`` hashes
+the bytes of ``gen_synthetic(GridWorkload().spec, seed=0)``: train images,
+train labels, test images, test labels, in that order, as
+``tests/test_data.py`` pins them. Every ``train._fit`` result is hashed: each layer's parameter arrays
 by key, then the loss and metric histories as float64. The digest is the
 sha256 of the per-network digests in training order. A kernel change that
 keeps every GEMM's operands, layout and summation order prints the same
@@ -83,7 +85,7 @@ def main():
         lw.train._fit = fit
         lw.device.encode_record = encode
     for row in sorted(report.rows, key=lambda r: r.cr):
-        print(f"cr={row.cr:g} accuracy={row.accuracy}"
+        print(f"cr={row.cr:g} accuracy={row.accuracy} params={row.params}"
               + (f" failed: {row.error}" if row.failed else ""))
     print(f"data_sha256={data_digest(GridWorkload().spec)}")
     print(f"networks={len(digests)}")
