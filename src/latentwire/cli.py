@@ -4,7 +4,8 @@ grid and writes the report.
 `run` builds its grid from the flags, merged and checked as a file's keys
 are, or, with --config, from the file alone: no grid flag may go with it,
 and keys left out take the ExperimentConfig defaults. The report goes to
---out, by default report.csv or report.json after --format. A CIFAR-10
+--out, report.csv by default: JSON when the path ends in .json, else CSV.
+Each cell's line is printed before the report is written. A CIFAR-10
 directory, from --cifar10-dir or the file's cifar_dir, is kept as given and
 resolved where the grid loads it (see experiment.load_experiment_data). A
 program error ends the command with one ``latentwire: error:`` line on
@@ -21,20 +22,6 @@ from .errors import LatentWireError
 from .experiment import emit_report, load_config, merge_config, run_experiment
 from .zoo import FAMILIES
 
-# dest of each `run` grid flag -> the (section, field) pairs it sets; None: top level
-GRID_FLAGS = {
-    "cifar10_dir": ((None, "cifar_dir"),),
-    "cifar10_subset": ((None, "cifar_subset"),),
-    "ratios": ((None, "ratios"),),
-    "family": ((None, "family"),),
-    "devices": ((None, "n_devices"),),
-    "seeds": ((None, "seeds"),),
-    "ae_epochs": (("ae", "epochs"),),
-    "clf_epochs": (("clf", "epochs"),),
-    "batch_size": (("ae", "batch_size"), ("clf", "batch_size")),
-    "jobs": ((None, "jobs"),),
-}
-
 
 def _int_list(text):
     return [int(v) for v in text.split(",")]
@@ -44,33 +31,50 @@ def _float_list(text):
     return [float(v) for v in text.split(",")]
 
 
+# dest of each `run` grid flag -> (the (section, field) pairs it sets, None: top
+# level; its argparse type; its help). _flag(dest) spells the flag.
+GRID_FLAGS = {
+    "cifar10_dir": (((None, "cifar_dir"),), str, "run on CIFAR-10 from this directory"),
+    "cifar10_subset": (((None, "cifar_subset"),), str, "CLASSESxPER_CLASS, e.g. 2x1000"),
+    "ratios": (((None, "ratios"),), _float_list, "compression ratios, e.g. 1,4,8,16"),
+    "family": (((None, "family"),), str, f"classifier family, one of {', '.join(FAMILIES)}"),
+    "devices": (((None, "n_devices"),), int, "edge devices per cell"),
+    "seeds": (((None, "seeds"),), _int_list, "seeds, e.g. 0,1,2"),
+    "ae_epochs": ((("ae", "epochs"),), int, "autoencoder epochs"),
+    "clf_epochs": ((("clf", "epochs"),), int, "classifier epochs"),
+    "batch_size": ((("ae", "batch_size"), ("clf", "batch_size")), int, "batch size"),
+    "jobs": (((None, "jobs"),), int, "cells run at once"),
+}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def _experiment_config(args):
     given = [dest for dest in GRID_FLAGS if getattr(args, dest) is not None]
     if args.config:
         if given:
-            raise ValueError(f"--{given[0].replace('_', '-')} cannot go with --config")
+            raise ValueError(f"{_flag(given[0])} cannot go with --config")
         return load_config(args.config)
     body = {}
     for dest in given:
-        for section, name in GRID_FLAGS[dest]:
+        for section, name in GRID_FLAGS[dest][0]:
             (body.setdefault(section, {}) if section else body)[name] = getattr(args, dest)
     return merge_config(body)
 
 
 def cmd_run(args):
-    cfg = _experiment_config(args)
-    report = run_experiment(cfg)
-    out = args.out or f"report.{args.format}"
-    emit_report(report, out, fmt=args.format)
-    failed = [r for r in report.rows if r.failed]
+    report = run_experiment(_experiment_config(args))
     for row in report.rows:
         if row.failed:
             print(f"cr={row.cr:g} seed={row.seed}: FAILED ({row.error})")
         else:
             print(f"cr={row.cr:g} seed={row.seed}: acc={row.accuracy:.4f} "
                   f"params={row.params} train={row.train_s:.3f}s test={row.test_s:.3f}s")
-    print(f"report written to {out}")
-    return 1 if failed else 0
+    emit_report(report, args.out)
+    print(f"report written to {args.out}")
+    return 1 if any(row.failed for row in report.rows) else 0
 
 
 def build_parser():
@@ -82,20 +86,10 @@ def build_parser():
 
     p = sub.add_parser("run", help="run the benchmark grid and emit a report")
     p.add_argument("--config", help="JSON config; takes no grid flag beside it")
-    p.add_argument("--cifar10-dir", help="run on CIFAR-10 from this directory, "
-                   "not on synthetic data")
-    p.add_argument("--cifar10-subset", help="CLASSESxPER_CLASS, e.g. 2x1000; "
-                   "needs --cifar10-dir")
-    p.add_argument("--ratios", type=_float_list)
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--devices", type=int)
-    p.add_argument("--seeds", type=_int_list)
-    p.add_argument("--ae-epochs", type=int)
-    p.add_argument("--clf-epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="report path; default report.csv or report.json")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for dest, (_, kind, text) in GRID_FLAGS.items():
+        p.add_argument(_flag(dest), type=kind, help=text)
+    p.add_argument("--out", default="report.csv",
+                   help="report path; JSON when it ends in .json, else CSV")
     return parser
 
 

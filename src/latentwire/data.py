@@ -217,7 +217,7 @@ def load_cifar10(directory):
 
 def cifar10_subset(train, test, num_classes, per_class):
     """First `per_class` train images of each of the first `num_classes`
-    classes, with test cut to the 5:1 ratio."""
+    classes, with test cut to SPLIT_RATIO."""
     def cut(data, n):
         keep = []
         for cls in range(num_classes):
@@ -225,4 +225,5 @@ def cifar10_subset(train, test, num_classes, per_class):
             keep.append(idx)
         idx = np.concatenate(keep)
         return LabeledDataset(data.images[idx], data.labels[idx], num_classes)
-    return cut(train, per_class), cut(test, max(per_class // 5, 1))
+    n_test = max(per_class * SPLIT_RATIO[1] // SPLIT_RATIO[0], 1)
+    return cut(train, per_class), cut(test, n_test)

@@ -8,6 +8,7 @@ File rules. A config file is a JSON object holding ``format`` and
 ``version`` plus the :class:`ExperimentConfig` fields; nested objects hold
 the fields of ``synthetic``, ``ae`` and ``clf``. A key left out takes its
 ``ExperimentConfig()`` default, at any depth, and an unknown key is an error.
+A report path ending in ``.json`` gets a JSON report, any other a CSV one.
 The columns of a CSV report are the :class:`ReportRow` fields in order; an
 empty cell means ``None``. A JSON report holds ``format``, ``version`` and
 ``rows``, one object of the ReportRow fields per row.
@@ -240,21 +241,19 @@ def normalize_metrics(report: ExperimentReport) -> ExperimentReport:
 # report files
 
 
-def emit_report(report, path, fmt="csv"):
+def emit_report(report, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
+    if path.suffix == ".json":
+        doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
+               "rows": [asdict(r) for r in report.rows]}
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    else:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(f.name for f in fields(ReportRow))
             for r in report.rows:
                 writer.writerow("" if v is None else v for v in asdict(r).values())
-    elif fmt == "json":
-        doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
-               "rows": [asdict(r) for r in report.rows]}
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelRangeError, ShapeMismatchError
-from .ops import softmax
 
 
 @dataclass
@@ -40,9 +39,10 @@ def cross_entropy_loss(logits, labels):
     if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
         raise LabelRangeError(f"labels must lie in [0,{k})")
     shifted = lg - lg.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    value = float(np.mean(lse - shifted[np.arange(b), lab]))
-    grad = softmax(lg, axis=1)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(b), lab]))
+    grad = e / total
     grad[np.arange(b), lab] -= 1.0
     grad /= b
     return LossResult(value, grad.astype(lg.dtype, copy=False))

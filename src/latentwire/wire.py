@@ -214,13 +214,14 @@ class FrameScanner:
     a magic whose header declares a body above MAX_FRAME_BYTES. After a
     failure or a discarded magic the scan resumes one byte past the magic.
 
-    Each header is parsed once. A frame whose header is sound is decoded
-    once all of it is buffered, so a frame split across chunks is neither
-    retried nor refused as truncated; one whose version or flags are wrong
-    is decoded, and so refused, at once. What stays buffered after a feed
-    is at most one incomplete frame, or a possible magic prefix. A known
-    limit: a forged sound header stalls every frame behind it until its
-    declared body, up to MAX_FRAME_BYTES, has arrived.
+    Each frame is decoded once; the scan also unpacks a whole frame's
+    header, to decide whether to wait. A frame whose header is sound is
+    decoded once all of it is buffered, so a frame split across chunks is
+    neither retried nor refused as truncated; one whose version or flags
+    are wrong is decoded, and so refused, at once. What stays buffered
+    after a feed is at most one incomplete frame, or a possible magic
+    prefix. A known limit: a forged sound header stalls every frame behind
+    it until its declared body, up to MAX_FRAME_BYTES, has arrived.
     """
 
     _buf: bytearray = field(default_factory=bytearray)

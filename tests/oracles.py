@@ -392,8 +392,8 @@ def gradient_trial(kind, rng):
     return check_op_gradients(fwd, arrays)
 
 
-# ops.softmax has no layer of its own: the cross-entropy trials differentiate
-# through it
+# the softmax is no layer: cross_entropy_loss computes it, and the cross-entropy
+# trials differentiate through it
 GRADIENT_KINDS = ("conv2d", "maxpool2d", "upsample2d", "dense", "relu", "sigmoid",
                   "dropout", "flatten", "mse", "cross-entropy")
 

@@ -40,14 +40,29 @@ def test_cli_smoke(tmp_path):
     assert rows[0]["acc_norm"] == "1.0"
 
 
-def test_run_json_without_out_writes_report_json(tmp_path, monkeypatch, capsys):
+def test_run_out_json_writes_a_json_report(tmp_path, monkeypatch, capsys):
     cfg = _small_config(tmp_path)
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "--config", str(cfg), "--format", "json"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", "report.json"]) == 0
     assert capsys.readouterr().out.endswith("report written to report.json\n")
     doc = json.loads((tmp_path / "report.json").read_text())
     assert [row["cr"] for row in doc["rows"]] == [1.0, 4.0]
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_run_prints_every_cell_when_the_report_cannot_be_written(tmp_path, capsys):
+    # --out names a directory: the rows are printed before the write fails
+    assert main(["run", "--config", str(_small_config(tmp_path)), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "cr=1 seed=0", "cr=4 seed=0"]
+    assert captured.err.startswith("latentwire: error: ") and captured.err.count("\n") == 1
+
+
+def test_run_family_is_checked_by_the_config(capsys):
+    assert main(["run", "--family", "C"]) == 2
+    assert capsys.readouterr().err == (
+        "latentwire: error: family must be one of ('A', 'B'), got 'C'\n")
 
 
 def test_run_prints_and_reports_a_failed_cell(tmp_path, monkeypatch, capsys):
@@ -207,7 +222,7 @@ RUN_FLAG_VALUES = {
     "--ae-epochs": "1", "--clf-epochs": "1", "--batch-size": "8", "--jobs": "2",
 }
 RUN_FLAGS = [a.option_strings[-1] for a in _commands()["run"]._actions
-             if a.option_strings[-1] not in ("--help", "--config", "--out", "--format")]
+             if a.option_strings[-1] not in ("--help", "--config", "--out")]
 
 
 # flags a flag needs beside it; the flag must change the config they build

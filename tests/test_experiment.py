@@ -176,7 +176,7 @@ def test_csv_report_is_pinned(tmp_path):
 
 def test_json_report_is_pinned(tmp_path):
     path = tmp_path / "report.json"
-    emit_report(ExperimentReport(list(ROWS)), path, fmt="json")
+    emit_report(ExperimentReport(list(ROWS)), path)
     doc = json.loads(path.read_text())
     assert list(doc) == ["format", "version", "rows"]
     assert (doc["format"], doc["version"]) == (REPORT_FORMAT, REPORT_VERSION) == (
@@ -195,9 +195,11 @@ def test_json_report_is_pinned(tmp_path):
     ]
 
 
-def test_unknown_report_format(tmp_path):
-    with pytest.raises(ValueError, match="format"):
-        emit_report(ExperimentReport(list(ROWS)), tmp_path / "r.txt", fmt="structured-text")
+def test_a_report_path_not_ending_in_json_gets_csv(tmp_path):
+    emit_report(ExperimentReport(list(ROWS)), tmp_path / "report.csv")
+    for name in ("report.txt", "report", "report.json.csv"):
+        emit_report(ExperimentReport(list(ROWS)), tmp_path / name)
+        assert (tmp_path / name).read_text() == (tmp_path / "report.csv").read_text()
 
 
 # --- normalization ----------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_serve_stream_ack_sequence():
 
 
 def test_serve_stream_acks_frames_behind_oversize_header():
-    stall = struct.pack("<4sBBI", b"LTNT", 1, 0, 50 * 1024 * 1024)
+    stall = forged_header(50 * 1024 * 1024)
     recs = [LatentRecord(1, i, 0, (8, 8, 3), np.full(192, i, "<f4")) for i in range(5)]
     acks = bytearray()
     counts = serve_stream(Hub(), [stall + b"".join(encode_record(r) for r in recs)],
@@ -138,16 +138,26 @@ def damaged_frame(kind, frame):
 STREAM_PARTS = st.lists(
     st.one_of(st.tuples(st.sampled_from(["intact", "crc", "version", "truncated",
                                          "magic", "oversize"]), st.integers(1, 40)),
-              st.tuples(st.just("garbage"), st.binary(min_size=1, max_size=60))),
+              st.tuples(st.just("garbage"), st.binary(min_size=1, max_size=60)),
+              st.tuples(st.just("forged"), st.integers(0, 600))),
     max_size=12)
 
 
+def forged_header(length):
+    """A sound 10-byte header (LTNT, v1, flags 0) declaring a body of `length`
+    bytes, with no frame behind it."""
+    return struct.pack("<4sBBI", b"LTNT", 1, 0, length)
+
+
 def build_stream(parts):
-    """Frames of (n,)-shaped records, damaged or not, and garbage runs."""
+    """Frames of (n,)-shaped records, damaged or not, forged headers and
+    garbage runs."""
     out = []
     for i, (kind, arg) in enumerate(parts):
         if kind == "garbage":
             out.append(arg)
+        elif kind == "forged":
+            out.append(forged_header(arg))
         else:
             rec = LatentRecord(2, i, i % 7, (arg,), np.arange(arg, dtype="<f4") * (i + 1))
             out.append(damaged_frame(kind, encode_record(rec)))
@@ -182,6 +192,20 @@ def test_serve_stream_is_the_same_in_any_chunking(parts, sizes):
     # a sound header waits for its body, so the scanner never refuses a frame as truncated
     assert ACK_TRUNCATED not in results[0][0]
     assert max(pending, default=0) <= HEADER_LEN + MAX_FRAME_BYTES + CRC_LEN
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_forged_header_is_refused_if_its_frame_fits_and_stalls_the_stream_if_not(size):
+    # the known limit in FrameScanner's docstring: a sound header waits for its body
+    frames = b"".join(encode_record(LatentRecord(1, i, 0, (8, 8, 3), np.full(192, i, "<f4")))
+                      for i in range(5))
+    fits = [ACK_BAD_CRC] + [ACK_ACCEPTED] * 5
+    for length, expected, counts in ((100, fits, (5, 1)), (len(frames), [], (0, 0))):
+        stream = forged_header(length) + frames
+        acks = bytearray()
+        assert serve_stream(Hub(), [stream[i:i + size] for i in range(0, len(stream), size)],
+                            "train", ack_writer=acks.extend) == counts
+        assert bytes(acks) == bytes(expected)
 
 
 @pytest.mark.parametrize("body", BAD_SHAPE_BODIES.values(), ids=BAD_SHAPE_BODIES.keys())
