@@ -15,36 +15,43 @@ stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
+import typing
 
 from .errors import LatentWireError
-from .experiment import emit_report, load_config, merge_config, run_experiment
+from .experiment import (ExperimentConfig, emit_report, load_config, merge_config,
+                         run_experiment)
 from .zoo import FAMILIES
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",")]
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",")]
-
-
 # dest of each `run` grid flag -> (the (section, field) pairs it sets, None: top
-# level; its argparse type; its help). _flag(dest) spells the flag.
+# level; its help). _flag(dest) spells the flag; _file_value reads its text.
 GRID_FLAGS = {
-    "cifar10_dir": (((None, "cifar_dir"),), str, "run on CIFAR-10 from this directory"),
-    "cifar10_subset": (((None, "cifar_subset"),), str, "CLASSESxPER_CLASS, e.g. 2x1000"),
-    "ratios": (((None, "ratios"),), _float_list, "compression ratios, e.g. 1,4,8,16"),
-    "family": (((None, "family"),), str, f"classifier family, one of {', '.join(FAMILIES)}"),
-    "devices": (((None, "n_devices"),), int, "edge devices per cell"),
-    "seeds": (((None, "seeds"),), _int_list, "seeds, e.g. 0,1,2"),
-    "ae_epochs": ((("ae", "epochs"),), int, "autoencoder epochs"),
-    "clf_epochs": ((("clf", "epochs"),), int, "classifier epochs"),
-    "batch_size": ((("ae", "batch_size"), ("clf", "batch_size")), int, "batch size"),
-    "jobs": (((None, "jobs"),), int, "cells run at once"),
+    "cifar10_dir": (((None, "cifar_dir"),), "run on CIFAR-10 from this directory"),
+    "cifar10_subset": (((None, "cifar_subset"),), "CLASSESxPER_CLASS, e.g. 2x1000"),
+    "ratios": (((None, "ratios"),), "compression ratios, e.g. 1,4,8,16"),
+    "family": (((None, "family"),), f"classifier family, one of {', '.join(FAMILIES)}"),
+    "devices": (((None, "n_devices"),), "edge devices per cell"),
+    "seeds": (((None, "seeds"),), "seeds, e.g. 0,1,2"),
+    "ae_epochs": ((("ae", "epochs"),), "autoencoder epochs"),
+    "clf_epochs": ((("clf", "epochs"),), "classifier epochs"),
+    "batch_size": ((("ae", "batch_size"), ("clf", "batch_size")), "batch size"),
+    "jobs": (((None, "jobs"),), "cells run at once"),
 }
+
+
+def _file_value(text, hint):
+    """The value a config file would hold for a flag's text, by the type hint
+    of the field it sets: its comma-separated items for a tuple, a number for
+    a number when the text is one, else the text; merge_config checks it."""
+    if typing.get_origin(hint) is tuple:
+        return [_file_value(item, typing.get_args(hint)[0]) for item in text.split(",")]
+    if hint in (int, float):
+        with contextlib.suppress(ValueError):
+            return hint(text)
+    return text
 
 
 def _flag(dest):
@@ -57,10 +64,12 @@ def _experiment_config(args):
         if given:
             raise ValueError(f"{_flag(given[0])} cannot go with --config")
         return load_config(args.config)
-    body = {}
+    body, hints = {}, typing.get_type_hints(ExperimentConfig)
     for dest in given:
         for section, name in GRID_FLAGS[dest][0]:
-            (body.setdefault(section, {}) if section else body)[name] = getattr(args, dest)
+            hint = (typing.get_type_hints(hints[section]) if section else hints)[name]
+            (body.setdefault(section, {}) if section else body)[name] = _file_value(
+                getattr(args, dest), hint)
     return merge_config(body)
 
 
@@ -84,10 +93,10 @@ def build_parser():
     parser.add_argument("--verbose", action="store_true", help="log cell details")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run the benchmark grid and emit a report")
+    p = sub.add_parser("run", help="run the experiment grid and emit a report")
     p.add_argument("--config", help="JSON config; takes no grid flag beside it")
-    for dest, (_, kind, text) in GRID_FLAGS.items():
-        p.add_argument(_flag(dest), type=kind, help=text)
+    for dest, (_, text) in GRID_FLAGS.items():
+        p.add_argument(_flag(dest), help=text)
     p.add_argument("--out", default="report.csv",
                    help="report path; JSON when it ends in .json, else CSV")
     return parser

@@ -1,4 +1,4 @@
-"""Benchmark harness: grid of (compression ratio, seed) cells, each running
+"""Experiment grid: (compression ratio, seed) cells, each running
 the full device -> wire -> hub pipeline, with metric normalization against
 the ratio-1 baseline and CSV/JSON report emission. A relative ``cifar_dir``
 that is not found where given is looked up under $LATENTWIRE_DATA_DIR when
@@ -157,7 +157,7 @@ def run_cell(name, train, test, cfg, cr, seed):
     history = hub.train_classifier(cfg.family, replace(cfg.clf, seed=seed),
                                    num_classes=train.num_classes)
     accuracy, test_s = hub.evaluate("test", num_classes=train.num_classes)
-    params = sum(a.size for p in hub.classifier.params for a in p.values())
+    params = sum(a.size for a in hub.classifier.trainable())
 
     if log.isEnabledFor(logging.INFO):
         test_data = hub.assemble("test", num_classes=train.num_classes)

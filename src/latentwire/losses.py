@@ -39,7 +39,8 @@ def cross_entropy_loss(logits, labels):
     if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
         raise LabelRangeError(f"labels must lie in [0,{k})")
     shifted = lg - lg.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    # 0 below e^-64: subnormal grads slow each backward; after Adam these sit far below an ulp
+    e = np.exp(np.where(shifted < -64, -np.inf, shifted))
     total = e.sum(axis=1, keepdims=True)
     value = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(b), lab]))
     grad = e / total

@@ -87,25 +87,20 @@ class Network:
     def backward(self, caches, grad):
         """Chain rule over the cached layers; returns the parameter grads.
 
-        ``grads`` aligns with ``self.params``: empty dicts for layers that
-        hold no parameters. The pass stops at the first layer with
-        parameters, which computes no input gradient, and the layers below
-        it do not run, since no caller needs the gradient of the network's
-        input.
+        The grads come flat, in :meth:`trainable`'s order. The pass stops at
+        the first layer with parameters, which computes no input gradient,
+        and the layers below it do not run, since no caller needs the
+        gradient of the network's input.
         """
-        grads = [{} for _ in self.params]
+        grads = []
         first = next((i for i, p in enumerate(self.params) if p), len(caches))
         for i in range(len(caches) - 1, first - 1, -1):
             grad, pgrads = ops.backward(caches[i], grad, need_dx=i > first)
             if pgrads is not None:
-                grads[i] = pgrads
+                grads[:0] = [pgrads[key] for key in sorted(pgrads)]
         return grads
 
-    def trainable(self, grads):
-        """Flat lists of the trainable parameter arrays and their grads."""
-        params, flat_grads = [], []
-        for p, g in zip(self.params, grads):
-            for key in sorted(p):
-                params.append(p[key])
-                flat_grads.append(g[key])
-        return params, flat_grads
+    def trainable(self):
+        """The trainable parameter arrays, flat: layer by layer, each
+        layer's by key."""
+        return [p[key] for p in self.params for key in sorted(p)]

@@ -1,9 +1,10 @@
 """Parameter update rules. Each trainer's role fixes its algorithm: rmsprop
-fits the autoencoders and adam fits the classifiers."""
+fits the autoencoders and adam fits the classifiers. A state is made for
+the arrays it updates, and every step takes their gradients in its order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,43 +21,34 @@ _DEFAULTS = {
 class OptimizerState:
     algorithm: str
     hyper: dict
+    arrays: list
+    slots: list  # per array: its moment buffers by name
     step: int = 0
-    slots: list = field(default_factory=list)
-
-    def _ensure_slots(self, params):
-        if self.slots:
-            if len(self.slots) != len(params):
-                raise ShapeMismatchError(
-                    f"optimizer tracks {len(self.slots)} tensors, got {len(params)}"
-                )
-            return
-        for p in params:
-            if self.algorithm == "rmsprop":
-                self.slots.append({"v": np.zeros_like(p)})
-            else:
-                self.slots.append({"m": np.zeros_like(p), "v": np.zeros_like(p)})
 
 
-def make_optimizer(algorithm, lr=None):
+def make_optimizer(algorithm, params, lr=None):
+    """State that updates ``params``, a list of arrays, in place; each array
+    gets its zeroed moment buffers now: "v", and "m" for adam."""
     if algorithm not in _DEFAULTS:
         raise ValueError(f"unknown optimizer {algorithm!r}")
     hyper = dict(_DEFAULTS[algorithm])
     if lr is not None:
         hyper["lr"] = float(lr)
-    return OptimizerState(algorithm=algorithm, hyper=hyper)
+    names = ("v",) if algorithm == "rmsprop" else ("m", "v")
+    slots = [{name: np.zeros_like(p) for name in names} for p in params]
+    return OptimizerState(algorithm, hyper, params, slots)
 
 
-def optimizer_step(state, params, grads):
-    """Apply one update step in place to aligned lists of parameter and
-    gradient arrays."""
-    for p, g in zip(params, grads, strict=True):
+def optimizer_step(state, grads):
+    """Apply one update step in place to the state's arrays; ``grads`` holds
+    one gradient per array, in the order the state was made with."""
+    for p, g in zip(state.arrays, grads, strict=True):
         if p.shape != g.shape:
             raise ShapeMismatchError(f"param {p.shape} vs grad {g.shape}")
-    state._ensure_slots(params)
     state.step += 1
     h = state.hyper
     if state.algorithm == "rmsprop":
-        for p, g, slot in zip(params, grads, state.slots):
+        for p, g, slot in zip(state.arrays, grads, state.slots):
             v = slot["v"]
             v *= h["rho"]
             v += (1.0 - h["rho"]) * g * g
@@ -65,7 +57,7 @@ def optimizer_step(state, params, grads):
         t = state.step
         c1 = 1.0 - h["beta1"] ** t
         c2 = 1.0 - h["beta2"] ** t
-        for p, g, slot in zip(params, grads, state.slots):
+        for p, g, slot in zip(state.arrays, grads, state.slots):
             m, v = slot["m"], slot["v"]
             m *= h["beta1"]
             m += (1.0 - h["beta1"]) * g

@@ -62,7 +62,7 @@ def _fit(spec, images, labels, cfg, algorithm):
     rng = np.random.default_rng(cfg.seed)
     net = Network(spec, rng=rng)
     caches = [None] * len(spec.layers)
-    opt = make_optimizer(algorithm, lr=cfg.lr)
+    opt = make_optimizer(algorithm, net.trainable(), lr=cfg.lr)
     hist = TrainHistory()
     n = len(images)
     start = time.perf_counter()
@@ -83,8 +83,7 @@ def _fit(spec, images, labels, cfg, algorithm):
                 loss = cross_entropy_loss(out, yb)
                 correct += int((out.argmax(axis=-1) == yb).sum())
             _check_finite(loss.value, epoch)
-            grads = net.backward(caches, loss.gradient)
-            optimizer_step(opt, *net.trainable(grads))
+            optimizer_step(opt, net.backward(caches, loss.gradient))
             epoch_loss += loss.value * len(xb)
         hist.losses.append(epoch_loss / n)
         hist.metrics.append(hist.losses[-1] if labels is None else correct / n)

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
 from latentwire.losses import cross_entropy_loss, mse_loss
+from latentwire.network import Network
 from latentwire.zoo import ModelSpec, act, conv, dense, dropout, flatten, maxpool, upsample
 
 
@@ -314,6 +315,38 @@ def check_loss_gradients(loss, prediction, extra, h=FD_H):
     for a, b in zip(np.ravel(result.gradient), np.ravel(num)):
         worst = max(worst, rel_err(a, b))
     return worst
+
+
+def network_gradient_pairs(spec, x, target, loss, entries=3, h=FD_H, seed=0):
+    """(analytic, numeric) gradient pairs of a whole network's loss.
+
+    The network is built from `spec` with its weights cast to float64; the
+    loss is `loss(forward(x), target).value` in inference mode. Each pair
+    holds `entries` random entries of one array of ``trainable()``, in its
+    order: the analytic values from ``Network.backward``'s flat gradients,
+    the numeric ones from central differences of the loss.
+    """
+    rng = np.random.default_rng(seed)
+    net = Network(spec, rng=rng)
+    net.params = [{k: v.astype(np.float64) for k, v in p.items()} for p in net.params]
+    caches = [None] * len(spec.layers)
+    out = net.forward(x, caches=caches)
+    grads = net.backward(caches, loss(out, target).gradient)
+    pairs = []
+    for arr, grad in zip(net.trainable(), grads, strict=True):
+        flat = arr.reshape(-1)
+        picks = rng.choice(flat.size, size=min(entries, flat.size), replace=False)
+        numeric = []
+        for i in picks:
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = loss(net.forward(x), target).value
+            flat[i] = orig - h
+            fm = loss(net.forward(x), target).value
+            flat[i] = orig
+            numeric.append((fp - fm) / (2 * h))
+        pairs.append((grad.reshape(-1)[picks], np.array(numeric)))
+    return pairs
 
 
 def _sep_values(rng, shape):

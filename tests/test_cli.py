@@ -168,6 +168,21 @@ def test_cli_rejects_zero_devices(capsys):
     assert capsys.readouterr().err.startswith("latentwire: error: n_devices must be at least 1")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--ratios", "1,x"), ("--seeds", "a"), ("--devices", "x"), ("--ae-epochs", "x"),
+    ("--clf-epochs", "1e3"), ("--batch-size", "8,8"), ("--jobs", "1.5")])
+def test_a_bad_run_flag_value_is_one_error_line(flag, value, monkeypatch, capsys):
+    def no_training(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_training)
+    assert main(["run", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("latentwire: error: config.")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"ratios": ["4"]}, "config.ratios[0] must be float"),
     ({"seeds": 5}, "config.seeds must be a list"),

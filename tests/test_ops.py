@@ -466,6 +466,17 @@ def test_cross_entropy_confident_correct():
     assert res.value < 1e-9
 
 
+def test_cross_entropy_gradient_holds_no_subnormal():
+    # a logit gap above 87 puts exp(shifted) below float32's smallest normal;
+    # subnormal operands would slow every backward the gradient flows into
+    logits = np.array([[0.0, -100.0]], np.float32)
+    results = [cross_entropy_loss(logits, [label]) for label in (0, 1)]
+    for res in results:
+        g = np.abs(res.gradient)
+        assert not ((g > 0) & (g < np.finfo(np.float32).tiny)).any()
+    assert [res.value for res in results] == [0.0, 100.0]
+
+
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(LabelRangeError):
         cross_entropy_loss(np.zeros((2, 3)), [0, 3])

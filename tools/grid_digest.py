@@ -1,6 +1,7 @@
 """Print the pinned grid's accuracies and parameter counts, a sha256 of its
 data, one sha256 over every network it trains and one over every frame it
-pushes.
+pushes; then the same grid's lines with the classifier family set to B, and
+a count of subnormal gradients.
 
     python3 tools/grid_digest.py
 
@@ -19,6 +20,13 @@ same ``data_sha256``. ``frames_sha256`` hashes every LTNT frame that
 ``encode_record`` builds for the devices' pushes, in push order, so a codec
 change that keeps the wire bytes prints the same value.
 
+After ``family=B`` come the ``cr=`` lines, ``networks=`` and ``sha256=`` of
+the same config with ``family="B"``, which no benchmark workload trains
+(about 20 s more). ``subnormal_grads`` counts the gradients entering
+``ops.backward``, over both grids, that hold a nonzero entry below float32's
+smallest normal: such operands make a backward several times slower on x86,
+and the classifier loss keeps them out, so it reads 0.
+
 Results are bit-reproducible only at a fixed BLAS thread count, so BLAS is
 pinned to one thread before numpy is imported.
 """
@@ -26,6 +34,7 @@ pinned to one thread before numpy is imported.
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -38,6 +47,7 @@ import numpy as np  # noqa: E402
 
 import latentwire as lw  # noqa: E402
 import latentwire.device  # noqa: E402
+import latentwire.ops  # noqa: E402
 import latentwire.train  # noqa: E402
 from workloads import GridWorkload  # noqa: E402
 
@@ -60,7 +70,9 @@ def data_digest(spec):
     return h.hexdigest()
 
 
-def main():
+def digest_grid(cfg):
+    """Run the grid of `cfg`, print its ``cr=`` lines and return (whether a
+    cell failed, the sha256 of each trained network in training order)."""
     digests = []
     fit = lw.train._fit
 
@@ -69,6 +81,18 @@ def main():
         digests.append(network_digest(net, hist))
         return net, hist
 
+    lw.train._fit = hashed_fit
+    try:
+        report = lw.run_experiment(cfg)
+    finally:
+        lw.train._fit = fit
+    for row in sorted(report.rows, key=lambda r: r.cr):
+        print(f"cr={row.cr:g} accuracy={row.accuracy} params={row.params}"
+              + (f" failed: {row.error}" if row.failed else ""))
+    return any(row.failed for row in report.rows), digests
+
+
+def main():
     frames = hashlib.sha256()
     encode = lw.device.encode_record
 
@@ -77,21 +101,35 @@ def main():
         frames.update(frame)
         return frame
 
-    lw.train._fit = hashed_fit
+    subnormal = 0
+    backward = lw.ops.backward
+    tiny = np.finfo(np.float32).tiny
+
+    def counted_backward(cache, grad, need_dx=True):
+        nonlocal subnormal
+        g = np.abs(grad)
+        subnormal += bool(((g > 0) & (g < tiny)).any())
+        return backward(cache, grad, need_dx=need_dx)
+
+    cfg = GridWorkload().setup(0)
+    lw.ops.backward = counted_backward
     lw.device.encode_record = hashed_encode
     try:
-        report = lw.run_experiment(GridWorkload().setup(0))
-    finally:
-        lw.train._fit = fit
+        failed, digests = digest_grid(cfg)
         lw.device.encode_record = encode
-    for row in sorted(report.rows, key=lambda r: r.cr):
-        print(f"cr={row.cr:g} accuracy={row.accuracy} params={row.params}"
-              + (f" failed: {row.error}" if row.failed else ""))
-    print(f"data_sha256={data_digest(GridWorkload().spec)}")
+        print(f"data_sha256={data_digest(GridWorkload().spec)}")
+        print(f"networks={len(digests)}")
+        print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
+        print(f"frames_sha256={frames.hexdigest()}")
+        print("family=B")
+        failed_b, digests = digest_grid(replace(cfg, family="B"))
+    finally:
+        lw.ops.backward = backward
+        lw.device.encode_record = encode
     print(f"networks={len(digests)}")
     print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
-    print(f"frames_sha256={frames.hexdigest()}")
-    return 1 if any(row.failed for row in report.rows) else 0
+    print(f"subnormal_grads={subnormal}")
+    return 1 if failed or failed_b else 0
 
 
 if __name__ == "__main__":
