@@ -42,7 +42,8 @@ def test_network_parameter_gradients_match_finite_differences(spec, loss):
     rng = np.random.default_rng(7)
     x = rng.random((2, *spec.input_shape))
     target = x if loss is mse_loss else rng.integers(0, 3, 2)
-    # in float64 a step of 1e-7 crosses no relu or pool kink; 1e-5 did here
+    # at these inputs a float64 step of 1e-7 crosses no relu or pool kink; 1e-5
+    # crossed one in family B
     pairs = network_gradient_pairs(spec, x, target, loss, h=1e-7)
     assert len(pairs) == 2 * sum(l.kind in ("conv2d", "dense") for l in spec.layers)
     for analytic, numeric in pairs:
