@@ -307,9 +307,11 @@ def merge_config(body: dict) -> ExperimentConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"config document must be an object, got {doc!r}")
     if doc.get("format") != CONFIG_FORMAT:
         raise ValueError(f"not a latentwire config document: {doc.get('format')!r}")
-    if doc.get("version") != CONFIG_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {doc.get('version')!r}")
     return merge_config({k: v for k, v in doc.items() if k not in ("format", "version")})
 

@@ -42,8 +42,9 @@ class Network:
             raise ShapeMismatchError(
                 f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
 
-    def forward(self, x, training=False, rng=None, caches=None):
-        """Run the chain over a batch and return its output.
+    def forward(self, x, rng=None, caches=None):
+        """Run the chain over a batch and return its output. Dropout layers
+        train, drawing their masks from ``rng``, exactly when it is given.
 
         ``caches``, when given, is a caller-owned list with one entry per
         layer, None at first. Layer i stores its cache for :meth:`backward`
@@ -69,7 +70,7 @@ class Network:
             elif layer.kind == "activation":
                 x, cache = ops.activation(x, layer.fn)
             elif layer.kind == "dropout":
-                x, cache = ops.dropout(x, layer.rate, rng=rng, training=training)
+                x, cache = ops.dropout(x, layer.rate, rng=rng)
             else:
                 x, cache = ops.flatten(x)
             if caches is not None:

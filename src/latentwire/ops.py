@@ -250,9 +250,10 @@ def _activation_backward(data, g):
     return g * y * (1.0 - y), None  # sigmoid
 
 
-def dropout(x, rate, rng=None, training=False):
-    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
-    if not training or rate == 0.0:
+def dropout(x, rate, rng=None):
+    """Inverted dropout: survivors scaled by 1/(1-rate). It trains when given
+    an `rng` to draw its mask from; without one (inference) it is the identity."""
+    if rng is None or rate == 0.0:
         return x, LayerCache("dropout", mask=None, scale=1.0)
     mask = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)

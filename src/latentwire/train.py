@@ -73,7 +73,7 @@ def _fit(spec, images, labels, cfg, algorithm):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             xb = images[idx]
-            out = net.forward(xb, training=True, rng=rng, caches=caches)
+            out = net.forward(xb, rng=rng, caches=caches)
             # losses and optimizer_step are module globals read per call, so a
             # tracer that patches them by name sees every call
             if labels is None:

@@ -15,9 +15,10 @@ Body layout:
     | dtype u8 (0 = f32) | payload 4*prod(dims) bytes of f32, row-major
 
 Decoding never raises anything but :class:`WireDecodeError` subtypes, each
-mapped to a 1-byte ack code. A FrameScanner waits for the rest of a frame
-whose header is sound, so it never yields TruncatedFrameError: ack 0x04
-comes only from decode_record on a short buffer.
+mapped to a 1-byte ack code. Ack 0x01 (bad magic) is reserved, never reused:
+a FrameScanner decodes only at a magic it has found. It waits for the rest
+of a frame whose header is sound, so it never yields TruncatedFrameError:
+ack 0x04 comes only from decode_record, on a buffer with no whole frame.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ DTYPE_F32 = 0
 UNLABELED = 0xFFFF
 
 ACK_ACCEPTED = 0x00
-ACK_BAD_MAGIC = 0x01
 ACK_BAD_VERSION = 0x02
 ACK_BAD_CRC = 0x03
 ACK_TRUNCATED = 0x04
@@ -52,7 +52,8 @@ _F4 = np.dtype("<f4")
 # by ndim: the dims and dtype tag after the fixed body fields, and all of a
 # frame before its payload (header, fixed fields, dims and tag)
 _DIMS = {n: struct.Struct(f"<{n}IB") for n in range(1, MAX_DIMS + 1)}
-_FRAME_HEAD = {n: struct.Struct(f"<4sBBIIQHB{n}IB") for n in range(1, MAX_DIMS + 1)}
+_FRAME_HEAD = {n: struct.Struct(_HEADER.format + _BODY_FIXED.format[1:] + d.format[1:])
+               for n, d in _DIMS.items()}
 
 # the one bound on a frame's body: encode_record refuses a larger record and
 # FrameScanner resyncs past a header that declares one instead of waiting for
@@ -62,10 +63,6 @@ MAX_FRAME_BYTES = 1024 * 1024
 
 class WireDecodeError(LatentWireError):
     ack = None
-
-
-class BadMagicError(WireDecodeError):
-    ack = ACK_BAD_MAGIC
 
 
 class BadVersionError(WireDecodeError):
@@ -175,33 +172,16 @@ def _parse_body(buf, off, end) -> LatentRecord:
         raise FrameShapeError(f"shape {tuple(dims)}: {exc}") from exc
 
 
-def decode_frame_at(buf, start=0):
-    """Decode the frame at offset `start` of `buf`; returns (record, end
-    offset). The payload is copied once, out of `buf` into the record."""
-    if len(buf) - start < _HEADER.size:
-        raise TruncatedFrameError("incomplete header")
-    magic, version, flags, length = _HEADER.unpack_from(buf, start)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {bytes(magic)!r}")
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version {version}")
-    if flags != 0:
-        raise BadVersionError(f"unknown flags 0x{flags:02x}")
+def decode_frame_at(buf, start, end):
+    """Decode the whole frame in buf[start:end], whose header FrameScanner
+    has read: check the CRC, then parse the body. The payload is copied
+    once, out of `buf` into the record."""
     body = start + _HEADER.size
-    crc_at = body + length
-    end = crc_at + _CRC.size
-    if len(buf) < end:
-        raise TruncatedFrameError(f"frame needs {end - start} bytes")
+    crc_at = end - _CRC.size
     (crc,) = _CRC.unpack_from(buf, crc_at)
     if crc != zlib.crc32(memoryview(buf)[body:crc_at]):
         raise BadCrcError("body checksum mismatch")
-    return _parse_body(buf, body, crc_at), end
-
-
-def decode_record(buf) -> LatentRecord:
-    """Decode the frame at the start of `buf` (trailing bytes ignored)."""
-    record, _ = decode_frame_at(buf)
-    return record
+    return _parse_body(buf, body, crc_at)
 
 
 @dataclass
@@ -214,14 +194,13 @@ class FrameScanner:
     a magic whose header declares a body above MAX_FRAME_BYTES. After a
     failure or a discarded magic the scan resumes one byte past the magic.
 
-    Each frame is decoded once; the scan also unpacks a whole frame's
-    header, to decide whether to wait. A frame whose header is sound is
-    decoded once all of it is buffered, so a frame split across chunks is
-    neither retried nor refused as truncated; one whose version or flags
-    are wrong is decoded, and so refused, at once. What stays buffered
-    after a feed is at most one incomplete frame, or a possible magic
-    prefix. A known limit: a forged sound header stalls every frame behind
-    it until its declared body, up to MAX_FRAME_BYTES, has arrived.
+    The scan unpacks each frame's header once and owns what it says. A
+    frame whose header is sound is decoded once all of it is buffered, so a
+    frame split across chunks is neither retried nor refused as truncated;
+    one whose version or flags are wrong is refused at once. What stays
+    buffered after a feed is at most one incomplete frame, or a possible
+    magic prefix. A known limit: a forged sound header stalls every frame
+    behind it until its declared body, up to MAX_FRAME_BYTES, has arrived.
     """
 
     _buf: bytearray = field(default_factory=bytearray)
@@ -242,23 +221,38 @@ class FrameScanner:
                 pos = start  # wait for the rest of the header
                 break
             _, version, flags, length = _HEADER.unpack_from(buf, start)
+            end = start + _HEADER.size + length + _CRC.size
+            pos = start + 1  # where the scan resumes past a refused magic
             if length > MAX_FRAME_BYTES:
-                pos = start + 1
                 continue
-            if (version == VERSION and flags == 0
-                    and size - start < _HEADER.size + length + _CRC.size):
+            if version != VERSION or flags != 0:
+                items.append(BadVersionError(
+                    f"unsupported version {version}, flags 0x{flags:02x}"))
+                continue
+            if size < end:
                 pos = start  # wait for the rest of the frame
                 break
             try:
-                record, pos = decode_frame_at(buf, start)
+                items.append(decode_frame_at(buf, start, end))
+                pos = end
             except WireDecodeError as err:
                 items.append(err)
-                pos = start + 1
-                continue
-            items.append(record)
         del buf[:pos]
         return items
 
     @property
     def pending(self):
         return len(self._buf)
+
+
+def decode_record(buf) -> LatentRecord:
+    """Decode the first frame in `buf` as a hub would, through a fresh
+    FrameScanner: bytes before a magic are skipped, and so is trailing data.
+    Raises the scanner's first error, or TruncatedFrameError when `buf`
+    holds no whole frame."""
+    items = FrameScanner().feed(buf)
+    if not items:
+        raise TruncatedFrameError(f"no whole frame in {len(buf)} bytes")
+    if isinstance(items[0], WireDecodeError):
+        raise items[0]
+    return items[0]

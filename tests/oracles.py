@@ -405,8 +405,7 @@ def gradient_trial(kind, rng):
         seed = int(rng.integers(0, 2 ** 31))
         rate = float(rng.uniform(0.1, 0.7))
         arrays = {"x": rng.standard_normal(shape)}
-        fwd = lambda: ops.dropout(
-            arrays["x"], rate, np.random.default_rng(seed), training=True)
+        fwd = lambda: ops.dropout(arrays["x"], rate, np.random.default_rng(seed))
     elif kind == "flatten":
         shape = tuple(rng.integers(1, 5, 3))
         arrays = {"x": rng.standard_normal(shape)}

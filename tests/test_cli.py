@@ -108,6 +108,14 @@ def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_config_document_that_is_not_an_object_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[]")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "latentwire: error: config document must be an object, got []\n")
+
+
 def test_cli_runs_a_cifar10_grid(tmp_path, cifar_dir, capsys):
     out = tmp_path / "report.csv"
     assert main(["run", "--cifar10-dir", str(cifar_dir), "--ratios", "1,4",

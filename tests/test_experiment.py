@@ -140,6 +140,9 @@ def test_unknown_choice_rejected_on_load(doc):
     {"format": "other", "version": CONFIG_VERSION},
     {"format": CONFIG_FORMAT, "version": CONFIG_VERSION + 1},
     {},
+    {"format": CONFIG_FORMAT, "version": True},
+    {"format": CONFIG_FORMAT, "version": float(CONFIG_VERSION)},
+    [],
 ])
 def test_config_envelope_checked(header):
     with pytest.raises(ValueError):

@@ -45,8 +45,9 @@ ENTRY_POINTS = {
     "AutoencoderPair.latent_shape": "the wire workload of the benchmark builds its "
                                     "frame shapes from it",
     "_Handler.handle": "hook that socketserver calls per connection",
-    "decode_record": "one frame to one record; the wire tests decode with it and "
-                     "the benchmark's tracer wraps it by name",
+    "decode_record": "the first frame a fresh FrameScanner finds in a buffer; the "
+                     "wire tests decode through it and the benchmark's tracer wraps "
+                     "it by name",
 }
 
 

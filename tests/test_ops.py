@@ -415,20 +415,20 @@ def test_unknown_activation():
 
 def test_dropout_rate_zero_identity():
     x = rng().random((10, 10))
-    for training in (True, False):
-        y, _ = ops.dropout(x, 0.0, rng(), training=training)
+    for draws in (rng(), None):
+        y, _ = ops.dropout(x, 0.0, draws)
         np.testing.assert_array_equal(y, x)
 
 
 def test_dropout_inference_identity():
     x = rng().random((10, 10))
-    y, _ = ops.dropout(x, 0.5, rng(), training=False)
+    y, _ = ops.dropout(x, 0.5)
     np.testing.assert_array_equal(y, x)
 
 
 def test_dropout_montecarlo_rate_and_mean():
     x = rng(6).random(100_000) + 0.5
-    y, _ = ops.dropout(x, 0.5, rng(7), training=True)
+    y, _ = ops.dropout(x, 0.5, rng(7))
     zero_frac = float((y == 0).mean())
     assert 0.49 <= zero_frac <= 0.51
     assert abs(y.mean() - x.mean()) / x.mean() < 0.02
