@@ -287,7 +287,7 @@ def _merge(base, doc, where):
     merge recursively; other values must have their field's JSON type. The
     dataclasses' own checks run on the result."""
     if not isinstance(doc, dict):
-        raise ValueError(f"config {where} must be an object, got {doc!r}")
+        raise ValueError(f"{where} must be an object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(base)})
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")

@@ -47,33 +47,37 @@ class Network:
         train, drawing their masks from ``rng``, exactly when it is given.
 
         ``caches``, when given, is a caller-owned list with one entry per
-        layer, None at first. Layer i stores its cache for :meth:`backward`
-        at ``caches[i]`` after dropping the one a previous forward left there,
-        so a training loop that passes one list on every step holds one step
-        of activations, not two, and malloc hands each freed array straight
-        back for the same-size array the layer allocates next. Dropping the
-        caches earlier, as backward consumes them, lets malloc trim the freed
-        heap top and fault it back in on every step.
+        layer, None at first, and a backward follows. Layer i stores its
+        cache for :meth:`backward` at ``caches[i]`` after dropping the one a
+        previous forward left there, so a training loop that passes one list
+        on every step holds one step of caches, not two, and malloc hands
+        each freed array straight back for the same-size array the layer
+        allocates next. Dropping the caches earlier, as backward consumes
+        them, lets malloc trim the freed heap top and fault it back in on
+        every step. Each cache holds only what its layer's backward reads
+        (see :mod:`ops`); without ``caches`` the pools and activations build
+        no index or mask at all.
         """
         self._check_input(x)
+        keep = caches is not None
         for i, (layer, p) in enumerate(zip(self.spec.layers, self.params)):
-            if caches is not None:
+            if keep:
                 caches[i] = None
             if layer.kind == "conv2d":
                 x, cache = ops.conv2d(x, p["w"], p["b"], padding=layer.padding)
             elif layer.kind == "maxpool":
-                x, cache = ops.maxpool2d(x)
+                x, cache = ops.maxpool2d(x, cache=keep)
             elif layer.kind == "upsample":
                 x, cache = ops.upsample2d(x)
             elif layer.kind == "dense":
                 x, cache = ops.dense(x, p["w"], p["b"])
             elif layer.kind == "activation":
-                x, cache = ops.activation(x, layer.fn)
+                x, cache = ops.activation(x, layer.fn, cache=keep)
             elif layer.kind == "dropout":
                 x, cache = ops.dropout(x, layer.rate, rng=rng)
             else:
                 x, cache = ops.flatten(x)
-            if caches is not None:
+            if keep:
                 caches[i] = cache
         return x
 

@@ -2,7 +2,11 @@
 
 Every forward op returns ``(output, cache)``; ``backward(cache, grad,
 need_dx=True)`` dispatches on the cache kind and returns ``(input_grad,
-param_grads)``, with ``input_grad`` None when ``need_dx`` is False.
+param_grads)``, with ``input_grad`` None when ``need_dx`` is False. A cache
+holds what its backward reads, not what its forward made: max pooling keeps
+each window's winner as a uint8 index and relu its bool sign mask. An
+inference forward keeps none: ``maxpool2d`` and ``activation`` given
+``cache=False`` build no index or mask and return None for the cache.
 Ops take batches only: spatial tensors are channels-last ``(N, H, W, C)``
 and dense inputs ``(N, D)``. Every forward output and input gradient is
 C-contiguous, so the element-wise ops that follow run over contiguous
@@ -156,17 +160,31 @@ def _conv2d_backward(data, g, need_dx):
     return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
 
 
-def maxpool2d(x):
+def maxpool2d(x, cache=True):
     """2x2 max pooling at stride 2, dropping an odd last row or column, which
-    no window covers; the cache keeps the input and the output."""
+    no window covers. The cache keeps, per pooled value, the offset of its
+    window's first maximum in row-major window order as a uint8 index, and
+    the input's shape; with ``cache=False`` it is None. A window holding a
+    NaN pools to NaN and its index reads 3, so its gradient would reach
+    offset 3; no fit gets there, since ``train._fit`` checks the loss before
+    the backward."""
     h, wd = x.shape[1], x.shape[2]
     if h < 2 or wd < 2:
         raise InvalidGeometryError(f"2x2 pool exceeds input {h}x{wd}")
-    (_, first), *rest = _window_offsets(2, 2, h // 2, wd // 2)
+    offsets = _window_offsets(2, 2, h // 2, wd // 2)
+    (_, first), *rest = offsets
     y = x[first].copy()
     for _, at in rest:
         np.maximum(y, x[at], out=y)
-    return y, LayerCache("maxpool2d", x=x, y=y)
+    if not cache:
+        return y, None
+    # arg = (x0 != y) * (1 + (x1 != y) * (1 + (x2 != y))), built from the last
+    # of the three offsets inward
+    arg = np.zeros(y.shape, np.uint8)
+    for _, at in reversed(offsets[:3]):
+        arg += 1
+        arg *= x[at] != y
+    return y, LayerCache("maxpool2d", arg=arg, in_shape=x.shape)
 
 
 @lru_cache(maxsize=256)
@@ -182,18 +200,13 @@ def _window_offsets(k, stride, ho, wo):
 
 
 def _maxpool2d_backward(data, g):
-    # Offsets in row-major window order claim the maxima still unclaimed, so
-    # each window's gradient reaches its first maximum. The windows do not
-    # overlap; adding onto zeros, not assigning, keeps every zero +0.0.
-    x, y = data["x"], data["y"]
-    dx = np.zeros(x.shape, dtype=g.dtype)
-    free = np.ones(y.shape, dtype=bool)
-    for _, at in _window_offsets(2, 2, y.shape[1], y.shape[2]):
-        hit = x[at] == y
-        hit &= free
-        free ^= hit
+    # Each window's gradient reaches the offset its index names. The windows
+    # do not overlap; adding onto zeros, not assigning, keeps every zero +0.0.
+    arg = data["arg"]
+    dx = np.zeros(data["in_shape"], dtype=g.dtype)
+    for i, (_, at) in enumerate(_window_offsets(2, 2, arg.shape[1], arg.shape[2])):
         # a product, not a masked add: np.add(where=) is ~6x slower here
-        dx[at] += g * hit
+        dx[at] += g * (arg == i)
     return dx, None
 
 
@@ -233,21 +246,23 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def activation(x, kind):
+def activation(x, kind, cache=True):
+    """relu or sigmoid. The cache keeps what the backward reads: relu's bool
+    sign mask, sigmoid's output; with ``cache=False`` it is None."""
     if kind == "relu":
         y = np.maximum(x, 0)
-    elif kind == "sigmoid":
+        return y, LayerCache("activation", fn=kind, mask=y > 0) if cache else None
+    if kind == "sigmoid":
         y = _sigmoid(x)
-    else:
-        raise ValueError(f"unknown activation {kind!r}")
-    return y, LayerCache("activation", fn=kind, y=y)
+        return y, LayerCache("activation", fn=kind, y=y) if cache else None
+    raise ValueError(f"unknown activation {kind!r}")
 
 
 def _activation_backward(data, g):
-    kind, y = data["fn"], data["y"]
-    if kind == "relu":
-        return g * (y > 0), None
-    return g * y * (1.0 - y), None  # sigmoid
+    if data["fn"] == "relu":
+        return g * data["mask"], None
+    y = data["y"]  # sigmoid
+    return g * y * (1.0 - y), None
 
 
 def dropout(x, rate, rng=None):

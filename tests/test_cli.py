@@ -116,6 +116,13 @@ def test_config_document_that_is_not_an_object_is_one_error_line(tmp_path, capsy
         "latentwire: error: config document must be an object, got []\n")
 
 
+def test_config_section_that_is_not_an_object_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": CONFIG_FORMAT, "version": CONFIG_VERSION, "ae": 5}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "latentwire: error: config.ae must be an object, got 5\n"
+
+
 def test_cli_runs_a_cifar10_grid(tmp_path, cifar_dir, capsys):
     out = tmp_path / "report.csv"
     assert main(["run", "--cifar10-dir", str(cifar_dir), "--ratios", "1,4",

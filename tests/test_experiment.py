@@ -464,8 +464,16 @@ def test_peak_memory_tool_prints_each_cell(monkeypatch, capsys):
     peak_memory = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(peak_memory)
     assert peak_memory.main(TINY_GRID) == 0
-    *cells, rss = capsys.readouterr().out.splitlines()
-    assert [line.rsplit(" ", 1)[0] for line in cells] == [
-        "cr=1 seed=0", "cr=4 seed=0", "cr=1 seed=1", "cr=4 seed=1"]
-    assert all(float(line.rsplit("=", 1)[1]) > 0 for line in cells)
+    *cells, high, rss = capsys.readouterr().out.splitlines()
+    fields = [dict(f.split("=") for f in line.split()) for line in cells]
+    assert [(f["cr"], f["seed"]) for f in fields] == [("1", "0"), ("4", "0"), ("1", "1"), ("4", "1")]
+    stages = ["ae_fit_mb", "export_mb", "clf_fit_mb", "rest_mb"]
+    assert all(list(f)[2:] == stages + ["traced_peak_mb"] for f in fields)
+    assert all(float(f["traced_peak_mb"]) == max(float(f[s]) for s in stages) > 0 for f in fields)
+    label, *pairs = high.split()
+    top = dict(f.split("=") for f in pairs)
+    cell = next(f for f in fields if (f["cr"], f["seed"]) == (top["cr"], top["seed"]))
+    assert label == "high_water" and f"{top['stage']}_mb" in stages
+    assert cell[f"{top['stage']}_mb"] == cell["traced_peak_mb"] == top["traced_peak_mb"]
+    assert float(top["traced_peak_mb"]) == max(float(f["traced_peak_mb"]) for f in fields)
     assert rss.startswith("ru_maxrss_mb=") and float(rss.split("=")[1]) > 0

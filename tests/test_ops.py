@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
@@ -281,12 +282,17 @@ def test_maxpool_matches_window_oracle():
 
 
 def _relu_with_ties(r, shape, dtype):
-    # coarse values: most windows are all zero, and many others tie at a
-    # positive maximum
-    return np.maximum(np.round(2 * r.standard_normal(shape)) / 2 - 0.5, 0).astype(dtype)
+    # coarse values: most windows are all zero, with -0.0 and +0.0 mixed, and
+    # many others tie at a positive maximum
+    x = np.maximum(np.round(2 * r.standard_normal(shape)) / 2 - 0.5, 0).astype(dtype)
+    zeros = x == 0
+    x[zeros] = np.where(r.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return x
 
 
-@pytest.mark.parametrize("shape", [(32, 32, 32, 32), (32, 30, 30, 32), (32, 13, 13, 32)])
+# odd maps leave a last row or column that no window reads
+@pytest.mark.parametrize("shape", [(32, 32, 32, 32), (32, 30, 30, 32), (32, 13, 13, 32),
+                                   (8, 15, 10, 5), (8, 10, 15, 5)])
 def test_maxpool_backward_first_max_bitwise_on_ties(shape):
     r = rng(7)
     x = _relu_with_ties(r, shape, np.float32)
@@ -297,6 +303,29 @@ def test_maxpool_backward_first_max_bitwise_on_ties(shape):
     windows = x[:, :y.shape[1] * 2, :y.shape[2] * 2].reshape(
         len(x), y.shape[1], 2, y.shape[2], 2, -1)
     assert (windows.max(axis=(2, 4)) == 0).mean() > 0.2  # the ties are there
+    signs = np.signbit(windows) & (windows == 0)
+    mixed = (windows.max(axis=(2, 4)) == 0) & signs.any(axis=(2, 4)) & ~signs.all(axis=(2, 4))
+    assert mixed.mean() > 0.1  # and zero windows that mix -0.0 and +0.0
+    for i in range(len(x)):
+        assert dx[i].tobytes() == maxpool2d_backward_oracle(x[i], g[i]).tobytes()
+
+
+_POOL_SHAPES = st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7),
+                         st.integers(1, 3))
+# few distinct values, so windows tie often, at signed zeros too
+_POOL_VALUES = (st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+                | st.floats(allow_nan=False, width=32))
+
+
+@given(_POOL_SHAPES.flatmap(lambda s: st.tuples(
+    hnp.arrays(np.float32, s, elements=_POOL_VALUES),
+    hnp.arrays(np.float32, (s[0], s[1] // 2, s[2] // 2, s[3]),
+               elements=st.floats(-4, 4, width=32)))))
+@settings(max_examples=200, deadline=None)
+def test_maxpool_backward_bytes_match_the_oracle(xg):
+    x, g = xg
+    _, cache = ops.maxpool2d(x)
+    dx, _ = ops.backward(cache, g)
     for i in range(len(x)):
         assert dx[i].tobytes() == maxpool2d_backward_oracle(x[i], g[i]).tobytes()
 

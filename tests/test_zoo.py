@@ -93,34 +93,71 @@ def test_split_compose_bitwise():
 
 
 @pytest.mark.parametrize("model", ["A", "B", "encoder"])
-def test_maxpool_caches_the_conv_output(model, monkeypatch):
-    # the pool keeps its input, the conv's own output, for the backward, and
-    # the relu after it keeps only the pooled map; a copy of the full map in
-    # either would hold one more full-resolution array per training batch
-    outputs, conv2d = [], ops.conv2d
-
-    def recorded_conv2d(*args, **kwargs):
-        y, cache = conv2d(*args, **kwargs)
-        outputs.append(y)
-        return y, cache
-
-    monkeypatch.setattr(ops, "conv2d", recorded_conv2d)
+def test_pool_and_relu_caches_hold_no_float_array(model):
+    # a training forward's pool keeps a uint8 winner index of the pooled
+    # shape and each relu a bool sign mask, so no full-resolution float map
+    # outlives the forward in a cache
     spec = (build_autoencoder((16, 16, 3), 16).encoder if model == "encoder"
             else build_vanilla_classifier((16, 16, 3), model, 4))
     net = Network(spec, rng=np.random.default_rng(0))
     x = np.random.default_rng(0).random((4, 16, 16, 3)).astype(np.float32)
     caches = [None] * len(spec.layers)
     net.forward(x, caches=caches)
-    pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
-    assert pools
-    conv_outputs = dict(zip((i for i, layer in enumerate(spec.layers)
-                             if layer.kind == "conv2d"), outputs, strict=True))
-    for i in pools:
-        assert spec.layers[i + 1].fn == "relu"
-        assert caches[i].data["x"] is conv_outputs[i - 1]
-        pooled, relu_out = caches[i].data["y"], caches[i + 1].data["y"]
-        assert relu_out.shape == pooled.shape
-        assert not np.shares_memory(relu_out, conv_outputs[i - 1])
+    shapes = infer_shapes(spec)
+    kept = [(i, layer) for i, layer in enumerate(spec.layers)
+            if layer.kind == "maxpool" or layer.fn == "relu"]
+    assert any(layer.kind == "maxpool" for _, layer in kept)
+    for i, layer in kept:
+        data = caches[i].data
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                       for v in data.values())
+        if layer.kind == "maxpool":
+            assert data["arg"].dtype == np.uint8
+            assert data["arg"].shape == (len(x), *shapes[i + 1])
+        else:
+            assert data["mask"].dtype == bool
+
+
+def _cache_bytes(net, caches):
+    """Summed nbytes of the arrays the caches hold, the parameters aside."""
+    params = {id(a) for a in net.trainable()}
+    return sum(v.nbytes for c in caches for v in c.data.values()
+               if isinstance(v, np.ndarray) and id(v) not in params)
+
+
+# One training forward at batch 32 on 32x32x3. Recorded with the pool's uint8
+# index and relu's bool mask; a float copy of a full map per cache (as the
+# pool's input and relu's output were) read 17,873,920 and 8,112,128.
+CACHE_BYTES = {"ae16": 9_663_488, "A": 2_033_664}
+
+
+@pytest.mark.parametrize("model", sorted(CACHE_BYTES))
+def test_a_training_forward_caches_at_most_the_recorded_bytes(model):
+    if model == "A":
+        spec = build_vanilla_classifier((32, 32, 3), "A", 10)
+    else:
+        pair = build_autoencoder((32, 32, 3), 16)
+        spec = ModelSpec(pair.encoder.layers + pair.decoder.layers, pair.encoder.input_shape)
+    net = Network(spec, rng=np.random.default_rng(0))
+    x = np.random.default_rng(0).random((32, 32, 32, 3)).astype(np.float32)
+    caches = [None] * len(spec.layers)
+    net.forward(x, rng=np.random.default_rng(1), caches=caches)
+    assert _cache_bytes(net, caches) <= CACHE_BYTES[model]
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_an_inference_forward_builds_no_index_or_mask(model, monkeypatch):
+    built = []
+    for name in ("maxpool2d", "activation"):
+        def recorded(*args, op=getattr(ops, name), **kwargs):
+            y, cache = op(*args, **kwargs)
+            built.append(cache)
+            return y, cache
+
+        monkeypatch.setattr(ops, name, recorded)
+    net = Network(build_vanilla_classifier((16, 16, 3), model, 4), rng=np.random.default_rng(0))
+    net.infer(np.random.default_rng(0).random((5, 16, 16, 3)).astype(np.float32))
+    assert built and built == [None] * len(built)
 
 
 # The builders must equal their conv -> relu -> maxpool layouts with each
