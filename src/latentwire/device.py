@@ -3,9 +3,9 @@ export through a sink (in-process hub or wire client).
 
 Only latents leave a device. At CR=1 the autoencoder has no layers, so a
 latent is the image itself as f32. For CR > 1 the decoder never leaves the
-device: the device drops it once the fit ends and keeps only the encoder.
-That keeps the ready-made inverse away from the hub; it does not make the
-latents impossible to invert.
+device's fit: train_autoencoder returns only the encoder, so the decoder's
+arrays die inside the fit. That keeps the ready-made inverse away from the
+hub; it does not make the latents impossible to invert.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def partition_dataset(data, n_devices, rng):
 class DeviceNode:
     """One edge device: a local shard and, after fit, a device-unique
     encoder Network. Its records carry the encoder's latents; the decoder
-    trained beside it is dropped when the fit ends."""
+    trained beside it never outlives the fit."""
 
     def __init__(self, device_id, train_data, test_data):
         self.device_id = int(device_id)
@@ -57,7 +57,7 @@ class DeviceNode:
         local = self.data["train"]
         pair = build_autoencoder(local.sample_shape, cr)
         seed = int(np.random.SeedSequence([cfg.seed, self.device_id]).generate_state(1)[0])
-        self._encoder, _, history = train_autoencoder(
+        self._encoder, history = train_autoencoder(
             pair, local.images, replace(cfg, seed=seed))
         return history
 

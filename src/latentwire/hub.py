@@ -5,13 +5,13 @@ Every record reaches a Hub through ingest_chunk: a FrameScanner splits the
 bytes into frames, decodes each frame once, and Hub.ingest decides its ack.
 A (device id, record id) key is stored once: an identical re-send (same
 payload and split), as after a lost ack, is ACCEPTED and stores nothing,
-and anything else under a held key is DUPLICATE. serve_stream, the TCP
-server's loop, runs ingest_chunk over a connection's chunks; the in-process
-HubSink runs it over one frame per record, with one scanner for the sink's
-whole life.
+and anything else under a held key is DUPLICATE. serve_stream, HubServer's
+loop per connection, runs ingest_chunk over its chunks and writes each ack;
+the in-process HubSink runs it over one frame per record, with one scanner
+for the sink's whole life.
 
-The hub only ever holds latents; it never receives or stores a device's
-decoder. At CR=1 the autoencoder has no layers, so each record is the image
+The hub only ever holds latents; a device's decoder arrays die inside its
+fit. At CR=1 the autoencoder has no layers, so each record is the image
 itself as f32. For CR > 1 what the design provides is that the decoder never
 leaves the device; that does not make the latents impossible to invert.
 """
@@ -99,10 +99,10 @@ def ingest_chunk(hub, scanner, chunk, split):
 _ACK_BYTES = [bytes([code]) for code in range(256)]
 
 
-def serve_stream(hub, chunks, split, ack_writer=None):
+def serve_stream(hub, chunks, split, ack_writer):
     """Ingest an ordered byte source, such as a TCP connection's chunks,
-    with one scanner, and emit one ack byte per frame attempt. Returns
-    (accepted, rejected) counts.
+    with one scanner, and pass one ack byte per frame attempt to
+    `ack_writer`. Returns (accepted, rejected) counts.
     """
     scanner = FrameScanner()
     accepted = rejected = 0
@@ -112,8 +112,7 @@ def serve_stream(hub, chunks, split, ack_writer=None):
                 accepted += 1
             else:
                 rejected += 1
-            if ack_writer is not None:
-                ack_writer(_ACK_BYTES[ack])
+            ack_writer(_ACK_BYTES[ack])
     return accepted, rejected
 
 
@@ -141,27 +140,25 @@ class _Handler(socketserver.BaseRequestHandler):
 _POLL_S = 0.02
 
 
-class _Server(socketserver.ThreadingTCPServer):
+class HubServer(socketserver.ThreadingTCPServer):
+    """TCP front end; each connection feeds frames for one split of `hub`."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-
-class HubServer:
-    """TCP front end; each connection feeds frames for one split."""
-
     def __init__(self, hub, split="train", host="127.0.0.1", port=0):
-        self._server = _Server((host, port), _Handler)
-        self._server.hub = hub
-        self._server.split = split
+        super().__init__((host, port), _Handler)
+        self.hub = hub
+        self.split = split
         self._thread = None
 
     @property
     def address(self):
-        return self._server.server_address
+        return self.server_address
 
     def start(self):
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(_POLL_S,), daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, args=(_POLL_S,),
+                                        daemon=True)
         self._thread.start()
         return self
 
@@ -169,9 +166,9 @@ class HubServer:
         """Stop serving and close the socket; shutdown waits for a
         serve_forever loop, so only a started server runs it."""
         if self._thread:
-            self._server.shutdown()
+            self.shutdown()
             self._thread.join()
-        self._server.server_close()
+        self.server_close()
 
     def __enter__(self):
         return self.start()

@@ -95,16 +95,15 @@ def train_autoencoder(pair, images, cfg):
     """Minimize reconstruction MSE of decoder(encoder(x)) over `images`.
 
     One rmsprop fit runs over the encoder and decoder layers as a single chain.
-    Returns (encoder, decoder, TrainHistory): the two Networks are the pair's
-    specs over the chain's own parameter arrays, so nothing is copied, and
-    history carries the per-epoch mean reconstruction MSE.
+    Returns (encoder, TrainHistory): the encoder is the pair's encoder spec
+    over the chain's own leading parameter arrays, so nothing is copied, and
+    history carries the per-epoch mean reconstruction MSE. The decoder's
+    arrays are not returned, so they die with the fit.
     """
     chain_spec = ModelSpec(pair.encoder.layers + pair.decoder.layers,
                            pair.encoder.input_shape)
     net, hist = _fit(chain_spec, images, None, cfg, "rmsprop")
-    k = len(pair.encoder.layers)
-    return (Network(pair.encoder, params=net.params[:k]),
-            Network(pair.decoder, params=net.params[k:]), hist)
+    return Network(pair.encoder, params=net.params[:len(pair.encoder.layers)]), hist
 
 
 def train_classifier(spec, data, cfg):

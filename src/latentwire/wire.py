@@ -14,11 +14,20 @@ Body layout:
     device_id u32 | record_id u64 | label u16 | ndim u8 | dims ndim*u32
     | dtype u8 (0 = f32) | payload 4*prod(dims) bytes of f32, row-major
 
-Decoding never raises anything but :class:`WireDecodeError` subtypes, each
-mapped to a 1-byte ack code. Ack 0x01 (bad magic) is reserved, never reused:
-a FrameScanner decodes only at a magic it has found. It waits for the rest
-of a frame whose header is sound, so it never yields TruncatedFrameError:
-ack 0x04 comes only from decode_record, on a buffer with no whole frame.
+The hub answers each frame attempt with one ack byte. Decoding raises
+nothing but :class:`WireDecodeError`, whose ``ack`` is the code it draws:
+
+    0x00  ACCEPTED        a new record, or an identical re-send of a held one
+    0x01  reserved        was bad magic: a FrameScanner decodes only at a
+                          magic it has found, so nothing draws it
+    0x02  BAD_VERSION     version byte not 1, or flags byte not 0
+    0x03  BAD_CRC         body checksum mismatch
+    0x04  TRUNCATED       only from decode_record, on a buffer with no whole
+                          frame: a scanner waits for the rest of a frame
+                          whose header is sound
+    0x05  SHAPE_MISMATCH  a CRC-valid body that no record can hold
+    0x06  DUPLICATE       another record under a held (device id, record id)
+                          key; Hub.ingest decides it, not the decoder
 """
 
 from __future__ import annotations
@@ -62,23 +71,11 @@ MAX_FRAME_BYTES = 1024 * 1024
 
 
 class WireDecodeError(LatentWireError):
-    ack = None
+    """A frame the hub refuses; ``ack`` is the ACK_* code it answers with."""
 
-
-class BadVersionError(WireDecodeError):
-    ack = ACK_BAD_VERSION
-
-
-class BadCrcError(WireDecodeError):
-    ack = ACK_BAD_CRC
-
-
-class TruncatedFrameError(WireDecodeError):
-    ack = ACK_TRUNCATED
-
-
-class FrameShapeError(WireDecodeError):
-    ack = ACK_SHAPE_MISMATCH
+    def __init__(self, ack, message):
+        super().__init__(message)
+        self.ack = ack
 
 
 class OversizeRecordError(LatentWireError):
@@ -150,26 +147,28 @@ def _parse_body(buf, off, end) -> LatentRecord:
     frame's locals alive, and a live view stops a scanner's buffer from
     resizing."""
     if end - off < _BODY_FIXED.size:
-        raise FrameShapeError(f"body of {end - off} bytes too short for fixed fields")
+        raise WireDecodeError(ACK_SHAPE_MISMATCH,
+                              f"body of {end - off} bytes too short for fixed fields")
     device_id, record_id, label, ndim = _BODY_FIXED.unpack_from(buf, off)
     if not 1 <= ndim <= MAX_DIMS:
-        raise FrameShapeError(f"ndim {ndim} outside 1..{MAX_DIMS}")
+        raise WireDecodeError(ACK_SHAPE_MISMATCH, f"ndim {ndim} outside 1..{MAX_DIMS}")
     off += _BODY_FIXED.size
     dims_tag = _DIMS[ndim]
     if end - off < dims_tag.size:
-        raise FrameShapeError("body too short for declared dims")
+        raise WireDecodeError(ACK_SHAPE_MISMATCH, "body too short for declared dims")
     *dims, dtype = dims_tag.unpack_from(buf, off)
     off += dims_tag.size
     if dtype != DTYPE_F32:
-        raise FrameShapeError(f"unknown dtype tag {dtype}")
+        raise WireDecodeError(ACK_SHAPE_MISMATCH, f"unknown dtype tag {dtype}")
     count, ragged = divmod(end - off, _F4.itemsize)
     if ragged:
-        raise FrameShapeError(f"payload of {end - off} bytes is not whole f32s")
+        raise WireDecodeError(ACK_SHAPE_MISMATCH,
+                              f"payload of {end - off} bytes is not whole f32s")
     try:
         return LatentRecord(device_id, record_id, label, dims,
                             np.frombuffer(buf, _F4, count, off).copy())
     except ValueError as exc:  # a payload that misfits dims
-        raise FrameShapeError(f"shape {tuple(dims)}: {exc}") from exc
+        raise WireDecodeError(ACK_SHAPE_MISMATCH, f"shape {tuple(dims)}: {exc}") from exc
 
 
 def decode_frame_at(buf, start, end):
@@ -180,7 +179,7 @@ def decode_frame_at(buf, start, end):
     crc_at = end - _CRC.size
     (crc,) = _CRC.unpack_from(buf, crc_at)
     if crc != zlib.crc32(memoryview(buf)[body:crc_at]):
-        raise BadCrcError("body checksum mismatch")
+        raise WireDecodeError(ACK_BAD_CRC, "body checksum mismatch")
     return _parse_body(buf, body, crc_at)
 
 
@@ -226,8 +225,8 @@ class FrameScanner:
             if length > MAX_FRAME_BYTES:
                 continue
             if version != VERSION or flags != 0:
-                items.append(BadVersionError(
-                    f"unsupported version {version}, flags 0x{flags:02x}"))
+                items.append(WireDecodeError(
+                    ACK_BAD_VERSION, f"unsupported version {version}, flags 0x{flags:02x}"))
                 continue
             if size < end:
                 pos = start  # wait for the rest of the frame
@@ -248,11 +247,11 @@ class FrameScanner:
 def decode_record(buf) -> LatentRecord:
     """Decode the first frame in `buf` as a hub would, through a fresh
     FrameScanner: bytes before a magic are skipped, and so is trailing data.
-    Raises the scanner's first error, or TruncatedFrameError when `buf`
-    holds no whole frame."""
+    Raises the scanner's first error, or a WireDecodeError with
+    ACK_TRUNCATED when `buf` holds no whole frame."""
     items = FrameScanner().feed(buf)
     if not items:
-        raise TruncatedFrameError(f"no whole frame in {len(buf)} bytes")
+        raise WireDecodeError(ACK_TRUNCATED, f"no whole frame in {len(buf)} bytes")
     if isinstance(items[0], WireDecodeError):
         raise items[0]
     return items[0]

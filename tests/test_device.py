@@ -1,8 +1,11 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from latentwire import train
 from latentwire.data import LabeledDataset
 from latentwire.device import DeviceNode, make_devices
 from latentwire.errors import NotFittedError, SinkFailure
@@ -28,6 +31,30 @@ def fitted_device(cr, n=70):
     dev = DeviceNode(3, data, data)
     dev.fit_autoencoder(cr, TrainConfig(epochs=1, seed=0))
     return dev
+
+
+def test_no_decoder_array_outlives_the_fit(monkeypatch):
+    # the chain's arrays are seen only through weak references, so what
+    # stays alive after the fit is what the device itself holds
+    refs = []
+    fit = train._fit
+
+    def weakly_seen_fit(*args):
+        net, hist = fit(*args)
+        refs.append([[weakref.ref(a) for a in layer.values()] for layer in net.params])
+        return net, hist
+
+    monkeypatch.setattr(train, "_fit", weakly_seen_fit)
+    dev = fitted_device(4)
+    gc.collect()
+    (layers,) = refs
+    k = len(dev._encoder.spec.layers)
+    decoder = [r for layer in layers[k:] for r in layer]
+    assert decoder and all(r() is None for r in decoder)
+    encoder = [r() for layer in layers[:k] for r in layer]
+    held = [a for layer in dev._encoder.params for a in layer.values()]
+    assert encoder and len(encoder) == len(held)
+    assert all(a is b for a, b in zip(encoder, held))
 
 
 @pytest.mark.parametrize("cr", [1, 4])

@@ -420,24 +420,16 @@ def test_interrupt_in_a_cell_ends_the_run(monkeypatch):
 BITS_SCRIPT = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from grid_digest import network_digest
+from grid_digest import hashed_fits
 import latentwire as lw
-import latentwire.train
 
-digests, fit = [], lw.train._fit
-
-def hashed_fit(*args, **kwargs):
-    net, hist = fit(*args, **kwargs)
-    digests.append(network_digest(net, hist))
-    return net, hist
-
-lw.train._fit = hashed_fit
 spec = lw.SyntheticSpec(image_size=(16, 16, 3), samples_per_class=30)
-for family in ("A", "B"):
-    report = lw.run_experiment(lw.ExperimentConfig(
-        synthetic=spec, ratios=(1, 4, 16), family=family, n_devices=2,
-        ae=lw.TrainConfig(epochs=1), clf=lw.TrainConfig(epochs=1)))
-    assert not any(row.failed for row in report.rows), report.rows
+with hashed_fits() as digests:
+    for family in ("A", "B"):
+        report = lw.run_experiment(lw.ExperimentConfig(
+            synthetic=spec, ratios=(1, 4, 16), family=family, n_devices=2,
+            ae=lw.TrainConfig(epochs=1), clf=lw.TrainConfig(epochs=1)))
+        assert not any(row.failed for row in report.rows), report.rows
 print(len(digests), hashlib.sha256(b"".join(digests)).hexdigest())
 """
 # recorded when each block ran its relu before its pool; a kernel or zoo

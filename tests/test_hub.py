@@ -75,9 +75,9 @@ def test_serve_stream_decodes_each_frame_once(monkeypatch):
     recs = [make_record(record=i, seed=i) for i in range(5)]
     stream = b"".join(encode_record(r) for r in recs)
     frame_bytes = [len(encode_record(r)) for r in recs]
-    hub = Hub()
-    accepted, rejected = serve_stream(hub, [stream], "train")
-    assert (accepted, rejected) == (5, 0)
+    hub, acks = Hub(), bytearray()
+    accepted, rejected = serve_stream(hub, [stream], "train", acks.extend)
+    assert (accepted, rejected) == (5, 0) and bytes(acks) == bytes([ACK_ACCEPTED] * 5)
     assert calls == frame_bytes
     assert hub.records("train") == recs
 
@@ -87,8 +87,9 @@ def test_serve_stream_decodes_each_frame_once(monkeypatch):
     chunks = [stream[a:b] for a, b in zip([0, *cuts], cuts) if a < len(stream)]
     assert {len(c) for c in chunks[:-1]} == set(range(1, 8))
     calls.clear()
-    hub = Hub()
-    assert serve_stream(hub, chunks, "train") == (5, 0)
+    hub, acks = Hub(), bytearray()
+    assert serve_stream(hub, chunks, "train", acks.extend) == (5, 0)
+    assert bytes(acks) == bytes([ACK_ACCEPTED] * 5)
     assert calls == frame_bytes
     assert hub.records("train") == recs
 
@@ -301,7 +302,7 @@ def test_handler_keeps_the_record_when_the_ack_pipe_breaks():
              SimpleNamespace(hub=hub, split="train"))
     assert hub.records("train") == recs[:1]
     with HubServer(hub, split="train") as server:
-        _Handler(_AckPipeBroken(encode_record(recs[1])), ("127.0.0.1", 0), server._server)
+        _Handler(_AckPipeBroken(encode_record(recs[1])), ("127.0.0.1", 0), server)
         with WireClientSink(*server.address) as sink:
             sink.push(make_record(record=2))
     assert [r.record_id for r in hub.records("train")] == [0, 1, 2]
@@ -314,7 +315,7 @@ def test_stop_without_start_returns_and_closes_the_socket():
     stopper.start()
     stopper.join(timeout=5)
     assert not stopper.is_alive()
-    assert server._server.fileno() == -1
+    assert server.fileno() == -1
 
 
 def test_stop_of_a_started_server_returns_promptly():
@@ -323,7 +324,7 @@ def test_stop_of_a_started_server_returns_promptly():
     start = time.perf_counter()
     server.stop()
     assert time.perf_counter() - start < 0.2
-    assert not server._thread.is_alive() and server._server.fileno() == -1
+    assert not server._thread.is_alive() and server.fileno() == -1
 
 
 def test_evaluate_empty_split_scores_zero():

@@ -48,7 +48,7 @@ def _mlp_spec(in_dim=12, classes=2):
 def test_constant_images_reach_tiny_mse():
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.full((24, 8, 8, 3), 0.35, dtype=np.float32)
-    _, _, hist = train_autoencoder(
+    _, hist = train_autoencoder(
         pair, images, TrainConfig(epochs=50, batch_size=8, seed=0, lr=5e-3))
     assert hist.losses[-1] < 1e-4
     assert len(hist.losses) == len(hist.metrics) <= 50
@@ -58,16 +58,16 @@ def test_reconstruction_loss_trends_down():
     spec = SyntheticSpec(image_size=(16, 16, 3), samples_per_class=30)
     train, _ = gen_synthetic(spec, seed=3)
     pair = build_autoencoder((16, 16, 3), 4)
-    _, _, hist = train_autoencoder(pair, train.images, TrainConfig(epochs=8, seed=0))
+    _, hist = train_autoencoder(pair, train.images, TrainConfig(epochs=8, seed=0))
     assert hist.losses[-1] <= hist.losses[0]
     assert all(np.isfinite(hist.losses))
 
 
 def test_identity_pair_trains_to_zero_loss():
     pair = build_autoencoder((8, 8, 3), 1)
-    encoder, decoder, hist = train_autoencoder(pair, np.zeros((4, 8, 8, 3), np.float32),
-                                               TrainConfig(epochs=5))
-    assert encoder.spec.layers == decoder.spec.layers == ()
+    encoder, hist = train_autoencoder(pair, np.zeros((4, 8, 8, 3), np.float32),
+                                      TrainConfig(epochs=5))
+    assert encoder.spec.layers == pair.decoder.layers == ()
     assert hist.losses == [0.0] * 5
     x = rng().random((1, 8, 8, 3)).astype(np.float32)
     assert encoder.forward(x).tobytes() == x.tobytes()
@@ -81,8 +81,8 @@ def _tiny_images():
 def test_autoencoder_history_is_pinned():
     # recorded from the loop as first written: weight init, then one
     # permutation per epoch; a change to the draw order or the math moves it
-    _, _, hist = train_autoencoder(build_autoencoder((8, 8, 3), 4), _tiny_images().images,
-                                   TrainConfig(epochs=2, batch_size=8, seed=1))
+    _, hist = train_autoencoder(build_autoencoder((8, 8, 3), 4), _tiny_images().images,
+                                TrainConfig(epochs=2, batch_size=8, seed=1))
     assert hist.losses == pytest.approx([0.11858065873384475, 0.08867832273244858], rel=1e-6)
     assert hist.metrics == hist.losses
 

@@ -11,14 +11,10 @@ from latentwire.wire import (
     ACK_BAD_VERSION,
     ACK_SHAPE_MISMATCH,
     ACK_TRUNCATED,
-    BadCrcError,
-    BadVersionError,
     FrameScanner,
-    FrameShapeError,
     LatentRecord,
     MAX_FRAME_BYTES,
     OversizeRecordError,
-    TruncatedFrameError,
     UNLABELED,
     WireDecodeError,
     decode_record,
@@ -137,9 +133,15 @@ def test_frame_bytes_are_pinned():
 
 # --- decode errors --------------------------------------------------------------
 
+def refusal(buf):
+    """The ack code of the WireDecodeError that decode_record(buf) raises."""
+    with pytest.raises(WireDecodeError) as info:
+        decode_record(buf)
+    return info.value.ack
+
+
 def test_empty_input_truncated():
-    with pytest.raises(TruncatedFrameError):
-        decode_record(b"")
+    assert refusal(b"") == ACK_TRUNCATED
 
 
 def test_bad_magic():
@@ -148,29 +150,25 @@ def test_bad_magic():
     frame[0] = ord("X")
     good = make_record(record=9, seed=9)
     assert decode_record(bytes(frame) + encode_record(good)) == good
-    with pytest.raises(TruncatedFrameError):
-        decode_record(bytes(frame))
+    assert refusal(bytes(frame)) == ACK_TRUNCATED
 
 
 def test_bad_version():
     frame = bytearray(encode_record(make_record()))
     frame[4] = 2
-    with pytest.raises(BadVersionError):
-        decode_record(bytes(frame))
+    assert refusal(bytes(frame)) == ACK_BAD_VERSION
 
 
 def test_nonzero_flags_rejected():
     frame = bytearray(encode_record(make_record()))
     frame[5] = 1
-    with pytest.raises(BadVersionError):
-        decode_record(bytes(frame))
+    assert refusal(bytes(frame)) == ACK_BAD_VERSION
 
 
 def test_bad_crc():
     frame = bytearray(encode_record(make_record()))
     frame[-1] ^= 0xFF
-    with pytest.raises(BadCrcError):
-        decode_record(bytes(frame))
+    assert refusal(bytes(frame)) == ACK_BAD_CRC
 
 
 def frame_around(body):
@@ -202,14 +200,12 @@ BAD_SHAPE_BODIES = {
 
 def test_shape_payload_mismatch():
     # valid CRC over a body whose dims disagree with the payload length
-    with pytest.raises(FrameShapeError):
-        decode_record(frame_around(shaped_body((16, 16), 400)))
+    assert refusal(frame_around(shaped_body((16, 16), 400))) == ACK_SHAPE_MISMATCH
 
 
 @pytest.mark.parametrize("body", BAD_SHAPE_BODIES.values(), ids=BAD_SHAPE_BODIES.keys())
 def test_bad_shape_bodies_raise_frame_shape_error(body):
-    with pytest.raises(FrameShapeError):
-        decode_record(frame_around(body))
+    assert refusal(frame_around(body)) == ACK_SHAPE_MISMATCH
 
 
 def test_unknown_dtype_rejected():
@@ -219,14 +215,12 @@ def test_unknown_dtype_rejected():
     frame[dtype_pos] = 9
     body = bytes(frame[HEADER_LEN:-CRC_LEN])
     frame[-CRC_LEN:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    with pytest.raises(FrameShapeError):
-        decode_record(bytes(frame))
+    assert refusal(bytes(frame)) == ACK_SHAPE_MISMATCH
 
 
 def test_truncated_body():
     frame = encode_record(make_record())
-    with pytest.raises(TruncatedFrameError):
-        decode_record(frame[: len(frame) - 5])
+    assert refusal(frame[: len(frame) - 5]) == ACK_TRUNCATED
 
 
 def test_single_byte_corruption_always_rejected():
@@ -235,11 +229,9 @@ def test_single_byte_corruption_always_rejected():
         for delta in (0x01, 0x80, 0xFF):
             corrupt = bytearray(frame)
             corrupt[pos] ^= delta
-            with pytest.raises(WireDecodeError):
-                decode_record(bytes(corrupt))
+            ack = refusal(bytes(corrupt))
             if HEADER_LEN <= pos < len(frame) - CRC_LEN:
-                with pytest.raises(BadCrcError):
-                    decode_record(bytes(corrupt))
+                assert ack == ACK_BAD_CRC
 
 
 def test_decode_never_raises_other_exceptions():
@@ -290,7 +282,7 @@ def test_scanner_resyncs_after_corrupt_frame():
     bad = bytearray(encode_record(make_record(record=11)))
     bad[-1] ^= 0xFF  # break the CRC
     items = FrameScanner().feed(bytes(bad) + encode_record(good))
-    assert isinstance(items[0], BadCrcError)
+    assert isinstance(items[0], WireDecodeError) and items[0].ack == ACK_BAD_CRC
     assert [i for i in items if isinstance(i, LatentRecord)] == [good]
     assert all(isinstance(i, WireDecodeError) for i in items[:-1])
 
@@ -316,7 +308,19 @@ def test_scanner_resyncs_past_header_declaring_oversize_body():
 
 
 def test_error_ack_codes():
-    assert BadVersionError.ack == ACK_BAD_VERSION == 0x02
-    assert BadCrcError.ack == ACK_BAD_CRC == 0x03
-    assert TruncatedFrameError.ack == ACK_TRUNCATED == 0x04
-    assert FrameShapeError.ack == ACK_SHAPE_MISMATCH == 0x05
+    # one damaged frame per refusal code: a hub's scanner yields the error,
+    # decode_record raises the same code
+    frame = encode_record(make_record())
+    version = bytearray(frame)
+    version[4] = 2
+    body_flip = bytearray(frame)
+    body_flip[HEADER_LEN + 3] ^= 0x01
+    bad_ndim = frame_around(shaped_body((2, 2), 16, ndim=5))
+    for damaged, code in ((version, 0x02), (body_flip, 0x03), (bad_ndim, 0x05)):
+        (item,) = FrameScanner().feed(bytes(damaged))
+        assert isinstance(item, WireDecodeError) and item.ack == code
+        assert refusal(bytes(damaged)) == code
+    # a cut frame: a scanner waits for the rest, so only decode_record draws 0x04
+    assert FrameScanner().feed(frame[:-1]) == []
+    assert refusal(frame[:-1]) == 0x04
+    assert (ACK_BAD_VERSION, ACK_BAD_CRC, ACK_TRUNCATED, ACK_SHAPE_MISMATCH) == (2, 3, 4, 5)

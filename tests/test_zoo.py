@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentwire import ops
+from latentwire import ops, train
 from latentwire.errors import InvalidGeometryError, UnachievableRatioError
 from latentwire.network import Network
 from latentwire.train import TrainConfig, train_autoencoder
@@ -79,13 +79,33 @@ def test_achieved_ratio_always_exact(shape, cr):
 
 # --- split/compose -----------------------------------------------------------
 
-def test_split_compose_bitwise():
+def fit_chain(monkeypatch, pair, images, cfg):
+    """train_autoencoder's encoder, and the decoder Network built from the
+    trained chain's own arrays, which the fit does not return."""
+    chains = []
+    fit = train._fit
+
+    def kept_fit(*args):
+        net, hist = fit(*args)
+        chains.append(net)
+        return net, hist
+
+    monkeypatch.setattr(train, "_fit", kept_fit)
+    encoder, _ = train_autoencoder(pair, images, cfg)
+    (chain,) = chains
+    k = len(pair.encoder.layers)
+    assert len(encoder.params) == k and all(
+        a is b for a, b in zip(encoder.params, chain.params))
+    return encoder, Network(pair.decoder, params=chain.params[k:]), chain
+
+
+def test_split_compose_bitwise(monkeypatch):
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((20, 8, 8, 3)).astype(np.float32)
-    encoder, decoder, _ = train_autoencoder(pair, images, TrainConfig(epochs=2, seed=0))
+    encoder, decoder, chain = fit_chain(monkeypatch, pair, images,
+                                        TrainConfig(epochs=2, seed=0))
     assert infer_shapes(encoder.spec)[-1] == pair.latent_shape
-    chain = Network(ModelSpec(pair.encoder.layers + pair.decoder.layers, (8, 8, 3)),
-                    params=encoder.params + decoder.params)
+    assert chain.spec == ModelSpec(pair.encoder.layers + pair.decoder.layers, (8, 8, 3))
     for x in images[:5]:
         full = chain.forward(x[None])
         split = decoder.forward(encoder.forward(x[None]))
@@ -180,10 +200,10 @@ def test_builders_match_the_swapped_spec_oracle(shape):
         assert (pair.encoder, pair.decoder) == autoencoder_spec_oracle(shape, cr)
 
 
-def test_decoder_rejects_non_latent_shape():
+def test_decoder_rejects_non_latent_shape(monkeypatch):
     pair = build_autoencoder((8, 8, 3), 4)
     images = np.random.default_rng(0).random((10, 8, 8, 3)).astype(np.float32)
-    _, decoder, _ = train_autoencoder(pair, images, TrainConfig(epochs=1, seed=0))
+    _, decoder, _ = fit_chain(monkeypatch, pair, images, TrainConfig(epochs=1, seed=0))
     with pytest.raises(Exception):
         decoder.forward(np.zeros((1, 8, 8, 3), np.float32))
 

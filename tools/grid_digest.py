@@ -34,6 +34,7 @@ pinned to one thread before numpy is imported.
 import hashlib
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,6 +63,25 @@ def network_digest(net, hist):
     return h.digest()
 
 
+@contextmanager
+def hashed_fits():
+    """While open, append the ``network_digest`` of every ``train._fit``
+    result to the list it yields, in training order."""
+    digests = []
+    fit = lw.train._fit
+
+    def hashed_fit(*args, **kwargs):
+        net, hist = fit(*args, **kwargs)
+        digests.append(network_digest(net, hist))
+        return net, hist
+
+    lw.train._fit = hashed_fit
+    try:
+        yield digests
+    finally:
+        lw.train._fit = fit
+
+
 def data_digest(spec):
     train, test = lw.gen_synthetic(spec, seed=0)
     h = hashlib.sha256()
@@ -73,19 +93,8 @@ def data_digest(spec):
 def digest_grid(cfg):
     """Run the grid of `cfg`, print its ``cr=`` lines and return (whether a
     cell failed, the sha256 of each trained network in training order)."""
-    digests = []
-    fit = lw.train._fit
-
-    def hashed_fit(*args, **kwargs):
-        net, hist = fit(*args, **kwargs)
-        digests.append(network_digest(net, hist))
-        return net, hist
-
-    lw.train._fit = hashed_fit
-    try:
+    with hashed_fits() as digests:
         report = lw.run_experiment(cfg)
-    finally:
-        lw.train._fit = fit
     for row in sorted(report.rows, key=lambda r: r.cr):
         print(f"cr={row.cr:g} accuracy={row.accuracy} params={row.params}"
               + (f" failed: {row.error}" if row.failed else ""))

@@ -1,25 +1,42 @@
 """Print the ``src/`` lines that no tier-1 test executes and check them
-against ``NOT_RUN``.
+against ``NOT_RUN``; with ``--traffic``, print the lines that the
+benchmark's traffic and two ``latentwire run`` calls never execute.
 
     python3 tools/line_reach.py
+    python3 tools/line_reach.py --traffic
 
-Runs the tier-1 suite in this process under ``sys.settrace`` and
-``threading.settrace``, so no ``coverage`` package is needed. The
-executable lines of each module under ``src/latentwire`` are the lines its
-code objects map instructions to (``co_lines``, nested code objects
-included). The report lists, by file, each executable line that never ran,
-then the total. ``NOT_RUN`` lists each such line by file and stripped
+Runs the tier-1 suite (or the traffic) in this process under
+``sys.settrace`` and ``threading.settrace``, so no ``coverage`` package is
+needed. The executable lines of each module under ``src/latentwire`` are
+the lines its code objects map instructions to (``co_lines``, nested code
+objects included). The report lists, by file, each executable line that
+never ran, then the total.
+
+In the default mode, ``NOT_RUN`` lists each such line by file and stripped
 source text, with the reason it stays; the exit status is non-zero when
 pytest fails, when a line that did not run is missing from ``NOT_RUN``, or
-when an entry names a line that now runs or no longer exists.
+when an entry names a line that now runs or no longer exists. Tracing makes
+the suite take about 1.6 times as long, so this is a tool, not a tier-1
+test.
 
-Tracing makes the suite take about 1.6 times as long, so this is a tool,
-not a tier-1 test.
+``--traffic`` runs what the program does in use, not what the tests reach:
+one set-up, pass and check of each workload in ``perfbench/workloads.py`` at
+short settings (the grid with one epoch per fit and no accuracy reference,
+serve with one classifier epoch, wire with 200 TCP frames and 10 hostile
+stream blocks), the same grid with classifier family B, and ``cli.main``
+twice into a temporary directory: once with ``--config`` and a ``.json``
+report, once with flags and a ``.csv`` report. A line it lists is code that
+only tests, error paths or settings these runs leave alone reach. The exit
+status is non-zero only when a workload check or a ``run`` fails.
 """
 
+import argparse
+import json
 import sys
+import tempfile
 import threading
 from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,8 +63,9 @@ def executable_lines(path):
     return lines
 
 
-def traced_run(files):
-    """Run pytest with a line tracer on `files`; returns (exit code, {file: lines run})."""
+def traced_run(files, run):
+    """Call `run` with a line tracer on `files`; returns (what it returned,
+    {file: lines run})."""
     ran = defaultdict(set)
 
     def local(frame, event, arg):
@@ -66,17 +84,60 @@ def traced_run(files):
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(TIER1_ARGS + [str(ROOT / "tests")])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), ran
+    return result, ran
 
 
-def main():
-    paths = sorted(PACKAGE.glob("*.py"))
-    files = {str(p) for p in paths}
-    code, ran = traced_run(files)
+def tier1():
+    """The tier-1 suite's exit code."""
+    return int(pytest.main(TIER1_ARGS + [str(ROOT / "tests")]))
+
+
+def traffic():
+    """Run the benchmark's workloads and two `latentwire run` calls; returns
+    one line per failed check or run. The package is imported here, under
+    the tracer, so its module-level lines count as run."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from latentwire import cli
+    from workloads import GridWorkload, ServeWorkload, WireWorkload
+
+    failures = []
+    grid = GridWorkload(ae_epochs=1, clf_epochs=1, reference=None)
+    serve = ServeWorkload(clf_epochs=1, warmup=0)
+    wire = WireWorkload(tcp_frames=200, stream_blocks=10)
+    for label, workload, state in (
+            ("grid", grid, grid.setup(0)),
+            ("grid family=B", grid, replace(grid.setup(0), family="B")),
+            ("serve", serve, serve.setup(0)),
+            ("wire", wire, wire.setup(0))):
+        failures += [f"{label}: {e}" for e in workload.check([workload.run_pass(state)])]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "grid.json"
+        config.write_text(json.dumps({
+            "format": "latentwire-config", "version": 1,
+            "synthetic": {"image_size": [16, 16, 3], "samples_per_class": 30},
+            "ratios": [1, 4], "n_devices": 2, "ae": {"epochs": 1}, "clf": {"epochs": 1}}))
+        # the first call's logging set-up holds for the second, so --verbose
+        # goes with the first
+        for argv in (["--verbose", "run", "--config", str(config),
+                      "--out", f"{tmp}/report.json"],
+                     ["run", "--ratios", "1,16", "--family", "A",
+                      "--devices", "2", "--seeds", "0,1", "--ae-epochs", "1",
+                      "--clf-epochs", "1", "--batch-size", "16", "--jobs", "2",
+                      "--out", f"{tmp}/report.csv"]):
+            code = cli.main(argv)
+            if code:
+                failures.append(f"latentwire {' '.join(argv[:3])}: exit status {code}")
+    return failures
+
+
+def print_unrun(paths, ran):
+    """Print, by file, each executable line that never ran, then the total;
+    returns a Counter of (file name, stripped text) over those lines."""
     not_run = Counter()
     lines_total = 0
     print()
@@ -95,6 +156,24 @@ def main():
     missed_total = sum(not_run.values())
     print(f"total: {lines_total - missed_total} of {lines_total} executable src/ lines run, "
           f"{missed_total} not run")
+    return not_run
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--traffic", action="store_true",
+                        help="trace the benchmark's traffic and two runs, not tier-1")
+    args = parser.parse_args(argv)
+    paths = sorted(PACKAGE.glob("*.py"))
+    files = {str(p) for p in paths}
+    if args.traffic:
+        failures, ran = traced_run(files, traffic)
+        print_unrun(paths, ran)
+        for line in failures:
+            print(f"failed: {line}")
+        return int(bool(failures))
+    code, ran = traced_run(files, tier1)
+    not_run = print_unrun(paths, ran)
     listed = Counter((name, text) for name, text, _ in NOT_RUN)
     for (name, text), n in sorted((not_run - listed).items()):
         print(f"not run and not in NOT_RUN ({n}x): {name}: {text}")

@@ -5,11 +5,11 @@ process's max RSS.
     python3 tools/peak_memory.py
 
 Runs the benchmark's pinned grid config (``GridWorkload().setup(0)`` from
-``perfbench/workloads.py``) on the ``latentwire`` in this checkout's ``src``,
-one cell at a time: the grid's data is made once, then each (ratio, seed)
-cell runs through ``run_cell`` in the order ``run_experiment`` runs them.
-Each cell's line gives its ``tracemalloc`` peak above what was allocated
-when the cell began, for each stage and overall: ``ae_fit`` covers the
+``perfbench/workloads.py``) on the ``latentwire`` in this checkout's ``src``
+through ``run_experiment`` with ``jobs=1``, so one cell runs at a time, with
+``run_cell`` wrapped to mark where each cell begins and ends. Each cell's
+line gives its ``tracemalloc`` peak above what was allocated when the cell
+began, for each stage and overall: ``ae_fit`` covers the
 devices' autoencoder fits, ``export`` their latent exports with the hub's
 ingest of every frame, ``clf_fit`` the hub's classifier fit, and ``rest``
 all else (partitioning and evaluation). The ``high_water`` line names the
@@ -28,6 +28,7 @@ import os
 import resource
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -52,11 +53,13 @@ REST = "rest"
 def cell_peaks(cfg):
     """(cr, seed, {stage: bytes}) per cell of `cfg` in run order: each
     stage's traced peak above the traced memory at the cell's start."""
-    name, train, test = latentwire.experiment.load_experiment_data(cfg)
+    cells = []
+    start = 0
 
     def close(stage):
         # the segment since the last boundary ran in `stage`
         peak = tracemalloc.get_traced_memory()[1] - start
+        peaks = cells[-1][2]
         peaks[stage] = max(peaks.get(stage, 0), peak)
         tracemalloc.reset_peak()
 
@@ -69,24 +72,34 @@ def cell_peaks(cfg):
                 close(stage)
         return run
 
-    originals = [(cls, attr, getattr(cls, attr)) for _, cls, attr in STAGES]
-    for stage, cls, attr in STAGES:
-        setattr(cls, attr, staged(stage, getattr(cls, attr)))
-    cells = []
+    def cell(run_cell):
+        def run(name, train, test, cell_cfg, cr, seed):
+            nonlocal start
+            cells.append((cr, seed, {}))
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                return run_cell(name, train, test, cell_cfg, cr, seed)
+            finally:
+                close(REST)
+        return run
+
+    # run_experiment looks run_cell up when it calls it
+    patches = [(cls, attr, staged(stage, getattr(cls, attr))) for stage, cls, attr in STAGES]
+    patches.append((latentwire.experiment, "run_cell", cell(latentwire.experiment.run_cell)))
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
+    for owner, attr, wrapped in patches:
+        setattr(owner, attr, wrapped)
     tracemalloc.start()
     try:
-        for seed in cfg.seeds:
-            for cr in cfg.ratios:
-                peaks = {}
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                latentwire.experiment.run_cell(name, train, test, cfg, cr, seed)
-                close(REST)
-                cells.append((cr, seed, peaks))
+        report = latentwire.experiment.run_experiment(replace(cfg, jobs=1))
     finally:
         tracemalloc.stop()
-        for cls, attr, method in originals:
-            setattr(cls, attr, method)
+        for owner, attr, method in originals:
+            setattr(owner, attr, method)
+    for row in report.rows:
+        if row.failed:
+            raise RuntimeError(f"cell cr={row.cr:g} seed={row.seed} failed: {row.error}")
     return cells
 
 
