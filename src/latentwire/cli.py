@@ -104,9 +104,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level goes on the package's logger, on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("latentwire").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return cmd_run(args)
     except (LatentWireError, ValueError, OSError) as exc:

@@ -143,17 +143,23 @@ def load_experiment_data(cfg):
     return "cifar10", train, test
 
 
-def run_cell(name, train, test, cfg, cr, seed):
-    """One (ratio, seed) cell: partition, fit device autoencoders, push every
-    latent through the wire codec into a hub, train and score the classifier."""
+def _fill_hub(train, test, cfg, cr, seed):
+    """A hub holding every latent of the cell's devices: partition, fit each
+    device's autoencoder and push its latents through the wire codec. The
+    devices, with their shards and encoders, die when this returns."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD1CE]))
-    devices = make_devices(train, test, cfg.n_devices, cfg.partition, rng)
     hub = Hub()
-    for dev in devices:
+    for dev in make_devices(train, test, cfg.n_devices, cfg.partition, rng):
         dev.fit_autoencoder(cr, replace(cfg.ae, seed=seed))
         dev.export_latents("train", HubSink(hub, "train"))
         dev.export_latents("test", HubSink(hub, "test"))
+    return hub
 
+
+def run_cell(name, train, test, cfg, cr, seed):
+    """One (ratio, seed) cell: fill a hub from the devices, then train and
+    score its classifier, with no device left alive to hold memory."""
+    hub = _fill_hub(train, test, cfg, cr, seed)
     history = hub.train_classifier(cfg.family, replace(cfg.clf, seed=seed),
                                    num_classes=train.num_classes)
     accuracy, test_s = hub.evaluate("test", num_classes=train.num_classes)

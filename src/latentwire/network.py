@@ -55,8 +55,9 @@ class Network:
         allocates next. Dropping the caches earlier, as backward consumes
         them, lets malloc trim the freed heap top and fault it back in on
         every step. Each cache holds only what its layer's backward reads
-        (see :mod:`ops`); without ``caches`` the pools and activations build
-        no index or mask at all.
+        (see :mod:`ops`): a conv flagged ``upsample`` keeps its
+        low-resolution input, not the upsampled map it correlates. Without
+        ``caches`` the pools and activations build no index or mask at all.
         """
         self._check_input(x)
         keep = caches is not None
@@ -64,11 +65,10 @@ class Network:
             if keep:
                 caches[i] = None
             if layer.kind == "conv2d":
-                x, cache = ops.conv2d(x, p["w"], p["b"], padding=layer.padding)
+                x, cache = ops.conv2d(x, p["w"], p["b"], padding=layer.padding,
+                                      upsample=layer.upsample)
             elif layer.kind == "maxpool":
                 x, cache = ops.maxpool2d(x, cache=keep)
-            elif layer.kind == "upsample":
-                x, cache = ops.upsample2d(x)
             elif layer.kind == "dense":
                 x, cache = ops.dense(x, p["w"], p["b"])
             elif layer.kind == "activation":

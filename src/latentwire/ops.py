@@ -4,14 +4,15 @@ Every forward op returns ``(output, cache)``; ``backward(cache, grad,
 need_dx=True)`` dispatches on the cache kind and returns ``(input_grad,
 param_grads)``, with ``input_grad`` None when ``need_dx`` is False. A cache
 holds what its backward reads, not what its forward made: max pooling keeps
-each window's winner as a uint8 index and relu its bool sign mask. An
-inference forward keeps none: ``maxpool2d`` and ``activation`` given
-``cache=False`` build no index or mask and return None for the cache.
-Ops take batches only: spatial tensors are channels-last ``(N, H, W, C)``
-and dense inputs ``(N, D)``. Every forward output and input gradient is
-C-contiguous, so the element-wise ops that follow run over contiguous
-memory. All math preserves the input dtype, so suites that need double
-precision simply pass float64 arrays.
+each window's winner as a uint8 index, relu its bool sign mask, and a conv
+that upsamples keeps its input, not the 4x larger map it read. An inference
+forward keeps none: ``maxpool2d`` and ``activation`` given ``cache=False``
+build no index or mask and return None for the cache. Ops take batches
+only: spatial tensors are channels-last ``(N, H, W, C)`` and dense inputs
+``(N, D)``. Every forward output and input gradient is C-contiguous, so the
+element-wise ops that follow run over contiguous memory; ``upsample2d``
+given an `out` buffer returns that buffer. All math preserves the input
+dtype, so suites that need double precision simply pass float64 arrays.
 
 Network hands each op the rank, weights, biases, padding and dropout rate
 that it built from the spec, so the ops do not check them again. They
@@ -19,9 +20,9 @@ refuse only operands that disagree (channels, dense widths), a kernel or
 pool larger than its input, an unknown activation and a reused cache.
 
 One layer geometry: pooling is 2x2 max pooling at stride 2, upsampling
-repeats each pixel 2x2, and the activations are relu and sigmoid; a
-classifier ends in a dense layer and emits logits, whose softmax only the
-loss takes. The zoo pools a conv's output before its relu: relu is
+repeats each pixel 2x2 inside the conv that reads it, and the activations
+are relu and sigmoid; a classifier ends in a dense layer and emits logits,
+whose softmax only the loss takes. The zoo pools a conv's output before its relu: relu is
 monotone, so relu(max(window)) == max(relu(window)) and the pair computes
 the same function with the relu on the pooled map. ``conv2d`` runs at
 stride 1 and reads K from its weights, so every conv shape follows from its
@@ -39,6 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CacheError, InvalidGeometryError, ShapeMismatchError
 
@@ -64,31 +66,47 @@ class LayerCache:
         return self.data
 
 
-def conv2d(x, w, b, padding="valid"):
+def conv2d(x, w, b, padding="valid", upsample=False):
     """2-D cross-correlation at stride 1 with per-filter bias.
 
-    x: (N,H,W,C); w: (K,K,C,F); b: (F,). "valid" gives (N,H-K+1,W-K+1,F);
+    x: (N,H,W,C); w: (K,K,C,F). "valid" gives (N,H-K+1,W-K+1,F);
     "same" gives (N,H,W,F), reading (K-1)//2 zeros before and K-1-(K-1)//2
-    after the input on each axis, so an even K pads one more after.
+    after the input on each axis, so an even K pads one more after. With
+    ``upsample`` the conv reads x 2x nearest-upsampled, as ``upsample2d``
+    then ``conv2d`` would, to the same bits: H and W above double, the map
+    is written straight into the padded operand, and the cache keeps x.
     """
-    _, h, wd, c = x.shape
+    n, h, wd, c = x.shape
     k, _, wc, _ = w.shape
     if wc != c:
         raise ShapeMismatchError(f"input has {c} channels, weights expect {wc}")
-    if padding == "same":
-        lead, pad = (k - 1) // 2, k - 1
-    else:  # valid
-        lead = pad = 0
+    if upsample:
+        h, wd = 2 * h, 2 * wd
+    lead, pad = ((k - 1) // 2, k - 1) if padding == "same" else (0, 0)
     if k > h + pad or k > wd + pad:
         raise InvalidGeometryError(f"kernel {k} exceeds padded input {h}x{wd}")
-    if pad:
-        xp = np.zeros((x.shape[0], h + pad, wd + pad, c), dtype=x.dtype)
-        xp[:, lead : lead + h, lead : lead + wd] = x
-    else:
-        xp = np.ascontiguousarray(x)  # a forward output already is: no copy
+    xp = _operand(x, lead, pad, upsample)
     y = _correlate(xp, w)
     y += b
-    return y, LayerCache("conv2d", xp=xp, w=w, lead=lead, in_shape=x.shape)
+    kept = {"x": x, "pad": pad} if upsample else {"xp": xp}
+    return y, LayerCache("conv2d", w=w, lead=lead, in_shape=(n, h, wd, c), **kept)
+
+
+def _operand(x, lead, pad, upsample):
+    """The C-contiguous map a conv correlates: x, 2x upsampled if
+    `upsample`, with `lead` zeros before and pad - lead after on each axis.
+    An unpadded forward output is already contiguous and is not copied."""
+    if not pad:
+        return upsample2d(x)[0] if upsample else np.ascontiguousarray(x)
+    n, h, wd, c = x.shape
+    s = 2 if upsample else 1
+    xp = np.zeros((n, s * h + pad, s * wd + pad, c), dtype=x.dtype)
+    inner = xp[:, lead : lead + s * h, lead : lead + s * wd]
+    if upsample:
+        upsample2d(x, out=inner)
+    else:
+        inner[...] = x
+    return xp
 
 
 def _windows(xp, k):
@@ -103,7 +121,7 @@ def _windows(xp, k):
     return view
 
 
-def _correlate(xp, w, g=None):
+def _correlate(xp, w, g=None, cols=None):
     """The conv's one contraction over the K x K windows of xp (N,H,W,C) for
     w (K,K,C,F), one window per output pixel of (ho, wo) = (H-K+1, W-K+1).
 
@@ -112,13 +130,15 @@ def _correlate(xp, w, g=None):
     windows (C*K*K <= _WINDOW_MAX) are copied from their strided view into
     one column matrix, a row per output pixel in w's own (k, l, c) order,
     and the contraction is one GEMM against it; wide ones loop over the K*K
-    offsets and never materialize the windows, a GEMM per offset.
+    offsets and never materialize the windows, a GEMM per offset. A narrow
+    caller may pass the column matrix it already built as `cols`.
     """
     n, h, wd, c = xp.shape
     k, f = w.shape[0], w.shape[3]
     ho, wo = h - k + 1, wd - k + 1
     if c * k * k <= _WINDOW_MAX:
-        cols = _windows(xp, k).reshape(-1, k * k * c)
+        if cols is None:
+            cols = _windows(xp, k).reshape(-1, k * k * c)
         if g is None:
             return (cols @ w.reshape(-1, f)).reshape(n, ho, wo, f)
         return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
@@ -139,24 +159,34 @@ def _conv2d_backward(data, g, need_dx):
     # the K x K window at each input pixel holds, flipped, every output that
     # read it. So dx is gp correlated with the flipped kernel, its C and F
     # axes swapped, and dW may contract the windows of gp in place of those
-    # of the input.
-    xp, w, lead = data["xp"], data["w"], data["lead"]
+    # of the input. An upsampling conv caches its input x, not the map it
+    # read (in_shape): the backward rebuilds the map for dW, lets it die
+    # before dx, and folds dx back onto x.
+    xp, x, w, lead = data.get("xp"), data.get("x"), data["w"], data["lead"]
     n, h, wd, c = data["in_shape"]
     k, f = w.shape[0], w.shape[3]
     # wt stays a strided view: a contiguous copy runs the wide dx's matmuls
     # about twice as fast, but rounds differently (see ROADMAP)
     wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
     dw_from_gp = f * k * k <= _WINDOW_MAX < c * k * k  # e.g. a decoder's last conv
+    cols = None
     if need_dx or dw_from_gp:
         off = k - 1 - lead
         gp = np.zeros((n, h + k - 1, wd + k - 1, f), dtype=g.dtype)
         gp[:, off : off + g.shape[1], off : off + g.shape[2]] = g
     if dw_from_gp:
-        x = xp[:, lead : lead + h, lead : lead + wd]
-        dw = _correlate(gp, wt, x)[::-1, ::-1].transpose(0, 1, 3, 2)
+        # one column matrix of gp serves dW here and the narrow dx below
+        cols = _windows(gp, k).reshape(-1, k * k * f)
+        dw = _correlate(gp, wt, xp[:, lead : lead + h, lead : lead + wd] if x is None
+                        else upsample2d(x)[0], cols)[::-1, ::-1].transpose(0, 1, 3, 2)
     else:
-        dw = _correlate(xp, w, g)
-    dx = _correlate(gp, wt) if need_dx else None
+        dw = _correlate(xp if x is None else _operand(x, lead, data["pad"], True), w, g)
+    dx = None
+    if need_dx:
+        dx = _correlate(gp, wt, cols=cols)
+        del gp, cols  # dead before the fold below allocates
+        if x is not None:
+            dx = _upsample2d_backward({"in_shape": x.shape}, dx)[0]
     return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
 
 
@@ -210,10 +240,20 @@ def _maxpool2d_backward(data, g):
     return dx, None
 
 
-def upsample2d(x):
-    """Nearest-neighbour upsampling: each pixel becomes a 2x2 block."""
-    y = x.repeat(2, axis=1).repeat(2, axis=2)
-    return y, LayerCache("upsample2d", in_shape=x.shape)
+def upsample2d(x, out=None):
+    """Nearest-neighbour upsampling: each pixel becomes a 2x2 block. The map
+    (N,2H,2W,C) is written into `out` when given, such as the interior of
+    an upsampling conv's padded operand, and is C-contiguous otherwise."""
+    n, h, wd, c = x.shape
+    if out is None:
+        out = np.empty((n, 2 * h, 2 * wd, c), dtype=x.dtype)
+    # out's rows and columns split into (pixel, offset) pairs, a view of any
+    # strided out; one broadcast write fills it, twice as fast as a write
+    # per offset at (32, 16, 16, 32)
+    s0, s1, s2, s3 = out.strides
+    blocks = as_strided(out, (n, h, 2, wd, 2, c), (s0, 2 * s1, s1, 2 * s2, s2, s3))
+    blocks[...] = x[:, :, None, :, None]
+    return out, LayerCache("upsample2d", in_shape=x.shape)
 
 
 def _upsample2d_backward(data, g):

@@ -6,7 +6,9 @@ exact compression ratio; classifier builders adapt to small latent inputs by
 keeping the longest feasible prefix of their conv/pool trunk.
 
 Every model has one layer geometry: KERNEL x KERNEL convs at stride 1 with
-"valid" or "same" padding, 2x2 max pools at stride 2 and 2x upsampling.
+"valid" or "same" padding and 2x2 max pools at stride 2. A decoder conv
+built with ``upsample=True`` reads its input 2x nearest-upsampled, so it
+doubles the map's height and width; no layer upsamples on its own.
 A pooled block runs conv -> maxpool -> relu, the pool ahead of the relu:
 relu is monotone, so relu(max(window)) == max(relu(window)) and the block
 computes conv -> relu -> maxpool's function with the relu on a quarter of
@@ -41,18 +43,15 @@ class LayerSpec:
     width: int | None = None
     fn: str | None = None
     rate: float | None = None
+    upsample: bool = False
 
 
-def conv(filters, padding="valid"):
-    return LayerSpec("conv2d", filters=filters, padding=padding)
+def conv(filters, padding="valid", upsample=False):
+    return LayerSpec("conv2d", filters=filters, padding=padding, upsample=upsample)
 
 
 def maxpool():
     return LayerSpec("maxpool")
-
-
-def upsample():
-    return LayerSpec("upsample")
 
 
 def dense(width):
@@ -82,20 +81,20 @@ class ModelSpec:
 
 
 def _layer_out(shape, layer, index):
-    if layer.kind in ("conv2d", "maxpool", "upsample"):
+    if layer.kind in ("conv2d", "maxpool"):
         h, w, c = shape
         if layer.kind == "conv2d":
+            if layer.upsample:
+                h, w = 2 * h, 2 * w
             if layer.padding == "same":
                 return (h, w, layer.filters)
             if h < KERNEL or w < KERNEL:
                 raise InvalidGeometryError(
                     f"layer {index}: conv {KERNEL}x{KERNEL} does not fit {h}x{w}")
             return (h - KERNEL + 1, w - KERNEL + 1, layer.filters)
-        if layer.kind == "maxpool":
-            if h < 2 or w < 2:
-                raise InvalidGeometryError(f"layer {index}: 2x2 pool exceeds {h}x{w}")
-            return (h // 2, w // 2, c)
-        return (2 * h, 2 * w, c)
+        if h < 2 or w < 2:  # maxpool
+            raise InvalidGeometryError(f"layer {index}: 2x2 pool exceeds {h}x{w}")
+        return (h // 2, w // 2, c)
     if layer.kind == "dense":
         return (layer.width,)
     if layer.kind == "flatten":
@@ -124,11 +123,13 @@ class AutoencoderPair:
 
 
 def build_autoencoder(input_shape, cr):
-    """Conv/pool encoder and conv/upsample decoder realizing ratio ``cr`` exactly.
+    """Conv/pool encoder and upsampling-conv decoder realizing ratio ``cr`` exactly.
 
     The encoder halves the spatial extent s times and maps to c_z latent
     channels where c_z = C*4^s/cr; the smallest feasible s wins. cr == 1
-    degenerates to identity pass-through (no layers at all).
+    degenerates to identity pass-through (no layers at all). Each decoder
+    stage after the first conv doubles the map in the conv that reads it
+    (``upsample=True``), the resize-convolution of conv -> relu -> upsample.
     """
     h, w, c = (int(d) for d in input_shape)
     requested = Fraction(cr)
@@ -154,10 +155,10 @@ def build_autoencoder(input_shape, cr):
     enc_layers += [conv(c_z, padding="same"), act("relu")]
     latent = (h // 2 ** stages, w // 2 ** stages, c_z)
 
-    dec_layers = []
-    for _ in range(stages):
-        dec_layers += [conv(HIDDEN_WIDTH, padding="same"), act("relu"), upsample()]
-    dec_layers += [conv(c, padding="same"), act("sigmoid")]
+    dec_layers = [conv(HIDDEN_WIDTH, padding="same"), act("relu")]
+    for _ in range(stages - 1):
+        dec_layers += [conv(HIDDEN_WIDTH, padding="same", upsample=True), act("relu")]
+    dec_layers += [conv(c, padding="same", upsample=True), act("sigmoid")]
 
     enc = ModelSpec(tuple(enc_layers), (h, w, c))
     dec = ModelSpec(tuple(dec_layers), latent)

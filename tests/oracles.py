@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from latentwire import ops
 from latentwire.losses import cross_entropy_loss, mse_loss
 from latentwire.network import Network
-from latentwire.zoo import ModelSpec, act, conv, dense, dropout, flatten, maxpool, upsample
+from latentwire.zoo import ModelSpec, act, conv, dense, dropout, flatten, maxpool
 
 
 def conv2d_oracle(x, w, b, padding="valid"):
@@ -76,10 +76,11 @@ def window_columns(xp, k):
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
 
 
-def column_correlate(xp, w, g=None):
+def column_correlate(xp, w, g=None, cols=None):
     """``ops._correlate`` as it ran with `window_columns` and a per-offset
     einsum for the wide dW; the library's strided window view and plain
-    GEMMs must equal it bit for bit."""
+    GEMMs must equal it bit for bit. A shared column matrix `cols` is
+    ignored: the columns are rebuilt from xp."""
     k, f = w.shape[0], w.shape[3]
     ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     if xp.shape[3] * k * k <= ops._WINDOW_MAX:
@@ -152,12 +153,15 @@ def dense_oracle(x, w, b):
 
 def count_parameters_oracle(spec):
     """Per-layer recount from an independent shape walk: 3x3 stride-1
-    convs, 2x2 stride-2 pools, 2x upsampling."""
+    convs, which read their input 2x upsampled when so flagged, and 2x2
+    stride-2 pools."""
     shape = spec.input_shape
     total = 0
     for layer in spec.layers:
         if layer.kind == "conv2d":
             h, w, c = shape
+            if layer.upsample:
+                h, w = h * 2, w * 2
             total += (3 * 3 * c + 1) * layer.filters
             if layer.padding == "same":
                 shape = (h, w, layer.filters)
@@ -166,9 +170,6 @@ def count_parameters_oracle(spec):
         elif layer.kind == "maxpool":
             h, w, c = shape
             shape = ((h - 2) // 2 + 1, (w - 2) // 2 + 1, c)
-        elif layer.kind == "upsample":
-            h, w, c = shape
-            shape = (h * 2, w * 2, c)
         elif layer.kind == "flatten":
             n = 1
             for d in shape:
@@ -193,7 +194,9 @@ def autoencoder_spec_oracle(input_shape, cr):
     """(encoder, decoder) ModelSpecs as build_autoencoder wrote them with
     conv -> relu -> maxpool encoder stages, then swap_relu_pool'd: s stages
     for the smallest s whose 2**s divides H and W and turns C * 4**s / cr
-    into a whole latent channel count. The ratio must be achievable."""
+    into a whole latent channel count. The decoder's conv -> relu ->
+    upsample stages are written with each upsample folded into the conv
+    after it. The ratio must be achievable."""
     h, w, c = input_shape
     if cr == 1:
         return ModelSpec((), input_shape), ModelSpec((), input_shape)
@@ -203,8 +206,9 @@ def autoencoder_spec_oracle(input_shape, cr):
         s += 1
     enc = [conv(32, "same"), act("relu"), maxpool()] * s + [conv(c * 4 ** s // cr, "same"),
                                                               act("relu")]
-    dec = [conv(32, "same"), act("relu"), upsample()] * s + [conv(c, "same"),
-                                                               act("sigmoid")]
+    dec = ([conv(32, "same"), act("relu")]
+           + [conv(32, "same", upsample=True), act("relu")] * (s - 1)
+           + [conv(c, "same", upsample=True), act("sigmoid")])
     latent = (h // 2 ** s, w // 2 ** s, c * 4 ** s // cr)
     return ModelSpec(swap_relu_pool(enc), input_shape), ModelSpec(dec, latent)
 
@@ -377,6 +381,19 @@ def gradient_trial(kind, rng):
             "b": rng.standard_normal(f) * 0.1,
         }
         fwd = lambda: ops.conv2d(arrays["x"], arrays["w"], arrays["b"], padding)
+    elif kind == "conv2d-upsample":
+        # each side draws 1-3 or 9-11 channels, so the trials reach the
+        # narrow and the wide dW and the dW from the padded gradient
+        h, w = rng.integers(2, 5, 2)
+        c, f = rng.integers(1, 4, 2) + 8 * rng.integers(0, 2, 2)
+        padding = ("valid", "same")[rng.integers(0, 2)]
+        arrays = {
+            "x": rng.standard_normal((1, h, w, c)),
+            "w": rng.standard_normal((3, 3, c, f)) * 0.5,
+            "b": rng.standard_normal(f) * 0.1,
+        }
+        fwd = lambda: ops.conv2d(arrays["x"], arrays["w"], arrays["b"], padding,
+                                 upsample=True)
     elif kind == "maxpool2d":
         # odd and even sizes: an odd last row or column is read by no window
         h, w = rng.integers(2, 8, 2)
@@ -426,8 +443,8 @@ def gradient_trial(kind, rng):
 
 # the softmax is no layer: cross_entropy_loss computes it, and the cross-entropy
 # trials differentiate through it
-GRADIENT_KINDS = ("conv2d", "maxpool2d", "upsample2d", "dense", "relu", "sigmoid",
-                  "dropout", "flatten", "mse", "cross-entropy")
+GRADIENT_KINDS = ("conv2d", "conv2d-upsample", "maxpool2d", "upsample2d", "dense", "relu",
+                  "sigmoid", "dropout", "flatten", "mse", "cross-entropy")
 
 
 def run_gradient_suite(kind, trials, seed=0):

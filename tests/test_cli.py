@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import logging
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,31 @@ def test_cli_smoke(tmp_path):
     rows = _csv_rows(out)
     assert [(r["cr"], r["error"]) for r in rows] == [("1.0", ""), ("4.0", "")]
     assert rows[0]["acc_norm"] == "1.0"
+
+
+@pytest.fixture(autouse=True)
+def package_log_level():
+    """Restore the package logger's level, which ``main`` sets."""
+    logger = logging.getLogger("latentwire")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+def test_only_a_verbose_run_logs_each_device(tmp_path, caplog):
+    # two calls in one process: the second's --verbose must hold, though the
+    # root logger already has a handler by then
+    cfg = _small_config(tmp_path)
+
+    def device_lines(*flags):
+        caplog.clear()
+        argv = [*flags, "run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        return [r.getMessage() for r in caplog.records if "device=" in r.getMessage()]
+
+    assert device_lines() == []
+    assert len(device_lines("--verbose")) == 4  # 2 devices at each of 2 ratios
+    assert device_lines() == []
 
 
 def test_run_out_json_writes_a_json_report(tmp_path, monkeypatch, capsys):

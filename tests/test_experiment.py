@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -370,6 +371,28 @@ def test_per_device_accuracy_logged_only_at_info(caplog):
     assert sorted((cr, device) for cr, _, device, _ in logged) == [
         (1, 0), (1, 1), (4, 0), (4, 1)]
     assert all(0.0 <= acc <= 1.0 for *_, acc in logged)
+
+
+def test_a_cell_drops_its_devices_before_the_classifier_fit(monkeypatch):
+    # the hub's classifier fit must not share memory with the device shards
+    make_devices, shards, alive = experiment.make_devices, [], []
+
+    def recorded(*args):
+        devices = make_devices(*args)
+        shards.extend(weakref.ref(dev.data[split].images)
+                      for dev in devices for split in ("train", "test"))
+        return devices
+
+    def train_classifier(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in shards))
+        return hub_train_classifier(self, *args, **kwargs)
+
+    hub_train_classifier = experiment.Hub.train_classifier
+    monkeypatch.setattr(experiment, "make_devices", recorded)
+    monkeypatch.setattr(experiment.Hub, "train_classifier", train_classifier)
+    rows = run_experiment(replace(TINY_GRID, seeds=(0,))).rows
+    assert not any(r.failed for r in rows)
+    assert len(shards) == 2 * 2 * TINY_GRID.n_devices and alive == [0, 0]
 
 
 def test_test_split_smaller_than_devices_fails_every_cell():

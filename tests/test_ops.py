@@ -170,7 +170,8 @@ def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
     """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
     `image`: the autoencoders at CR 4, 8 and 16 and both classifier families
     on the image and on each latent. Each is KERNEL x KERNEL, and the next
-    layer reads all of its output: stride 1."""
+    layer reads all of its output: stride 1. (h, w) is the map the conv
+    correlates, twice its input's for a conv that upsamples."""
     specs, inputs = [], [image]
     for cr in (4, 8, 16):
         pair = build_autoencoder(image, cr)
@@ -178,7 +179,8 @@ def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
         inputs.append(pair.latent_shape)
     specs += [build_vanilla_classifier(shape, family, num_classes)
               for shape in inputs for family in FAMILIES]
-    return sorted({(*shape, KERNEL, layer.filters, 1, layer.padding)
+    return sorted({((1 + layer.upsample) * shape[0], (1 + layer.upsample) * shape[1],
+                    shape[2], KERNEL, layer.filters, 1, layer.padding)
                    for spec in specs
                    for layer, shape in zip(spec.layers, infer_shapes(spec))
                    if layer.kind == "conv2d"})
@@ -368,6 +370,41 @@ def test_maxpool_pool_exceeds_input():
 
 
 # --- upsample ---------------------------------------------------------------
+
+# An upsampling conv must give the bytes of upsample2d, then conv2d, then the
+# upsample's backward: F=3 takes its dW from the padded gradient's windows,
+# F=32 from the wide per-offset GEMMs.
+@pytest.mark.parametrize("n", [32, 1])
+@pytest.mark.parametrize("size,f", [(16, 3), (8, 32)])
+def test_upsampling_conv_bitwise_equals_upsample_then_conv(size, f, n):
+    r = rng(size + f)
+    x = r.standard_normal((n, size, size, 32)).astype(np.float32)
+    w = (0.1 * r.standard_normal((3, 3, 32, f))).astype(np.float32)
+    b = r.standard_normal(f).astype(np.float32)
+    g = r.standard_normal((n, 2 * size, 2 * size, f)).astype(np.float32)
+    up, up_cache = ops.upsample2d(x)
+    y_want, cache = ops.conv2d(up, w, b, "same")
+    dup, grads_want = ops.backward(cache, g)
+    dx_want, _ = ops.backward(up_cache, dup)
+    y, cache = ops.conv2d(x, w, b, "same", upsample=True)
+    assert cache.data["x"] is x and "xp" not in cache.data
+    dx, grads = ops.backward(cache, g)
+    for name, got, want in (("y", y, y_want), ("dx", dx, dx_want),
+                            ("dw", grads["w"], grads_want["w"]),
+                            ("db", grads["b"], grads_want["b"])):
+        assert got.dtype == want.dtype == np.float32, name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_upsample_into_a_strided_buffer():
+    x = rng().random((2, 3, 4, 5)).astype(np.float32)
+    buffer = np.zeros((2, 8, 10, 5), np.float32)
+    y, _ = ops.upsample2d(x, out=buffer[:, 1:7, 1:9])
+    assert np.shares_memory(y, buffer)
+    assert np.array_equal(buffer[:, 1:7, 1:9], ops.upsample2d(x)[0])
+    buffer[:, 1:7, 1:9] = 0
+    assert not buffer.any()
+
 
 def test_upsample_replication():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
