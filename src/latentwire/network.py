@@ -55,9 +55,9 @@ class Network:
         allocates next. Dropping the caches earlier, as backward consumes
         them, lets malloc trim the freed heap top and fault it back in on
         every step. Each cache holds only what its layer's backward reads
-        (see :mod:`ops`): a conv flagged ``upsample`` keeps its
-        low-resolution input, not the upsampled map it correlates. Without
-        ``caches`` the pools and activations build no index or mask at all.
+        (see :mod:`ops`): every conv keeps its input, not the padded or
+        upsampled map it correlates. Without ``caches`` the pools and
+        activations build no index or mask at all.
         """
         self._check_input(x)
         keep = caches is not None

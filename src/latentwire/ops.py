@@ -1,18 +1,19 @@
 """Layer forward/backward primitives.
 
-Every forward op returns ``(output, cache)``; ``backward(cache, grad,
+Every layer op returns ``(output, cache)``; ``backward(cache, grad,
 need_dx=True)`` dispatches on the cache kind and returns ``(input_grad,
 param_grads)``, with ``input_grad`` None when ``need_dx`` is False. A cache
 holds what its backward reads, not what its forward made: max pooling keeps
-each window's winner as a uint8 index, relu its bool sign mask, and a conv
-that upsamples keeps its input, not the 4x larger map it read. An inference
+each window's winner as a uint8 index, relu its bool sign mask, and every
+conv its input, not the padded or upsampled map it read. An inference
 forward keeps none: ``maxpool2d`` and ``activation`` given ``cache=False``
-build no index or mask and return None for the cache. Ops take batches
+build no index or mask and return None for the cache. ``upsample2d`` is
+the conv's writer, not a layer, and returns the map alone. Ops take batches
 only: spatial tensors are channels-last ``(N, H, W, C)`` and dense inputs
 ``(N, D)``. Every forward output and input gradient is C-contiguous, so the
-element-wise ops that follow run over contiguous memory; ``upsample2d``
-given an `out` buffer returns that buffer. All math preserves the input
-dtype, so suites that need double precision simply pass float64 arrays.
+element-wise ops that follow run over contiguous memory. All math preserves
+the input dtype, so suites that need double precision simply pass float64
+arrays.
 
 Network hands each op the rank, weights, biases, padding and dropout rate
 that it built from the spec, so the ops do not check them again. They
@@ -73,10 +74,10 @@ def conv2d(x, w, b, padding="valid", upsample=False):
     "same" gives (N,H,W,F), reading (K-1)//2 zeros before and K-1-(K-1)//2
     after the input on each axis, so an even K pads one more after. With
     ``upsample`` the conv reads x 2x nearest-upsampled, as ``upsample2d``
-    then ``conv2d`` would, to the same bits: H and W above double, the map
-    is written straight into the padded operand, and the cache keeps x.
+    then ``conv2d`` would, to the same bits: H and W above double and the
+    map is written straight into the padded operand. The cache keeps x.
     """
-    n, h, wd, c = x.shape
+    _, h, wd, c = x.shape
     k, _, wc, _ = w.shape
     if wc != c:
         raise ShapeMismatchError(f"input has {c} channels, weights expect {wc}")
@@ -85,11 +86,11 @@ def conv2d(x, w, b, padding="valid", upsample=False):
     lead, pad = ((k - 1) // 2, k - 1) if padding == "same" else (0, 0)
     if k > h + pad or k > wd + pad:
         raise InvalidGeometryError(f"kernel {k} exceeds padded input {h}x{wd}")
-    xp = _operand(x, lead, pad, upsample)
-    y = _correlate(xp, w)
+    y = _correlate(_operand(x, lead, pad, upsample), w)
     y += b
-    kept = {"x": x, "pad": pad} if upsample else {"xp": xp}
-    return y, LayerCache("conv2d", w=w, lead=lead, in_shape=(n, h, wd, c), **kept)
+    # no op writes into a forward's input, so the backward reads the bytes
+    # the forward read and rebuilds the operand from them
+    return y, LayerCache("conv2d", x=x, w=w, lead=lead, pad=pad, upsample=upsample)
 
 
 def _operand(x, lead, pad, upsample):
@@ -97,7 +98,7 @@ def _operand(x, lead, pad, upsample):
     `upsample`, with `lead` zeros before and pad - lead after on each axis.
     An unpadded forward output is already contiguous and is not copied."""
     if not pad:
-        return upsample2d(x)[0] if upsample else np.ascontiguousarray(x)
+        return upsample2d(x) if upsample else np.ascontiguousarray(x)
     n, h, wd, c = x.shape
     s = 2 if upsample else 1
     xp = np.zeros((n, s * h + pad, s * wd + pad, c), dtype=x.dtype)
@@ -159,12 +160,12 @@ def _conv2d_backward(data, g, need_dx):
     # the K x K window at each input pixel holds, flipped, every output that
     # read it. So dx is gp correlated with the flipped kernel, its C and F
     # axes swapped, and dW may contract the windows of gp in place of those
-    # of the input. An upsampling conv caches its input x, not the map it
-    # read (in_shape): the backward rebuilds the map for dW, lets it die
-    # before dx, and folds dx back onto x.
-    xp, x, w, lead = data.get("xp"), data.get("x"), data["w"], data["lead"]
-    n, h, wd, c = data["in_shape"]
-    k, f = w.shape[0], w.shape[3]
+    # of the input. The cache holds the conv's input x, not the map it read:
+    # the backward rebuilds what dW reads, lets it die before dx, and folds
+    # an upsampling conv's dx back onto x.
+    x, w, lead, pad, upsample = (data[key] for key in ("x", "w", "lead", "pad", "upsample"))
+    n, h, wd, c = x.shape
+    s, k, f = 1 + upsample, w.shape[0], w.shape[3]
     # wt stays a strided view: a contiguous copy runs the wide dx's matmuls
     # about twice as fast, but rounds differently (see ROADMAP)
     wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
@@ -172,21 +173,21 @@ def _conv2d_backward(data, g, need_dx):
     cols = None
     if need_dx or dw_from_gp:
         off = k - 1 - lead
-        gp = np.zeros((n, h + k - 1, wd + k - 1, f), dtype=g.dtype)
+        gp = np.zeros((n, s * h + k - 1, s * wd + k - 1, f), dtype=g.dtype)
         gp[:, off : off + g.shape[1], off : off + g.shape[2]] = g
     if dw_from_gp:
         # one column matrix of gp serves dW here and the narrow dx below
         cols = _windows(gp, k).reshape(-1, k * k * f)
-        dw = _correlate(gp, wt, xp[:, lead : lead + h, lead : lead + wd] if x is None
-                        else upsample2d(x)[0], cols)[::-1, ::-1].transpose(0, 1, 3, 2)
+        dw = _correlate(gp, wt, upsample2d(x) if upsample else x,
+                        cols)[::-1, ::-1].transpose(0, 1, 3, 2)
     else:
-        dw = _correlate(xp if x is None else _operand(x, lead, data["pad"], True), w, g)
+        dw = _correlate(_operand(x, lead, pad, upsample), w, g)
     dx = None
     if need_dx:
         dx = _correlate(gp, wt, cols=cols)
         del gp, cols  # dead before the fold below allocates
-        if x is not None:
-            dx = _upsample2d_backward({"in_shape": x.shape}, dx)[0]
+        if upsample:
+            dx = _reduce2x2(dx, np.add)
     return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
 
 
@@ -201,17 +202,13 @@ def maxpool2d(x, cache=True):
     h, wd = x.shape[1], x.shape[2]
     if h < 2 or wd < 2:
         raise InvalidGeometryError(f"2x2 pool exceeds input {h}x{wd}")
-    offsets = _window_offsets(2, 2, h // 2, wd // 2)
-    (_, first), *rest = offsets
-    y = x[first].copy()
-    for _, at in rest:
-        np.maximum(y, x[at], out=y)
+    y = _reduce2x2(x, np.maximum)
     if not cache:
         return y, None
     # arg = (x0 != y) * (1 + (x1 != y) * (1 + (x2 != y))), built from the last
     # of the three offsets inward
     arg = np.zeros(y.shape, np.uint8)
-    for _, at in reversed(offsets[:3]):
+    for _, at in reversed(_window_offsets(2, 2, h // 2, wd // 2)[:3]):
         arg += 1
         arg *= x[at] != y
     return y, LayerCache("maxpool2d", arg=arg, in_shape=x.shape)
@@ -229,6 +226,19 @@ def _window_offsets(k, stride, ho, wo):
                  for a in range(k) for b in range(k))
 
 
+def _reduce2x2(a, ufunc):
+    """Each 2x2 window of a (N,H,W,C) at stride 2, its first offset copied and
+    the other three reduced into it by `ufunc` in row-major order, dropping
+    an odd last row or column: np.maximum pools, np.add folds an upsample's
+    gradient. Strided slices run 3-4x faster than a reshape reduced over
+    two axes, even on a C-order a."""
+    (_, first), *rest = _window_offsets(2, 2, a.shape[1] // 2, a.shape[2] // 2)
+    y = a[first].copy()
+    for _, at in rest:
+        ufunc(y, a[at], out=y)
+    return y
+
+
 def _maxpool2d_backward(data, g):
     # Each window's gradient reaches the offset its index names. The windows
     # do not overlap; adding onto zeros, not assigning, keeps every zero +0.0.
@@ -241,9 +251,10 @@ def _maxpool2d_backward(data, g):
 
 
 def upsample2d(x, out=None):
-    """Nearest-neighbour upsampling: each pixel becomes a 2x2 block. The map
-    (N,2H,2W,C) is written into `out` when given, such as the interior of
-    an upsampling conv's padded operand, and is C-contiguous otherwise."""
+    """Nearest-neighbour upsampling, the writer of an upsampling conv's
+    operand: each pixel becomes a 2x2 block. Returns the map (N,2H,2W,C),
+    written into `out` (the padded operand's interior) when given and
+    C-contiguous otherwise."""
     n, h, wd, c = x.shape
     if out is None:
         out = np.empty((n, 2 * h, 2 * wd, c), dtype=x.dtype)
@@ -253,18 +264,7 @@ def upsample2d(x, out=None):
     s0, s1, s2, s3 = out.strides
     blocks = as_strided(out, (n, h, 2, wd, 2, c), (s0, 2 * s1, s1, 2 * s2, s2, s3))
     blocks[...] = x[:, :, None, :, None]
-    return out, LayerCache("upsample2d", in_shape=x.shape)
-
-
-def _upsample2d_backward(data, g):
-    # strided slices, not a reshape summed over two axes: that sum runs 3-4x
-    # slower, even on a C-order g
-    _, h, wd, _ = data["in_shape"]
-    (_, first), *rest = _window_offsets(2, 2, h, wd)
-    dx = g[first].copy()
-    for _, at in rest:
-        dx += g[at]
-    return dx, None
+    return out
 
 
 def dense(x, w, b):
@@ -334,7 +334,6 @@ def _flatten_backward(data, g):
 _BACKWARD = {
     "conv2d": _conv2d_backward,
     "maxpool2d": _maxpool2d_backward,
-    "upsample2d": _upsample2d_backward,
     "dense": _dense_backward,
     "activation": _activation_backward,
     "dropout": _dropout_backward,

@@ -140,6 +140,12 @@ def maxpool2d_backward_oracle(x, g):
     return np.array(dx, dtype=x.dtype)
 
 
+def upsample_fold_oracle(g):
+    """Input gradient of 2x nearest upsampling for a batch g (N,2H,2W,C):
+    each 2x2 block summed in row-major order, left to right."""
+    return ((g[:, 0::2, 0::2] + g[:, 0::2, 1::2]) + g[:, 1::2, 0::2]) + g[:, 1::2, 1::2]
+
+
 def dense_oracle(x, w, b):
     n, m = w.shape
     out = np.zeros(m, dtype=x.dtype)
@@ -400,10 +406,6 @@ def gradient_trial(kind, rng):
         c = int(rng.integers(1, 4))
         arrays = {"x": _sep_values(rng, (1, h, w, c))}
         fwd = lambda: ops.maxpool2d(arrays["x"])
-    elif kind == "upsample2d":
-        h, w, c = rng.integers(1, 5, 3)
-        arrays = {"x": rng.standard_normal((1, h, w, c))}
-        fwd = lambda: ops.upsample2d(arrays["x"])
     elif kind == "dense":
         n, m = rng.integers(1, 7, 2)
         arrays = {
@@ -443,8 +445,8 @@ def gradient_trial(kind, rng):
 
 # the softmax is no layer: cross_entropy_loss computes it, and the cross-entropy
 # trials differentiate through it
-GRADIENT_KINDS = ("conv2d", "conv2d-upsample", "maxpool2d", "upsample2d", "dense", "relu",
-                  "sigmoid", "dropout", "flatten", "mse", "cross-entropy")
+GRADIENT_KINDS = ("conv2d", "conv2d-upsample", "maxpool2d", "dense", "relu", "sigmoid",
+                  "dropout", "flatten", "mse", "cross-entropy")
 
 
 def run_gradient_suite(kind, trials, seed=0):

@@ -25,6 +25,7 @@ from oracles import (
     einsum_correlate,
     maxpool2d_backward_oracle,
     maxpool2d_oracle,
+    upsample_fold_oracle,
 )
 
 
@@ -149,7 +150,8 @@ def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
         w = (0.1 * r.standard_normal((3, 3, cin, f))).astype(np.float32)
         b = r.standard_normal(f).astype(np.float32)
         y, cache = ops.conv2d(x, w, b, padding)
-        xp, lead = cache.data["xp"], cache.data["lead"]
+        lead = 1 if padding == "same" else 0
+        xp = np.pad(x, ((0, 0), (lead, lead), (lead, lead), (0, 0)))
         _, g = read_every(r, y, stride)
         dx, grads = ops.backward(cache, g)
         ho, wo = y.shape[1:3]
@@ -160,8 +162,7 @@ def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
             assert np.array_equal(y, einsum_correlate(xp, w) + b)
             assert np.array_equal(grads["w"], einsum_correlate(xp, w, g))
         else:
-            x_in = xp[:, lead : lead + size, lead : lead + size]
-            dw = einsum_correlate(gp, wt, x_in)[::-1, ::-1].transpose(0, 1, 3, 2)
+            dw = einsum_correlate(gp, wt, x)[::-1, ::-1].transpose(0, 1, 3, 2)
             assert np.array_equal(grads["w"], dw)
             assert np.array_equal(dx, einsum_correlate(gp, wt))
 
@@ -234,7 +235,7 @@ def test_conv_bitwise_equals_column_oracle(geometry, n, monkeypatch):
 
 
 # Every window must end inside the array. The view takes C-contiguous
-# arrays only, so conv2d hands it a contiguous copy of a cropped input and
+# arrays only, so conv2d correlates a contiguous copy of a cropped input and
 # must read the same windows as from the contiguous original.
 @pytest.mark.parametrize("h,wd,k", [(8, 8, 3), (9, 9, 3), (7, 11, 5), (8, 10, 2), (8, 10, 3)])
 @pytest.mark.parametrize("cropped", [False, True])
@@ -250,15 +251,25 @@ def test_window_view_bounds(h, wd, k, cropped):
     w = r.standard_normal((k, k, 3, 4)).astype(np.float32)
     b = r.standard_normal(4).astype(np.float32)
     y, cache = ops.conv2d(xp, w, b)
-    assert cache.data["xp"].flags.c_contiguous
+    assert cache.data["x"] is xp
     assert y.tobytes() == ops.conv2d(dense, w, b)[0].tobytes()
+    g = r.standard_normal(y.shape).astype(np.float32)
+    dx, grads = ops.backward(cache, g)
+    dx_dense, grads_dense = ops.backward(ops.conv2d(dense, w, b)[1], g)
+    assert dx.tobytes() == dx_dense.tobytes()
+    assert grads["w"].tobytes() == grads_dense["w"].tobytes()
 
 
-def test_valid_conv_caches_its_input_uncopied():
+# Every conv caches its input itself, not the padded or upsampled map it
+# read; the backward rebuilds that map.
+@pytest.mark.parametrize("padding,upsample", [("valid", False), ("same", False),
+                                              ("same", True)])
+def test_every_conv_caches_its_input_uncopied(padding, upsample):
     x = rng().random((2, 8, 8, 3)).astype(np.float32)
     _, cache = ops.conv2d(x, rng(1).random((3, 3, 3, 4)).astype(np.float32),
-                          np.zeros(4, np.float32), "valid")
-    assert np.shares_memory(cache.data["xp"], x)
+                          np.zeros(4, np.float32), padding, upsample=upsample)
+    assert sorted(cache.data) == ["lead", "pad", "upsample", "w", "x"]
+    assert cache.data["x"] is x
 
 
 # --- maxpool ---------------------------------------------------------------
@@ -372,8 +383,8 @@ def test_maxpool_pool_exceeds_input():
 # --- upsample ---------------------------------------------------------------
 
 # An upsampling conv must give the bytes of upsample2d, then conv2d, then the
-# upsample's backward: F=3 takes its dW from the padded gradient's windows,
-# F=32 from the wide per-offset GEMMs.
+# upsample's gradient as the explicit four-term sum: F=3 takes its dW from
+# the padded gradient's windows, F=32 from the wide per-offset GEMMs.
 @pytest.mark.parametrize("n", [32, 1])
 @pytest.mark.parametrize("size,f", [(16, 3), (8, 32)])
 def test_upsampling_conv_bitwise_equals_upsample_then_conv(size, f, n):
@@ -382,12 +393,10 @@ def test_upsampling_conv_bitwise_equals_upsample_then_conv(size, f, n):
     w = (0.1 * r.standard_normal((3, 3, 32, f))).astype(np.float32)
     b = r.standard_normal(f).astype(np.float32)
     g = r.standard_normal((n, 2 * size, 2 * size, f)).astype(np.float32)
-    up, up_cache = ops.upsample2d(x)
-    y_want, cache = ops.conv2d(up, w, b, "same")
+    y_want, cache = ops.conv2d(ops.upsample2d(x), w, b, "same")
     dup, grads_want = ops.backward(cache, g)
-    dx_want, _ = ops.backward(up_cache, dup)
+    dx_want = upsample_fold_oracle(dup)
     y, cache = ops.conv2d(x, w, b, "same", upsample=True)
-    assert cache.data["x"] is x and "xp" not in cache.data
     dx, grads = ops.backward(cache, g)
     for name, got, want in (("y", y, y_want), ("dx", dx, dx_want),
                             ("dw", grads["w"], grads_want["w"]),
@@ -399,39 +408,39 @@ def test_upsampling_conv_bitwise_equals_upsample_then_conv(size, f, n):
 def test_upsample_into_a_strided_buffer():
     x = rng().random((2, 3, 4, 5)).astype(np.float32)
     buffer = np.zeros((2, 8, 10, 5), np.float32)
-    y, _ = ops.upsample2d(x, out=buffer[:, 1:7, 1:9])
+    y = ops.upsample2d(x, out=buffer[:, 1:7, 1:9])
     assert np.shares_memory(y, buffer)
-    assert np.array_equal(buffer[:, 1:7, 1:9], ops.upsample2d(x)[0])
+    assert np.array_equal(buffer[:, 1:7, 1:9], ops.upsample2d(x))
     buffer[:, 1:7, 1:9] = 0
     assert not buffer.any()
 
 
 def test_upsample_replication():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-    y, _ = ops.upsample2d(x)
+    y = ops.upsample2d(x)
     expect = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
     assert y[0, ..., 0].tolist() == expect
 
 
 def test_upsample_backward_same_for_any_gradient_layout():
-    x = rng().random((4, 5, 6, 3)).astype(np.float32)
-    y, _ = ops.upsample2d(x)
-    g = rng(1).standard_normal(y.shape).astype(np.float32)
-    # the same values stored channel-major: the sum must not depend on layout
-    g_cm = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
-    assert not g_cm.flags.c_contiguous
-    expect = g.reshape(4, 5, 2, 6, 2, 3).sum(axis=(2, 4))
-    for grad in (g, g_cm):
-        _, cache = ops.upsample2d(x)
-        dx, _ = ops.backward(cache, grad)
-        assert dx.tobytes() == expect.tobytes()
+    # the fold of an upsample's gradient at the decoder's shapes and an odd
+    # one, on C-order g and on the same values stored channel-major: the sum
+    # must not depend on layout
+    for shape in ((32, 32, 32, 32), (32, 32, 32, 3), (32, 16, 16, 32), (1, 16, 16, 32),
+                  (4, 10, 12, 3)):
+        g = rng(1).standard_normal(shape).astype(np.float32)
+        g_cm = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        assert not g_cm.flags.c_contiguous
+        expect = upsample_fold_oracle(g)
+        for grad in (g, g_cm):
+            dx = ops._reduce2x2(grad, np.add)
+            assert dx.flags.c_contiguous and dx.tobytes() == expect.tobytes()
 
 
 def test_pool_then_upsample_constant_roundtrip():
     x = np.full((1, 6, 6, 2), 0.7)
     pooled, _ = ops.maxpool2d(x)
-    y, _ = ops.upsample2d(pooled)
-    np.testing.assert_array_equal(y, x)
+    np.testing.assert_array_equal(ops.upsample2d(pooled), x)
 
 
 # --- dense -------------------------------------------------------------------

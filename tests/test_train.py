@@ -259,10 +259,10 @@ def test_one_training_step_keeps_every_array_c_contiguous(model, monkeypatch):
 
     def recording(name, fn):
         def op(*args, **kwargs):
-            out, cache = fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
             if "out" not in kwargs:
-                recorded.append((name, out))
-            return out, cache
+                recorded.append((name, result if name == "upsample2d" else result[0]))
+            return result
         return op
 
     for name in ("conv2d", "maxpool2d", "upsample2d", "dense", "activation",
@@ -292,15 +292,14 @@ def test_one_training_step_keeps_every_array_c_contiguous(model, monkeypatch):
 def test_a_fit_frees_each_conv_cache_before_the_conv_runs_again(monkeypatch):
     # each forward drops a layer's cache of the previous step just before it
     # runs the layer again, so a fit never holds two steps of one layer's
-    # arrays; a "same" conv's padded input, and an upsampling conv's input,
-    # is owned by its cache alone
+    # arrays; each conv's cached input is owned by its cache alone
     conv2d, held, freed = ops.conv2d, {}, []
 
     def checked_conv2d(x, w, b, padding="valid", upsample=False):
         if id(w) in held:  # the optimizer updates w in place: one id per layer
             freed.append(held[id(w)]() is None)
         y, cache = conv2d(x, w, b, padding=padding, upsample=upsample)
-        held[id(w)] = weakref.ref(cache.data["x" if upsample else "xp"])
+        held[id(w)] = weakref.ref(cache.data["x"])
         return y, cache
 
     monkeypatch.setattr(ops, "conv2d", checked_conv2d)

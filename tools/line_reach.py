@@ -26,8 +26,11 @@ serve with one classifier epoch, wire with 200 TCP frames and 10 hostile
 stream blocks), the same grid with classifier family B, and ``cli.main``
 twice into a temporary directory: once with ``--config`` and a ``.json``
 report, once with flags and a ``.csv`` report. A line it lists is code that
-only tests, error paths or settings these runs leave alone reach. The exit
-status is non-zero only when a workload check or a ``run`` fails.
+only tests, error paths or settings these runs leave alone reach. It then
+names each cache kind in ``ops._BACKWARD`` that no ``ops.backward`` call of
+these runs dispatched: a backward that only tests reach, whose lines the
+tier-1 trace counts as run. The exit status is non-zero only when a
+workload check or a ``run`` fails.
 """
 
 import argparse
@@ -98,41 +101,52 @@ def tier1():
 
 def traffic():
     """Run the benchmark's workloads and two `latentwire run` calls; returns
-    one line per failed check or run. The package is imported here, under
+    one line per failed check or run, and the sorted cache kinds that no
+    backward of these runs dispatched. The package is imported here, under
     the tracer, so its module-level lines count as run."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from latentwire import cli
+    from latentwire import cli, ops
     from workloads import GridWorkload, ServeWorkload, WireWorkload
 
-    failures = []
-    grid = GridWorkload(ae_epochs=1, clf_epochs=1, reference=None)
-    serve = ServeWorkload(clf_epochs=1, warmup=0)
-    wire = WireWorkload(tcp_frames=200, stream_blocks=10)
-    for label, workload, state in (
-            ("grid", grid, grid.setup(0)),
-            ("grid family=B", grid, replace(grid.setup(0), family="B")),
-            ("serve", serve, serve.setup(0)),
-            ("wire", wire, wire.setup(0))):
-        failures += [f"{label}: {e}" for e in workload.check([workload.run_pass(state)])]
+    dispatched, full_backward = set(), ops.backward
 
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "grid.json"
-        config.write_text(json.dumps({
-            "format": "latentwire-config", "version": 1,
-            "synthetic": {"image_size": [16, 16, 3], "samples_per_class": 30},
-            "ratios": [1, 4], "n_devices": 2, "ae": {"epochs": 1}, "clf": {"epochs": 1}}))
-        # the first call's logging set-up holds for the second, so --verbose
-        # goes with the first
-        for argv in (["--verbose", "run", "--config", str(config),
-                      "--out", f"{tmp}/report.json"],
-                     ["run", "--ratios", "1,16", "--family", "A",
-                      "--devices", "2", "--seeds", "0,1", "--ae-epochs", "1",
-                      "--clf-epochs", "1", "--batch-size", "16", "--jobs", "2",
-                      "--out", f"{tmp}/report.csv"]):
-            code = cli.main(argv)
-            if code:
-                failures.append(f"latentwire {' '.join(argv[:3])}: exit status {code}")
-    return failures
+    def backward(cache, grad, need_dx=True):
+        dispatched.add(cache.kind)
+        return full_backward(cache, grad, need_dx)
+
+    ops.backward = backward
+    try:
+        failures = []
+        grid = GridWorkload(ae_epochs=1, clf_epochs=1, reference=None)
+        serve = ServeWorkload(clf_epochs=1, warmup=0)
+        wire = WireWorkload(tcp_frames=200, stream_blocks=10)
+        for label, workload, state in (
+                ("grid", grid, grid.setup(0)),
+                ("grid family=B", grid, replace(grid.setup(0), family="B")),
+                ("serve", serve, serve.setup(0)),
+                ("wire", wire, wire.setup(0))):
+            failures += [f"{label}: {e}" for e in workload.check([workload.run_pass(state)])]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "grid.json"
+            config.write_text(json.dumps({
+                "format": "latentwire-config", "version": 1,
+                "synthetic": {"image_size": [16, 16, 3], "samples_per_class": 30},
+                "ratios": [1, 4], "n_devices": 2, "ae": {"epochs": 1}, "clf": {"epochs": 1}}))
+            # the first call's logging set-up holds for the second, so --verbose
+            # goes with the first
+            for argv in (["--verbose", "run", "--config", str(config),
+                          "--out", f"{tmp}/report.json"],
+                         ["run", "--ratios", "1,16", "--family", "A",
+                          "--devices", "2", "--seeds", "0,1", "--ae-epochs", "1",
+                          "--clf-epochs", "1", "--batch-size", "16", "--jobs", "2",
+                          "--out", f"{tmp}/report.csv"]):
+                code = cli.main(argv)
+                if code:
+                    failures.append(f"latentwire {' '.join(argv[:3])}: exit status {code}")
+    finally:
+        ops.backward = full_backward
+    return failures, sorted(set(ops._BACKWARD) - dispatched)
 
 
 def print_unrun(paths, ran):
@@ -167,8 +181,9 @@ def main(argv=None):
     paths = sorted(PACKAGE.glob("*.py"))
     files = {str(p) for p in paths}
     if args.traffic:
-        failures, ran = traced_run(files, traffic)
+        (failures, undispatched), ran = traced_run(files, traffic)
         print_unrun(paths, ran)
+        print(f"cache kinds no backward dispatched: {', '.join(undispatched) or 'none'}")
         for line in failures:
             print(f"failed: {line}")
         return int(bool(failures))
