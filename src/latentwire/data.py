@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetFormatError, LabelRangeError
+from .errors import LatentWireError
 
 CIFAR_RECORD = 3073  # 1 label byte + 32*32*3 pixel bytes, channel-planar
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
@@ -23,7 +23,7 @@ class LabeledDataset:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise LabelRangeError(
+            raise LatentWireError(
                 f"labels must lie in [0,{self.num_classes})")
 
     def __len__(self):
@@ -165,7 +165,7 @@ def _check_separation(data, per_class=12):
             m = min(len(ga), len(groups[b]))
             inter.append(np.mean((ga[:m] - groups[b][:m]) ** 2))
     if np.mean(inter) < MARGIN * np.mean(intra):
-        raise DatasetFormatError(
+        raise LatentWireError(
             f"classes not separated: inter {np.mean(inter):.4f} vs "
             f"intra {np.mean(intra):.4f} (margin {MARGIN})")
 
@@ -178,14 +178,14 @@ def _batch_records(path):
     """One binary batch file -> its (N, CIFAR_RECORD) uint8 records, checked."""
     path = Path(path)
     if not path.is_file():
-        raise DatasetFormatError(f"missing batch file {path}")
+        raise LatentWireError(f"missing batch file {path}")
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     if raw.size == 0 or raw.size % CIFAR_RECORD:
-        raise DatasetFormatError(
+        raise LatentWireError(
             f"{path}: {raw.size} bytes is not a whole number of {CIFAR_RECORD}-byte records")
     records = raw.reshape(-1, CIFAR_RECORD)
     if records[:, 0].max(initial=0) > 9:
-        raise DatasetFormatError(f"{path}: label {records[:, 0].max()} out of range 0..9")
+        raise LatentWireError(f"{path}: label {records[:, 0].max()} out of range 0..9")
     return records
 
 

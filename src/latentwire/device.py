@@ -15,11 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    NotFittedError,
-    SinkFailure,
-    TooManyDevicesError,
-)
+from .errors import LatentWireError, SinkFailure, TooManyDevicesError
 from .hub import ingest_chunk
 from .train import TrainConfig, train_autoencoder
 from .wire import ACK_ACCEPTED, UNLABELED, FrameScanner, LatentRecord, encode_record
@@ -63,7 +59,7 @@ class DeviceNode:
 
     def _require_fit(self):
         if self._encoder is None:
-            raise NotFittedError(f"device {self.device_id} is not fitted")
+            raise LatentWireError(f"device {self.device_id} is not fitted")
 
     def _record(self, latent, label):
         """The next record id's LatentRecord; a None label is UNLABELED."""

@@ -24,7 +24,7 @@ import threading
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import HeterogeneousShapeError, NoClassifierError
+from .errors import LatentWireError
 from .train import evaluate, train_classifier
 from .wire import ACK_ACCEPTED, ACK_DUPLICATE, FrameScanner, WireDecodeError
 from .zoo import build_vanilla_classifier
@@ -60,7 +60,7 @@ class Hub:
         shape = records[0].shape
         for rec in records:
             if rec.shape != shape:
-                raise HeterogeneousShapeError(
+                raise LatentWireError(
                     f"latents of shape {rec.shape} and {shape} in split {split!r}")
         images = np.stack([rec.tensor for rec in records])
         labels = np.array([rec.label for rec in records], dtype=np.int64)
@@ -70,7 +70,7 @@ class Hub:
         """Fit a classifier of `family` ("A"/"B") on the assembled train split."""
         data = self.assemble("train", num_classes)
         if len(data) == 0:
-            raise NoClassifierError("no train-split latents ingested")
+            raise LatentWireError("no train-split latents ingested")
         spec = build_vanilla_classifier(data.sample_shape, family, num_classes)
         net, history = train_classifier(spec, data, cfg)
         self.classifier = net
@@ -78,13 +78,13 @@ class Hub:
 
     def predict(self, record) -> int:
         if self.classifier is None:
-            raise NoClassifierError("train a classifier before predicting")
+            raise LatentWireError("train a classifier before predicting")
         return int(self.classifier.forward(record.tensor[None]).argmax())
 
     def evaluate(self, split, num_classes):
         """Accuracy of the stored classifier over one assembled split."""
         if self.classifier is None:
-            raise NoClassifierError("train a classifier before evaluating")
+            raise LatentWireError("train a classifier before evaluating")
         return evaluate(self.classifier, self.assemble(split, num_classes))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelRangeError, ShapeMismatchError
+from .errors import LatentWireError
 
 
 @dataclass
@@ -18,7 +18,7 @@ class LossResult:
 def mse_loss(prediction, target):
     """Mean squared error over all elements; gradient wrt prediction."""
     if prediction.shape != target.shape:
-        raise ShapeMismatchError(
+        raise LatentWireError(
             f"prediction {prediction.shape} vs target {target.shape}"
         )
     diff = prediction - target
@@ -37,7 +37,7 @@ def cross_entropy_loss(logits, labels):
     lab = np.asarray(labels, dtype=np.int64)
     b, k = lg.shape
     if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
-        raise LabelRangeError(f"labels must lie in [0,{k})")
+        raise LatentWireError(f"labels must lie in [0,{k})")
     shifted = lg - lg.max(axis=1, keepdims=True)
     # 0 below e^-64: subnormal grads slow each backward; after Adam these sit far below an ulp
     e = np.exp(np.where(shifted < -64, -np.inf, shifted))

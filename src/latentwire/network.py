@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import ShapeMismatchError
+from .errors import LatentWireError
 from .initializers import glorot_uniform
 from .zoo import KERNEL, ModelSpec, infer_shapes
 
@@ -39,7 +39,7 @@ class Network:
 
     def _check_input(self, x):
         if x.shape[1:] != self.spec.input_shape:
-            raise ShapeMismatchError(
+            raise LatentWireError(
                 f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
 
     def forward(self, x, rng=None, caches=None):

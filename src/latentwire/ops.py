@@ -17,8 +17,9 @@ arrays.
 
 Network hands each op the rank, weights, biases, padding and dropout rate
 that it built from the spec, so the ops do not check them again. They
-refuse only operands that disagree (channels, dense widths), a kernel or
-pool larger than its input, an unknown activation and a reused cache.
+refuse only operands that disagree (channels, dense widths) and a reused
+cache, with a LatentWireError; a kernel or pool larger than its input, with
+an InvalidGeometryError; and an unknown activation, with a ValueError.
 
 One layer geometry: pooling is 2x2 max pooling at stride 2, upsampling
 repeats each pixel 2x2 inside the conv that reads it, and the activations
@@ -43,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import CacheError, InvalidGeometryError, ShapeMismatchError
+from .errors import InvalidGeometryError, LatentWireError
 
 # up to this many channels * K * K, one GEMM over the materialized K x K
 # windows beats K*K shifted GEMMs
@@ -62,7 +63,7 @@ class LayerCache:
 
     def take(self):
         if self.consumed:
-            raise CacheError(f"{self.kind} cache already consumed")
+            raise LatentWireError(f"{self.kind} cache already consumed")
         self.consumed = True
         return self.data
 
@@ -80,7 +81,7 @@ def conv2d(x, w, b, padding="valid", upsample=False):
     _, h, wd, c = x.shape
     k, _, wc, _ = w.shape
     if wc != c:
-        raise ShapeMismatchError(f"input has {c} channels, weights expect {wc}")
+        raise LatentWireError(f"input has {c} channels, weights expect {wc}")
     if upsample:
         h, wd = 2 * h, 2 * wd
     lead, pad = ((k - 1) // 2, k - 1) if padding == "same" else (0, 0)
@@ -270,7 +271,7 @@ def upsample2d(x, out=None):
 def dense(x, w, b):
     """Affine map x @ w + b; x is (N,D), w is (D,M)."""
     if w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"dense input {x.shape[1]} vs weights {w.shape}")
+        raise LatentWireError(f"dense input {x.shape[1]} vs weights {w.shape}")
     return x @ w + b, LayerCache("dense", x=x, w=w)
 
 
@@ -352,7 +353,7 @@ def backward(cache, grad, need_dx=True):
     may be consumed once.
     """
     if not isinstance(cache, LayerCache):
-        raise CacheError("backward needs a LayerCache from a forward call")
+        raise LatentWireError("backward needs a LayerCache from a forward call")
     data = cache.take()
     if cache.kind in ("conv2d", "dense"):
         return _BACKWARD[cache.kind](data, grad, need_dx)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import LatentWireError
 
 # chosen defaults; the source material names the algorithms but no rates
 _DEFAULTS = {
@@ -44,7 +44,7 @@ def optimizer_step(state, grads):
     one gradient per array, in the order the state was made with."""
     for p, g in zip(state.arrays, grads, strict=True):
         if p.shape != g.shape:
-            raise ShapeMismatchError(f"param {p.shape} vs grad {g.shape}")
+            raise LatentWireError(f"param {p.shape} vs grad {g.shape}")
     state.step += 1
     h = state.hyper
     if state.algorithm == "rmsprop":

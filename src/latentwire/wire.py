@@ -78,10 +78,6 @@ class WireDecodeError(LatentWireError):
         self.ack = ack
 
 
-class OversizeRecordError(LatentWireError):
-    pass
-
-
 @dataclass(eq=False)
 class LatentRecord:
     """One encoded sample; the only thing that crosses the wire."""
@@ -120,19 +116,20 @@ class LatentRecord:
 
 
 def encode_record(rec: LatentRecord) -> bytes:
-    """Serialize a record as one LTNT frame."""
+    """Serialize a record as one LTNT frame. A field too wide for its frame
+    field or a body over MAX_FRAME_BYTES raises LatentWireError."""
     if not 0 <= rec.device_id <= 0xFFFFFFFF:
-        raise OversizeRecordError(f"device id {rec.device_id} exceeds u32")
+        raise LatentWireError(f"device id {rec.device_id} exceeds u32")
     if not 0 <= rec.record_id <= 0xFFFFFFFFFFFFFFFF:
-        raise OversizeRecordError(f"record id {rec.record_id} exceeds u64")
+        raise LatentWireError(f"record id {rec.record_id} exceeds u64")
     if not 0 <= rec.label <= 0xFFFF:
-        raise OversizeRecordError(f"label {rec.label} exceeds u16")
+        raise LatentWireError(f"label {rec.label} exceeds u16")
     ndim = len(rec.shape)
     head = _FRAME_HEAD[ndim]
     payload = rec.payload  # contiguous <f4, which LatentRecord ensures
     length = head.size - _HEADER.size + payload.nbytes
     if length > MAX_FRAME_BYTES:
-        raise OversizeRecordError(
+        raise LatentWireError(
             f"body of {length} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
     head_bytes = head.pack(MAGIC, VERSION, 0, length, rec.device_id, rec.record_id,
                            rec.label, ndim, *rec.shape, DTYPE_F32)

@@ -172,6 +172,14 @@ def test_config_cifar_dir_resolves_under_the_data_dir(tmp_path, cifar_dir, monke
         ("cifar10", "1.0", "")]
 
 
+def test_a_malformed_cifar_archive_is_one_error_line(cifar_dir, capsys):
+    batch = cifar_dir / "data_batch_1.bin"
+    batch.write_bytes(batch.read_bytes()[:-1])
+    assert main(["run", "--cifar10-dir", str(cifar_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"latentwire: error: {batch}: 30729 bytes is not a whole number of 3073-byte records\n")
+
+
 def test_cli_rejects_a_bad_cifar_subset(capsys):
     assert main(["run", "--cifar10-subset", "12x3"]) == 2
     err = capsys.readouterr().err

@@ -13,7 +13,7 @@ from latentwire.data import (
     load_cifar10,
     load_cifar10_batch,
 )
-from latentwire.errors import DatasetFormatError, LabelRangeError
+from latentwire.errors import LatentWireError
 
 from oracles import nearest_centroid_accuracy
 
@@ -73,7 +73,7 @@ def test_ratio_must_divide():
 
 
 def test_labels_validated():
-    with pytest.raises(LabelRangeError):
+    with pytest.raises(LatentWireError, match=r"^labels must lie in \[0,3\)$"):
         LabeledDataset(np.zeros((2, 4), np.float32), [0, 5], 3)
 
 
@@ -106,23 +106,24 @@ def test_planar_to_interleaved_layout(tmp_path):
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(LatentWireError, match="^missing batch file .*nope.bin$"):
         load_cifar10_batch(tmp_path / "nope.bin")
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(LatentWireError, match="^missing batch file .*data_batch_1.bin$"):
         load_cifar10(tmp_path)
 
 
 def test_short_read(tmp_path):
     path = tmp_path / "data_batch_1.bin"
     path.write_bytes(bytes(100))
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(LatentWireError,
+                       match="100 bytes is not a whole number of 3073-byte records$"):
         load_cifar10_batch(path)
 
 
 def test_label_out_of_range(tmp_path):
     path = tmp_path / "data_batch_1.bin"
     _write_batch(path, [(11, bytes(3072))])
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(LatentWireError, match=r"label 11 out of range 0\.\.9$"):
         load_cifar10_batch(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from latentwire import train
 from latentwire.data import LabeledDataset
 from latentwire.device import DeviceNode, make_devices
-from latentwire.errors import NotFittedError, SinkFailure
+from latentwire.errors import LatentWireError, SinkFailure
 from latentwire.train import TrainConfig
 from latentwire.wire import UNLABELED, decode_record, encode_record
 
@@ -75,7 +75,7 @@ def test_export_latents_matches_per_sample_encode(cr):
 ], ids=["encode", "export_latents"])
 def test_unfitted_device_raises_not_fitted(call):
     dev = DeviceNode(3, _indexed(4), _indexed(2))
-    with pytest.raises(NotFittedError, match="device 3 is not fitted"):
+    with pytest.raises(LatentWireError, match="device 3 is not fitted"):
         call(dev)
 
 

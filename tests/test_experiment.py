@@ -15,7 +15,7 @@ import pytest
 
 import latentwire.experiment as experiment
 from latentwire.data import SyntheticSpec
-from latentwire.errors import DatasetFormatError
+from latentwire.errors import LatentWireError
 from latentwire.experiment import (
     CONFIG_FORMAT,
     CONFIG_VERSION,
@@ -268,12 +268,12 @@ def test_load_experiment_data_reads_cifar10(cifar_dir):
 def test_cifar10_needs_a_directory_at_run_time(tmp_path, monkeypatch):
     # cifar_dir alone selects CIFAR-10; a directory without the batches
     # fails when the data loads, not silently on synthetic data
-    with pytest.raises(DatasetFormatError, match="missing batch file"):
+    with pytest.raises(LatentWireError, match="missing batch file"):
         load_experiment_data(ExperimentConfig(cifar_dir=str(tmp_path)))
     # a relative directory found nowhere, $LATENTWIRE_DATA_DIR included, is named as given
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(DatasetFormatError, match="missing batch file no-such-dir/"):
+    with pytest.raises(LatentWireError, match="missing batch file no-such-dir/"):
         load_experiment_data(ExperimentConfig(cifar_dir="no-such-dir"))
     assert load_experiment_data(ExperimentConfig())[0] == "synthetic"
 
@@ -402,6 +402,19 @@ def test_test_split_smaller_than_devices_fails_every_cell():
     rows = run_experiment(cfg).rows
     assert len(rows) == 2
     assert all(r.failed and "4 devices" in r.error for r in rows)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"ratios": (5,)}, "UnachievableRatioError: no stage count realizes ratio 5 on (8, 8, 3)"),
+    ({"ratios": (16,)}, "InvalidGeometryError: input spatial dims must be >= 3, got 2x2"),
+    ({"n_devices": 9, "synthetic": SyntheticSpec(image_size=(8, 8, 3), num_classes=2,
+                                                 samples_per_class=24)},
+     "TooManyDevicesError: cannot split 8 samples across 9 devices"),
+], ids=["ratio", "geometry", "devices"])
+def test_a_failed_cell_row_names_the_refusal_type(change, error):
+    # the row's type name is what tells these refusals apart in a report
+    rows = run_experiment(replace(TINY_GRID, **{"ratios": (1,), "seeds": (0,), **change})).rows
+    assert [r.error for r in rows] == [error]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

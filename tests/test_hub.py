@@ -11,12 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import latentwire.wire as wire
 from latentwire.device import HubSink, WireClientSink
-from latentwire.errors import (
-    HeterogeneousShapeError,
-    LabelRangeError,
-    NoClassifierError,
-    SinkFailure,
-)
+from latentwire.errors import LatentWireError, SinkFailure
 from latentwire.hub import Hub, HubServer, _Handler, serve_stream
 from latentwire.train import TrainConfig
 from latentwire.wire import (
@@ -28,7 +23,6 @@ from latentwire.wire import (
     MAX_FRAME_BYTES,
     UNLABELED,
     LatentRecord,
-    OversizeRecordError,
     encode_record,
 )
 
@@ -231,7 +225,7 @@ def test_hub_sink_round_trips_through_codec():
     assert hub.records("test") == [rec] and hub.records("test")[0] is stored[0]
     with pytest.raises(SinkFailure, match="0x06"):
         sink.push(make_record(seed=1))
-    with pytest.raises(OversizeRecordError):
+    with pytest.raises(LatentWireError, match="^label 65536 exceeds u16$"):
         sink.push(make_record(record=1, label=0x10000))
 
 
@@ -357,7 +351,8 @@ def test_assemble_rejects_mixed_latent_shapes():
     hub.ingest(make_record(record=0), "train")
     hub.ingest(LatentRecord(1, 1, 0, (3, 2), np.zeros(6, "<f4")), "train")
     hub.ingest(make_record(record=2), "test")
-    with pytest.raises(HeterogeneousShapeError):
+    with pytest.raises(LatentWireError,
+                       match=r"^latents of shape \(3, 2\) and \(2, 3\) in split 'train'$"):
         hub.assemble("train", num_classes=4)
     assert len(hub.assemble("test", num_classes=4)) == 1
 
@@ -367,17 +362,17 @@ def test_assemble_rejects_unlabeled_record():
     hub = Hub()
     hub.ingest(make_record(record=0), "train")
     hub.ingest(make_record(record=1, label=UNLABELED), "train")
-    with pytest.raises(LabelRangeError, match="labels must lie in"):
+    with pytest.raises(LatentWireError, match="labels must lie in"):
         hub.assemble("train", num_classes=4)
 
 
 def test_no_classifier_until_trained():
     hub = Hub()
-    with pytest.raises(NoClassifierError):
+    with pytest.raises(LatentWireError, match="^train a classifier before predicting$"):
         hub.predict(make_record())
-    with pytest.raises(NoClassifierError):
+    with pytest.raises(LatentWireError, match="^train a classifier before evaluating$"):
         hub.evaluate("test", num_classes=4)
     hub.ingest(make_record(), "test")
-    with pytest.raises(NoClassifierError):
+    with pytest.raises(LatentWireError, match="^no train-split latents ingested$"):
         hub.train_classifier("A", TrainConfig(epochs=1), num_classes=4)
     assert hub.classifier is None

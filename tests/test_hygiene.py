@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import builtins
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -166,6 +167,45 @@ def test_every_shared_name_is_listed():
     Names shared with foreign attributes, such as numpy's ``.shape``, are
     out of scope: the bare-name checks cannot tell those reads apart."""
     assert shared_names(sorted(PACKAGE.glob("*.py"))) == sorted(SHARED_NAMES)
+
+
+# Exception classes that no except clause names but that stay, with the reason.
+REPORTED = {
+    "UnachievableRatioError": "a failed cell's report row names it",
+    "DivergenceError": "a failed cell's report row names it",
+    "TooManyDevicesError": "a failed cell's report row names it",
+}
+
+
+def exception_classes(trees):
+    """Names of the classes in `trees` that derive from a built-in exception,
+    directly or through other classes in `trees`."""
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    builtin = set(found)
+    while more := {name for name, b in bases.items() if b & found} - found:
+        found |= more
+    return found - builtin
+
+
+def caught(trees):
+    """Names that the except clauses in `trees` catch."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for tree in trees for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+            for node in ast.walk(handler.type)}
+
+
+def test_every_exception_class_is_told_apart():
+    """A subclass earns its place only where a reader tells it apart: an
+    except clause in the package or the benchmark, or a failed cell's report
+    row, which starts with the exception's type name. Any other refusal is a
+    plain LatentWireError whose message says which check fired."""
+    package = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert sorted(exception_classes(package) - caught(package + bench)) == sorted(REPORTED)
 
 
 def test_every_not_run_entry_names_a_line_that_exists():

@@ -5,10 +5,9 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
-from latentwire.errors import CacheError, InvalidGeometryError, ShapeMismatchError
+from latentwire.errors import InvalidGeometryError, LatentWireError
 from latentwire.initializers import glorot_limit, glorot_uniform
 from latentwire.losses import cross_entropy_loss, mse_loss
-from latentwire.errors import LabelRangeError
 from latentwire.zoo import (
     FAMILIES,
     KERNEL,
@@ -69,7 +68,7 @@ def test_conv_wide_input_path_matches_oracle():
 
 
 def test_conv_channel_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(LatentWireError, match="^input has 3 channels, weights expect 2$"):
         ops.conv2d(rng().random((1, 6, 6, 3)), rng().random((3, 3, 2, 4)), np.zeros(4))
 
 
@@ -464,7 +463,7 @@ def test_dense_matches_dot_oracle():
 
 
 def test_dense_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(LatentWireError, match=r"^dense input 4 vs weights \(5, 2\)$"):
         ops.dense(rng().random((1, 4)), rng().random((5, 2)), np.zeros(2))
 
 
@@ -525,7 +524,7 @@ def test_mse_hand_case():
 
 
 def test_mse_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(LatentWireError, match=r"^prediction \(3,\) vs target \(4,\)$"):
         mse_loss(np.zeros(3), np.zeros(4))
 
 
@@ -553,7 +552,7 @@ def test_cross_entropy_gradient_holds_no_subnormal():
 
 
 def test_cross_entropy_label_out_of_range():
-    with pytest.raises(LabelRangeError):
+    with pytest.raises(LatentWireError, match=r"^labels must lie in \[0,3\)$"):
         cross_entropy_loss(np.zeros((2, 3)), [0, 3])
 
 
@@ -570,12 +569,12 @@ def test_cross_entropy_gradient_rows_sum_zero(b, k, seed):
 def test_cache_consumed_once():
     y, cache = ops.dense(rng().random((1, 4)), rng().random((4, 3)), np.zeros(3))
     ops.backward(cache, np.ones((1, 3)))
-    with pytest.raises(CacheError):
+    with pytest.raises(LatentWireError, match="^dense cache already consumed$"):
         ops.backward(cache, np.ones((1, 3)))
 
 
 def test_backward_requires_cache():
-    with pytest.raises(CacheError):
+    with pytest.raises(LatentWireError, match="^backward needs a LayerCache from a forward call$"):
         ops.backward({"kind": "dense"}, np.ones(3))
 
 

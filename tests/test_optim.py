@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentwire.errors import ShapeMismatchError
+from latentwire.errors import LatentWireError
 from latentwire.optim import make_optimizer, optimizer_step
 
 
@@ -39,7 +39,7 @@ def test_step_counter_increments():
 
 def test_shape_mismatch_rejected():
     opt = make_optimizer("rmsprop", [np.zeros(3)])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(LatentWireError, match=r"^param \(3,\) vs grad \(4,\)$"):
         optimizer_step(opt, [np.zeros(4)])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from latentwire import ops
 from latentwire.data import LabeledDataset, SyntheticSpec, gen_synthetic
-from latentwire.errors import DivergenceError, ShapeMismatchError
+from latentwire.errors import DivergenceError, LatentWireError
 from latentwire.network import Network
 from latentwire.train import (
     TrainConfig,
@@ -89,7 +89,8 @@ def test_autoencoder_history_is_pinned():
 
 def test_autoencoder_shape_mismatch():
     pair = build_autoencoder((8, 8, 3), 4)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(LatentWireError,
+                       match=r"^input \(4, 6, 6, 3\) is not a batch of \(8, 8, 3\) samples$"):
         train_autoencoder(pair, np.zeros((4, 6, 6, 3), np.float32), TrainConfig(epochs=1))
 
 
@@ -190,7 +191,8 @@ def test_evaluate_pure_and_deterministic():
 def test_forward_rejects_unbatched_sample():
     net = Network(_mlp_spec(), rng=rng(0))
     x = rng().random(12).astype(np.float32)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(LatentWireError,
+                       match=r"^input \(12,\) is not a batch of \(12,\) samples$"):
         net.forward(x)
     assert net.forward(x[None]).shape == (1, 2)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentwire.errors import LatentWireError
 from latentwire.wire import (
     ACK_BAD_CRC,
     ACK_BAD_VERSION,
@@ -14,7 +15,6 @@ from latentwire.wire import (
     FrameScanner,
     LatentRecord,
     MAX_FRAME_BYTES,
-    OversizeRecordError,
     UNLABELED,
     WireDecodeError,
     decode_record,
@@ -91,7 +91,7 @@ def test_oversize_fields_rejected():
                                ("label", 2 ** 16, "label")):
         rec = make_record()
         setattr(rec, name, value)
-        with pytest.raises(OversizeRecordError, match=f"^{field} {value} exceeds"):
+        with pytest.raises(LatentWireError, match=f"^{field} {value} exceeds"):
             encode_record(rec)
 
 
@@ -100,7 +100,8 @@ def test_body_above_frame_bound_rejected():
     assert len(encode_record(make_record(shape=(32, 32, 3)))) == 12_330
     payload_max = (MAX_FRAME_BYTES - 24) // 4  # fields before the payload: 24 bytes
     encode_record(make_record(shape=(payload_max, 1)))
-    with pytest.raises(OversizeRecordError):
+    with pytest.raises(LatentWireError,
+                       match=r"^body of \d+ bytes exceeds MAX_FRAME_BYTES \(1048576\)$"):
         encode_record(make_record(shape=(payload_max + 1, 1)))
 
 

@@ -29,11 +29,14 @@ report, once with flags and a ``.csv`` report. A line it lists is code that
 only tests, error paths or settings these runs leave alone reach. It then
 names each cache kind in ``ops._BACKWARD`` that no ``ops.backward`` call of
 these runs dispatched: a backward that only tests reach, whose lines the
-tier-1 trace counts as run. The exit status is non-zero only when a
-workload check or a ``run`` fails.
+tier-1 trace counts as run, and last splits the unrun lines in two: those
+within a ``raise`` statement's line span, continuation lines included, and
+all others. The exit status is non-zero only when a workload check or a
+``run`` fails.
 """
 
 import argparse
+import ast
 import json
 import sys
 import tempfile
@@ -64,6 +67,13 @@ def executable_lines(path):
         lines.update(line for _, _, line in code.co_lines() if line is not None)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def raise_lines(path):
+    """Line numbers that fall within a raise statement of the module."""
+    return {line for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise)
+            for line in range(node.lineno, node.end_lineno + 1)}
 
 
 def traced_run(files, run):
@@ -184,6 +194,10 @@ def main(argv=None):
         (failures, undispatched), ran = traced_run(files, traffic)
         print_unrun(paths, ran)
         print(f"cache kinds no backward dispatched: {', '.join(undispatched) or 'none'}")
+        unrun = {path: executable_lines(path) - ran[str(path)] for path in paths}
+        inside = sum(len(lines & raise_lines(path)) for path, lines in unrun.items())
+        outside = sum(map(len, unrun.values())) - inside
+        print(f"not run: {inside} lines inside raise statements, {outside} outside")
         for line in failures:
             print(f"failed: {line}")
         return int(bool(failures))
