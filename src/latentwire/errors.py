@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-Every refusal is a LatentWireError. A subclass exists only for a reader
-that tells it apart: an ``except`` clause that catches it by name, or a
-failed cell's report row, which names the exception's type. Any other
+A value that is out of range or of the wrong type (a config field, a
+config-file entry, a flag, a record's shape, an unknown activation,
+optimizer, family or partition) is a ValueError, refused before any work
+starts. What the package refuses while it works (data, shapes, frames,
+state) is a LatentWireError. A subclass exists only for a reader that
+tells it apart: an ``except`` clause that catches it by name, or a failed
+cell's report row, which names the exception's type. Any other such
 refusal raises LatentWireError itself, and its message says which check
 fired.
 """

@@ -73,9 +73,8 @@ class ExperimentConfig:
             if getattr(self, name).seed:
                 raise ValueError(f"{name}.seed is replaced by each cell's seed; "
                                  "set the grid's seeds instead")
-        # (classes, per_class) of cifar_subset; not a field, so no file holds it
-        self.cifar_counts = (None if self.cifar_subset is None
-                             else _parse_cifar_subset(self.cifar_subset))
+        if self.cifar_subset is not None:
+            _parse_cifar_subset(self.cifar_subset)
         if self.cifar_subset is not None and self.cifar_dir is None:
             raise ValueError("cifar_subset needs cifar_dir, the CIFAR-10 directory")
 
@@ -137,8 +136,8 @@ def load_experiment_data(cfg):
         train, test = gen_synthetic(cfg.synthetic, seed=0)
         return "synthetic", train, test
     train, test = load_cifar10(resolve_data_path(cfg.cifar_dir))
-    if cfg.cifar_counts:
-        train, test = cifar10_subset(train, test, *cfg.cifar_counts)
+    if cfg.cifar_subset is not None:
+        train, test = cifar10_subset(train, test, *_parse_cifar_subset(cfg.cifar_subset))
         return f"cifar10-{cfg.cifar_subset}", train, test
     return "cifar10", train, test
 

@@ -1,18 +1,10 @@
-"""Training losses with analytic gradients."""
+"""Training losses with analytic gradients: each returns (value, gradient)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LatentWireError
-
-
-@dataclass
-class LossResult:
-    value: float
-    gradient: np.ndarray
 
 
 def mse_loss(prediction, target):
@@ -24,7 +16,7 @@ def mse_loss(prediction, target):
     diff = prediction - target
     n = diff.size
     value = float(np.mean(diff * diff))
-    return LossResult(value, 2.0 * diff / n)
+    return value, 2.0 * diff / n
 
 
 def cross_entropy_loss(logits, labels):
@@ -46,4 +38,4 @@ def cross_entropy_loss(logits, labels):
     grad = e / total
     grad[np.arange(b), lab] -= 1.0
     grad /= b
-    return LossResult(value, grad.astype(lg.dtype, copy=False))
+    return value, grad.astype(lg.dtype, copy=False)

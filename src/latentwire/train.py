@@ -77,14 +77,14 @@ def _fit(spec, images, labels, cfg, algorithm):
             # losses and optimizer_step are module globals read per call, so a
             # tracer that patches them by name sees every call
             if labels is None:
-                loss = mse_loss(out, xb)
+                value, gradient = mse_loss(out, xb)
             else:
                 yb = labels[idx]
-                loss = cross_entropy_loss(out, yb)
+                value, gradient = cross_entropy_loss(out, yb)
                 correct += int((out.argmax(axis=-1) == yb).sum())
-            _check_finite(loss.value, epoch)
-            optimizer_step(opt, net.backward(caches, loss.gradient))
-            epoch_loss += loss.value * len(xb)
+            _check_finite(value, epoch)
+            optimizer_step(opt, net.backward(caches, gradient))
+            epoch_loss += value * len(xb)
         hist.losses.append(epoch_loss / n)
         hist.metrics.append(hist.losses[-1] if labels is None else correct / n)
     hist.train_seconds = time.perf_counter() - start

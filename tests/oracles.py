@@ -315,14 +315,14 @@ def check_op_gradients(forward, arrays, h=FD_H):
 
 
 def check_loss_gradients(loss, prediction, extra, h=FD_H):
-    result = loss(prediction, extra)
+    _, gradient = loss(prediction, extra)
 
     def scalar():
-        return loss(prediction, extra).value
+        return loss(prediction, extra)[0]
 
     num = numeric_grad(scalar, prediction, h)
     worst = 0.0
-    for a, b in zip(np.ravel(result.gradient), np.ravel(num)):
+    for a, b in zip(np.ravel(gradient), np.ravel(num)):
         worst = max(worst, rel_err(a, b))
     return worst
 
@@ -331,7 +331,7 @@ def network_gradient_pairs(spec, x, target, loss, entries=3, h=FD_H, seed=0):
     """(analytic, numeric) gradient pairs of a whole network's loss.
 
     The network is built from `spec` with its weights cast to float64; the
-    loss is `loss(forward(x), target).value` in inference mode. Each pair
+    loss is `loss(forward(x), target)[0]` in inference mode. Each pair
     holds `entries` random entries of one array of ``trainable()``, in its
     order: the analytic values from ``Network.backward``'s flat gradients,
     the numeric ones from central differences of the loss.
@@ -341,7 +341,7 @@ def network_gradient_pairs(spec, x, target, loss, entries=3, h=FD_H, seed=0):
     net.params = [{k: v.astype(np.float64) for k, v in p.items()} for p in net.params]
     caches = [None] * len(spec.layers)
     out = net.forward(x, caches=caches)
-    grads = net.backward(caches, loss(out, target).gradient)
+    grads = net.backward(caches, loss(out, target)[1])
     pairs = []
     for arr, grad in zip(net.trainable(), grads, strict=True):
         flat = arr.reshape(-1)
@@ -350,9 +350,9 @@ def network_gradient_pairs(spec, x, target, loss, entries=3, h=FD_H, seed=0):
         for i in picks:
             orig = flat[i]
             flat[i] = orig + h
-            fp = loss(net.forward(x), target).value
+            fp = loss(net.forward(x), target)[0]
             flat[i] = orig - h
-            fm = loss(net.forward(x), target).value
+            fm = loss(net.forward(x), target)[0]
             flat[i] = orig
             numeric.append((fp - fm) / (2 * h))
         pairs.append((grad.reshape(-1)[picks], np.array(numeric)))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import latentwire.experiment as experiment
+import latentwire.train as train
 from latentwire.data import SyntheticSpec
+from latentwire.device import DeviceNode
 from latentwire.errors import LatentWireError
 from latentwire.experiment import (
     CONFIG_FORMAT,
@@ -485,13 +488,18 @@ def test_both_families_train_the_pinned_networks():
 # --- tools -------------------------------------------------------------------
 
 
+def _tool(monkeypatch, name):
+    """tools/`name`.py, loaded as a module."""
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tools prepend src and perfbench
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_peak_memory_tool_prints_each_cell(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool prepends src and perfbench
-    path = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
-    spec = importlib.util.spec_from_file_location("peak_memory", path)
-    peak_memory = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(peak_memory)
-    assert peak_memory.main(TINY_GRID) == 0
+    assert _tool(monkeypatch, "peak_memory").main(TINY_GRID) == 0
     *cells, high, rss = capsys.readouterr().out.splitlines()
     fields = [dict(f.split("=") for f in line.split()) for line in cells]
     assert [(f["cr"], f["seed"]) for f in fields] == [("1", "0"), ("4", "0"), ("1", "1"), ("4", "1")]
@@ -505,3 +513,19 @@ def test_peak_memory_tool_prints_each_cell(monkeypatch, capsys):
     assert cell[f"{top['stage']}_mb"] == cell["traced_peak_mb"] == top["traced_peak_mb"]
     assert float(top["traced_peak_mb"]) == max(float(f["traced_peak_mb"]) for f in fields)
     assert rss.startswith("ru_maxrss_mb=") and float(rss.split("=")[1]) > 0
+
+
+def test_the_tools_leave_nothing_patched(monkeypatch):
+    # the tools wrap pipeline functions and methods for one run; a wrapper left
+    # in place would time, trace or hash every later run in the process
+    def current():
+        return [experiment.run_cell, train._fit, DeviceNode.fit_autoencoder,
+                DeviceNode.export_latents, experiment.Hub.train_classifier]
+
+    originals = current()
+    assert _tool(monkeypatch, "peak_memory").main(TINY_GRID) == 0
+    with _tool(monkeypatch, "grid_digest").hashed_fits() as digests:
+        rows = run_experiment(replace(TINY_GRID, seeds=(0,))).rows
+    assert not any(r.failed for r in rows) and len(digests) == 2 * (TINY_GRID.n_devices + 1)
+    assert all(a is b for a, b in zip(current(), originals, strict=True))
+    assert not tracemalloc.is_tracing()

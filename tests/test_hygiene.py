@@ -222,3 +222,40 @@ def test_every_not_run_entry_names_a_line_that_exists():
         if lines.count(text) < n:
             stale.append((name, text))
     assert stale == []
+
+
+def bound_names(tree):
+    """Names that the module's top-level statements bind by import or
+    assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def package_reads(tree):
+    """Names that `tree` reads from the package: ``lw.X`` where ``lw`` is an
+    ``import latentwire`` binding, and ``from latentwire import X``."""
+    aliases = {a.asname or "latentwire" for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "latentwire" or (a.name.startswith("latentwire.")
+                                             and a.asname is None)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "latentwire":
+            names.update(a.name for a in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_every_package_name_has_a_reader():
+    """The tests import from the modules; ``__init__.py`` binds only what the
+    benchmark and the tools read from the package itself."""
+    readers = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    read = set().union(*(package_reads(ast.parse(p.read_text())) for p in readers))
+    assert sorted(bound_names(ast.parse((PACKAGE / "__init__.py").read_text())) - read) == []

@@ -6,8 +6,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from latentwire import ops
 from latentwire.errors import InvalidGeometryError, LatentWireError
-from latentwire.initializers import glorot_limit, glorot_uniform
 from latentwire.losses import cross_entropy_loss, mse_loss
+from latentwire.network import glorot_limit, glorot_uniform
 from latentwire.zoo import (
     FAMILIES,
     KERNEL,
@@ -512,15 +512,15 @@ def test_dropout_montecarlo_rate_and_mean():
 
 def test_mse_identity_case():
     x = rng().random((3, 3))
-    res = mse_loss(x, x.copy())
-    assert res.value == 0
-    assert np.all(res.gradient == 0)
+    value, gradient = mse_loss(x, x.copy())
+    assert value == 0
+    assert np.all(gradient == 0)
 
 
 def test_mse_hand_case():
-    res = mse_loss(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-    assert res.value == 1.0
-    np.testing.assert_array_equal(res.gradient, [1.0, 1.0])
+    value, gradient = mse_loss(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+    assert value == 1.0
+    np.testing.assert_array_equal(gradient, [1.0, 1.0])
 
 
 def test_mse_shape_mismatch():
@@ -529,15 +529,15 @@ def test_mse_shape_mismatch():
 
 
 def test_cross_entropy_uniform_logits():
-    res = cross_entropy_loss(np.zeros((1, 10)), [0])
-    assert abs(res.value - np.log(10)) < 1e-9
+    value, _ = cross_entropy_loss(np.zeros((1, 10)), [0])
+    assert abs(value - np.log(10)) < 1e-9
 
 
 def test_cross_entropy_confident_correct():
     logits = np.zeros((1, 4))
     logits[0, 2] = 50.0
-    res = cross_entropy_loss(logits, [2])
-    assert res.value < 1e-9
+    value, _ = cross_entropy_loss(logits, [2])
+    assert value < 1e-9
 
 
 def test_cross_entropy_gradient_holds_no_subnormal():
@@ -545,10 +545,10 @@ def test_cross_entropy_gradient_holds_no_subnormal():
     # subnormal operands would slow every backward the gradient flows into
     logits = np.array([[0.0, -100.0]], np.float32)
     results = [cross_entropy_loss(logits, [label]) for label in (0, 1)]
-    for res in results:
-        g = np.abs(res.gradient)
+    for _, gradient in results:
+        g = np.abs(gradient)
         assert not ((g > 0) & (g < np.finfo(np.float32).tiny)).any()
-    assert [res.value for res in results] == [0.0, 100.0]
+    assert [value for value, _ in results] == [0.0, 100.0]
 
 
 def test_cross_entropy_label_out_of_range():
@@ -560,8 +560,8 @@ def test_cross_entropy_label_out_of_range():
 @settings(max_examples=30, deadline=None)
 def test_cross_entropy_gradient_rows_sum_zero(b, k, seed):
     r = np.random.default_rng(seed)
-    res = cross_entropy_loss(r.standard_normal((b, k)), r.integers(0, k, b))
-    np.testing.assert_allclose(res.gradient.sum(axis=-1), np.zeros(b), atol=1e-9)
+    _, gradient = cross_entropy_loss(r.standard_normal((b, k)), r.integers(0, k, b))
+    np.testing.assert_allclose(gradient.sum(axis=-1), np.zeros(b), atol=1e-9)
 
 
 # --- cache discipline -------------------------------------------------------------

@@ -28,21 +28,23 @@ smallest normal: such operands make a backward several times slower on x86,
 and the classifier loss keeps them out, so it reads 0.
 
 Results are bit-reproducible only at a fixed BLAS thread count, so BLAS is
-pinned to one thread before numpy is imported.
+pinned to the benchmark's one thread (``pin_blas_threads`` from
+``perfbench/run.py``) before numpy is imported.
 """
 
 import hashlib
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from run import pin_blas_threads  # noqa: E402
+
+pin_blas_threads()
 
 import numpy as np  # noqa: E402
 
@@ -75,11 +77,8 @@ def hashed_fits():
         digests.append(network_digest(net, hist))
         return net, hist
 
-    lw.train._fit = hashed_fit
-    try:
+    with patch.object(lw.train, "_fit", hashed_fit):
         yield digests
-    finally:
-        lw.train._fit = fit
 
 
 def data_digest(spec):
@@ -121,20 +120,15 @@ def main():
         return backward(cache, grad, need_dx=need_dx)
 
     cfg = GridWorkload().setup(0)
-    lw.ops.backward = counted_backward
-    lw.device.encode_record = hashed_encode
-    try:
-        failed, digests = digest_grid(cfg)
-        lw.device.encode_record = encode
+    with patch.object(lw.ops, "backward", counted_backward):
+        with patch.object(lw.device, "encode_record", hashed_encode):
+            failed, digests = digest_grid(cfg)
         print(f"data_sha256={data_digest(GridWorkload().spec)}")
         print(f"networks={len(digests)}")
         print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
         print(f"frames_sha256={frames.hexdigest()}")
         print("family=B")
         failed_b, digests = digest_grid(replace(cfg, family="B"))
-    finally:
-        lw.ops.backward = backward
-        lw.device.encode_record = encode
     print(f"networks={len(digests)}")
     print(f"sha256={hashlib.sha256(b''.join(digests)).hexdigest()}")
     print(f"subnormal_grads={subnormal}")

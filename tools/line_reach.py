@@ -44,6 +44,7 @@ import threading
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -124,8 +125,7 @@ def traffic():
         dispatched.add(cache.kind)
         return full_backward(cache, grad, need_dx)
 
-    ops.backward = backward
-    try:
+    with patch.object(ops, "backward", backward):
         failures = []
         grid = GridWorkload(ae_epochs=1, clf_epochs=1, reference=None)
         serve = ServeWorkload(clf_epochs=1, warmup=0)
@@ -154,8 +154,6 @@ def traffic():
                 code = cli.main(argv)
                 if code:
                     failures.append(f"latentwire {' '.join(argv[:3])}: exit status {code}")
-    finally:
-        ops.backward = full_backward
     return failures, sorted(set(ops._BACKWARD) - dispatched)
 
 

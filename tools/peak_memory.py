@@ -21,21 +21,22 @@ libraries and ``tracemalloc``'s own records, so it reads above the
 benchmark's untraced ``peak_rss_mb``. MB means 2**20 bytes, as in the
 benchmark.
 
-BLAS is pinned to one thread before numpy is imported, as in the benchmark.
+BLAS is pinned to one thread before numpy is imported, by the benchmark's
+own ``pin_blas_threads`` from ``perfbench/run.py``.
 """
 
-import os
 import resource
 import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from run import pin_blas_threads  # noqa: E402
+
+pin_blas_threads()
 
 import latentwire.experiment  # noqa: E402
 from latentwire.device import DeviceNode  # noqa: E402
@@ -84,7 +85,8 @@ def cell_peaks(cfg):
                 close(REST)
         return run
 
-    # run_experiment looks run_cell up when it calls it
+    # run_experiment looks run_cell up when it calls it. Patched by hand:
+    # unittest.mock imports asyncio, which would raise the ru_maxrss printed
     patches = [(cls, attr, staged(stage, getattr(cls, attr))) for stage, cls, attr in STAGES]
     patches.append((latentwire.experiment, "run_cell", cell(latentwire.experiment.run_cell)))
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
