@@ -74,8 +74,10 @@ class Network:
         them, lets malloc trim the freed heap top and fault it back in on
         every step. Each cache holds only what its layer's backward reads
         (see :mod:`ops`): every conv keeps its input, not the padded or
-        upsampled map it correlates. Without ``caches`` the pools and
-        activations build no index or mask at all.
+        upsampled map it correlates. Every op gets ``cache=`` whether
+        ``caches`` is given, so without it, as in :meth:`infer`, a device's
+        encode and the hub's predict, no layer builds a cache at all, and
+        the output holds the same bytes as a caching forward's.
         """
         self._check_input(x)
         keep = caches is not None
@@ -84,17 +86,17 @@ class Network:
                 caches[i] = None
             if layer.kind == "conv2d":
                 x, cache = ops.conv2d(x, p["w"], p["b"], padding=layer.padding,
-                                      upsample=layer.upsample)
+                                      upsample=layer.upsample, cache=keep)
             elif layer.kind == "maxpool":
                 x, cache = ops.maxpool2d(x, cache=keep)
             elif layer.kind == "dense":
-                x, cache = ops.dense(x, p["w"], p["b"])
+                x, cache = ops.dense(x, p["w"], p["b"], cache=keep)
             elif layer.kind == "activation":
                 x, cache = ops.activation(x, layer.fn, cache=keep)
             elif layer.kind == "dropout":
-                x, cache = ops.dropout(x, layer.rate, rng=rng)
+                x, cache = ops.dropout(x, layer.rate, rng=rng, cache=keep)
             else:
-                x, cache = ops.flatten(x)
+                x, cache = ops.flatten(x, cache=keep)
             if keep:
                 caches[i] = cache
         return x

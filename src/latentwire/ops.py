@@ -5,15 +5,16 @@ need_dx=True)`` dispatches on the cache kind and returns ``(input_grad,
 param_grads)``, with ``input_grad`` None when ``need_dx`` is False. A cache
 holds what its backward reads, not what its forward made: max pooling keeps
 each window's winner as a uint8 index, relu its bool sign mask, and every
-conv its input, not the padded or upsampled map it read. An inference
-forward keeps none: ``maxpool2d`` and ``activation`` given ``cache=False``
-build no index or mask and return None for the cache. ``upsample2d`` is
-the conv's writer, not a layer, and returns the map alone. Ops take batches
-only: spatial tensors are channels-last ``(N, H, W, C)`` and dense inputs
-``(N, D)``. Every forward output and input gradient is C-contiguous, so the
-element-wise ops that follow run over contiguous memory. All math preserves
-the input dtype, so suites that need double precision simply pass float64
-arrays.
+conv its input, not the padded or upsampled map it read. One rule holds for
+all six layer ops: given ``cache=False``, as in every forward outside a fit,
+an op builds no ``LayerCache``, nor the index or mask one would keep, and
+returns None for the cache; its output holds the same bytes either way.
+``upsample2d`` is the conv's writer, not a layer, and returns the map alone.
+Ops take batches only: spatial tensors are channels-last ``(N, H, W, C)``
+and dense inputs ``(N, D)``. Every forward output and input gradient is
+C-contiguous, so the element-wise ops that follow run over contiguous
+memory. All math preserves the input dtype, so suites that need double
+precision simply pass float64 arrays.
 
 Network hands each op the rank, weights, biases, padding and dropout rate
 that it built from the spec, so the ops do not check them again. They
@@ -30,6 +31,16 @@ the same function with the relu on the pooled map. ``conv2d`` runs at
 stride 1 and reads K from its weights, so every conv shape follows from its
 operands; "same" padding puts (K-1)//2 zeros before and K-1-(K-1)//2 after
 on each axis. The zoo builds K = 3.
+
+A narrow conv's forward adds its bias inside its GEMM: each row of the
+column matrix ends in a 1 and the weight matrix in the bias, so the bias is
+the last term of each output's sum. The GEMM accumulates its terms in order,
+so that last step rounds sum + b once, as ``y += b`` after a GEMM without
+the bias would, and the bits hold, as ``tests/test_ops.py`` checks at every
+conv the zoo builds. A wide conv's forward starts its sum from the first
+window offset's product rather than from zeros, which changes no bit: a
+GEMM's sum starts from +0.0, so it is never -0.0 and 0 + p is p. It then
+adds the bias.
 
 Results are bit-reproducible only at a fixed BLAS thread count: the same
 inputs give other float32 bits at another thread count. A speed change to
@@ -68,7 +79,7 @@ class LayerCache:
         return self.data
 
 
-def conv2d(x, w, b, padding="valid", upsample=False):
+def conv2d(x, w, b, padding="valid", upsample=False, cache=True):
     """2-D cross-correlation at stride 1 with per-filter bias.
 
     x: (N,H,W,C); w: (K,K,C,F). "valid" gives (N,H-K+1,W-K+1,F);
@@ -76,7 +87,8 @@ def conv2d(x, w, b, padding="valid", upsample=False):
     after the input on each axis, so an even K pads one more after. With
     ``upsample`` the conv reads x 2x nearest-upsampled, as ``upsample2d``
     then ``conv2d`` would, to the same bits: H and W above double and the
-    map is written straight into the padded operand. The cache keeps x.
+    map is written straight into the padded operand. The cache keeps x;
+    with ``cache=False`` it is None.
     """
     _, h, wd, c = x.shape
     k, _, wc, _ = w.shape
@@ -87,8 +99,9 @@ def conv2d(x, w, b, padding="valid", upsample=False):
     lead, pad = ((k - 1) // 2, k - 1) if padding == "same" else (0, 0)
     if k > h + pad or k > wd + pad:
         raise InvalidGeometryError(f"kernel {k} exceeds padded input {h}x{wd}")
-    y = _correlate(_operand(x, lead, pad, upsample), w)
-    y += b
+    y = _correlate(_operand(x, lead, pad, upsample), w, b=b)
+    if not cache:
+        return y, None
     # no op writes into a forward's input, so the backward reads the bytes
     # the forward read and rebuilds the operand from them
     return y, LayerCache("conv2d", x=x, w=w, lead=lead, pad=pad, upsample=upsample)
@@ -123,36 +136,56 @@ def _windows(xp, k):
     return view
 
 
-def _correlate(xp, w, g=None, cols=None):
+def _columns(xp, k, ones=False):
+    """The K x K windows of xp (N,H,W,C) copied into one column matrix, a
+    row per output pixel in w's own (k, l, c) order; with `ones` each row
+    ends in a 1, the factor of the bias."""
+    win = _windows(xp, k)
+    width = k * k * xp.shape[3]
+    if not ones:  # a reshape's copy runs 2-5% faster than a copy into cols
+        return win.reshape(-1, width)
+    cols = np.empty((win.size // width, width + 1), xp.dtype)
+    cols[:, :width].reshape(win.shape)[...] = win  # splits axes only: a view
+    cols[:, width] = 1
+    return cols
+
+
+def _correlate(xp, w, g=None, cols=None, b=None):
     """The conv's one contraction over the K x K windows of xp (N,H,W,C) for
     w (K,K,C,F), one window per output pixel of (ho, wo) = (H-K+1, W-K+1).
 
-    Without `g` it returns the correlation (N,ho,wo,F); given the output
-    gradient g (N,ho,wo,F) it returns the weight gradient (K,K,C,F). Narrow
-    windows (C*K*K <= _WINDOW_MAX) are copied from their strided view into
-    one column matrix, a row per output pixel in w's own (k, l, c) order,
-    and the contraction is one GEMM against it; wide ones loop over the K*K
-    offsets and never materialize the windows, a GEMM per offset. A narrow
-    caller may pass the column matrix it already built as `cols`.
+    Without `g` it returns the correlation (N,ho,wo,F), plus the bias `b`
+    when given; given the output gradient g (N,ho,wo,F) it returns the
+    weight gradient (K,K,C,F). Narrow windows (C*K*K <= _WINDOW_MAX) are
+    copied into one column matrix and the contraction is one GEMM against
+    it, with the bias as its last term; wide ones loop over the K*K offsets
+    and never materialize the windows, a GEMM per offset, the first of which
+    starts the sum. A narrow caller may pass the column matrix it already
+    built, without the ones, as `cols`.
     """
     n, h, wd, c = xp.shape
     k, f = w.shape[0], w.shape[3]
     ho, wo = h - k + 1, wd - k + 1
     if c * k * k <= _WINDOW_MAX:
         if cols is None:
-            cols = _windows(xp, k).reshape(-1, k * k * c)
-        if g is None:
-            return (cols @ w.reshape(-1, f)).reshape(n, ho, wo, f)
-        return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
+            cols = _columns(xp, k, ones=b is not None)
+        if g is not None:
+            return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
+        wm = w.reshape(-1, f) if b is None else np.concatenate((w.reshape(-1, f), b[None]))
+        return (cols @ wm).reshape(n, ho, wo, f)
+    offsets = _window_offsets(k, 1, ho, wo)
     if g is None:
-        y = np.zeros((n, ho, wo, f), dtype=xp.dtype)
-        for (a, b), at in _window_offsets(k, 1, ho, wo):
-            y += xp[at] @ w[a, b]
+        (_, at), *rest = offsets
+        y = xp[at] @ w[0, 0]
+        for (i, j), at in rest:
+            y += xp[at] @ w[i, j]
+        if b is not None:
+            y += b
         return y
     g2d = g.reshape(-1, f)
     dw = np.empty_like(w)
-    for (a, b), at in _window_offsets(k, 1, ho, wo):
-        dw[a, b] = np.ascontiguousarray(xp[at]).reshape(-1, c).T @ g2d
+    for (i, j), at in offsets:
+        dw[i, j] = np.ascontiguousarray(xp[at]).reshape(-1, c).T @ g2d
     return dw
 
 
@@ -178,7 +211,7 @@ def _conv2d_backward(data, g, need_dx):
         gp[:, off : off + g.shape[1], off : off + g.shape[2]] = g
     if dw_from_gp:
         # one column matrix of gp serves dW here and the narrow dx below
-        cols = _windows(gp, k).reshape(-1, k * k * f)
+        cols = _columns(gp, k)
         dw = _correlate(gp, wt, upsample2d(x) if upsample else x,
                         cols)[::-1, ::-1].transpose(0, 1, 3, 2)
     else:
@@ -268,11 +301,11 @@ def upsample2d(x, out=None):
     return out
 
 
-def dense(x, w, b):
+def dense(x, w, b, cache=True):
     """Affine map x @ w + b; x is (N,D), w is (D,M)."""
     if w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise LatentWireError(f"dense input {x.shape[1]} vs weights {w.shape}")
-    return x @ w + b, LayerCache("dense", x=x, w=w)
+    return x @ w + b, LayerCache("dense", x=x, w=w) if cache else None
 
 
 def _dense_backward(data, g, need_dx):
@@ -306,15 +339,15 @@ def _activation_backward(data, g):
     return g * y * (1.0 - y), None
 
 
-def dropout(x, rate, rng=None):
+def dropout(x, rate, rng=None, cache=True):
     """Inverted dropout: survivors scaled by 1/(1-rate). It trains when given
     an `rng` to draw its mask from; without one (inference) it is the identity."""
     if rng is None or rate == 0.0:
-        return x, LayerCache("dropout", mask=None, scale=1.0)
+        return x, LayerCache("dropout", mask=None, scale=1.0) if cache else None
     mask = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     y = x * mask * np.asarray(scale, dtype=x.dtype)
-    return y, LayerCache("dropout", mask=mask, scale=scale)
+    return y, LayerCache("dropout", mask=mask, scale=scale) if cache else None
 
 
 def _dropout_backward(data, g):
@@ -323,9 +356,9 @@ def _dropout_backward(data, g):
     return g * data["mask"] * np.asarray(data["scale"], dtype=g.dtype), None
 
 
-def flatten(x):
+def flatten(x, cache=True):
     """(N, ...) -> (N, D)."""
-    return x.reshape(x.shape[0], -1), LayerCache("flatten", in_shape=x.shape)
+    return x.reshape(x.shape[0], -1), LayerCache("flatten", in_shape=x.shape) if cache else None
 
 
 def _flatten_backward(data, g):

@@ -76,28 +76,31 @@ def window_columns(xp, k):
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
 
 
-def column_correlate(xp, w, g=None, cols=None):
+def column_correlate(xp, w, g=None, cols=None, b=None):
     """``ops._correlate`` as it ran with `window_columns` and a per-offset
-    einsum for the wide dW; the library's strided window view and plain
-    GEMMs must equal it bit for bit. A shared column matrix `cols` is
-    ignored: the columns are rebuilt from xp."""
+    einsum for the wide dW, and with the bias added after the correlation,
+    a wide sum started from zeros; the library's strided window view, plain
+    GEMMs and bias as the narrow GEMM's last term must equal it bit for bit.
+    A shared column matrix `cols` is ignored: the columns are rebuilt from
+    xp."""
     k, f = w.shape[0], w.shape[3]
     ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     if xp.shape[3] * k * k <= ops._WINDOW_MAX:
         cols = window_columns(xp, k)
         if g is None:
-            return (cols @ w.reshape(-1, f)).reshape(xp.shape[0], ho, wo, f)
+            y = (cols @ w.reshape(-1, f)).reshape(xp.shape[0], ho, wo, f)
+            return y if b is None else y + b
         return (cols.T @ g.reshape(-1, f)).reshape(w.shape)
-    offsets = [(a, b) for a in range(k) for b in range(k)]
-    shifted = [xp[:, a : a + ho, b : b + wo] for a, b in offsets]
+    offsets = [(a, bb) for a in range(k) for bb in range(k)]
+    shifted = [xp[:, a : a + ho, bb : bb + wo] for a, bb in offsets]
     if g is None:
         y = np.zeros((xp.shape[0], ho, wo, f), dtype=xp.dtype)
-        for (a, b), xs in zip(offsets, shifted):
-            y += xs @ w[a, b]
-        return y
+        for (a, bb), xs in zip(offsets, shifted):
+            y += xs @ w[a, bb]
+        return y if b is None else y + b
     dw = np.empty_like(w)
-    for (a, b), xs in zip(offsets, shifted):
-        dw[a, b] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
+    for (a, bb), xs in zip(offsets, shifted):
+        dw[a, bb] = np.einsum("nhwc,nhwf->cf", xs, g, optimize=True)
     return dw
 
 

@@ -529,3 +529,30 @@ def test_the_tools_leave_nothing_patched(monkeypatch):
     assert not any(r.failed for r in rows) and len(digests) == 2 * (TINY_GRID.n_devices + 1)
     assert all(a is b for a, b in zip(current(), originals, strict=True))
     assert not tracemalloc.is_tracing()
+
+
+def test_op_replay_times_both_sides_and_refuses_unequal_bytes(monkeypatch):
+    tool = _tool(monkeypatch, "op_replay")
+    convs = tool.grid_convs()
+    assert ((32, 32, 3), 32, "same", False) in convs  # every encoder's first conv
+    assert any(upsample for *_, upsample in convs)
+    root = Path(__file__).resolve().parents[1]
+    replayed = tool.load_ops(root, "replayed_latentwire")
+    try:
+        assert replayed is not tool.lw.ops
+        rows = list(tool.replay(replayed, tool.lw.ops, convs[:2], [1, 3], 2))
+    finally:
+        for name in [m for m in sys.modules if m.startswith("replayed_latentwire")]:
+            del sys.modules[name]
+    assert [(geometry, n) for geometry, n, _, _ in rows] == [
+        (geometry, n) for geometry in convs[:2] for n in (1, 3)]
+    assert all(t0 > 0 and t1 > 0 for *_, t0, t1 in rows)
+
+    class Off:  # a kernel one ulp away from the library's
+        @staticmethod
+        def conv2d(*args, **kwargs):
+            y, cache = tool.lw.ops.conv2d(*args, **kwargs)
+            return np.nextafter(y, np.inf), cache
+
+    with pytest.raises(SystemExit, match=r"^refused: outputs differ at \(3, 3, 32\)"):
+        list(tool.replay(tool.lw.ops, Off, convs[:1], [1], 1))

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latentwire.wire as wire
-from latentwire.device import HubSink, WireClientSink
+from latentwire import ops
+from latentwire.data import LabeledDataset
+from latentwire.device import DeviceNode, HubSink, WireClientSink
 from latentwire.errors import LatentWireError, SinkFailure
 from latentwire.hub import Hub, HubServer, _Handler, serve_stream
+from latentwire.network import Network
 from latentwire.train import TrainConfig
 from latentwire.wire import (
     ACK_ACCEPTED,
@@ -25,6 +28,7 @@ from latentwire.wire import (
     LatentRecord,
     encode_record,
 )
+from latentwire.zoo import build_vanilla_classifier
 
 from test_wire import BAD_SHAPE_BODIES, CRC_LEN, HEADER_LEN, frame_around
 
@@ -344,6 +348,50 @@ def test_predict_matches_the_bulk_forward_of_a_trained_classifier():
     bulk = hub.classifier.infer(test.images).argmax(axis=-1)
     assert [hub.predict(rec) for rec in hub.records("test")] == bulk.tolist()
     assert bulk.tolist() == test.labels.tolist()  # both classes, so not a constant answer
+
+
+def test_inference_builds_no_cache_and_matches_a_caching_forward(monkeypatch):
+    # a device's export and encode and the hub's predict and bulk inference
+    # run forwards without caches: no op builds a LayerCache, and each output
+    # holds the bytes a caching forward of the same input returns
+    built = []
+
+    class CountedCache(ops.LayerCache):
+        __slots__ = ()
+
+        def __init__(self, kind, **data):
+            built.append(kind)
+            super().__init__(kind, **data)
+
+    r = np.random.default_rng(0)
+    images = r.random((40, 16, 16, 3)).astype(np.float32)  # two inference batches
+    data = LabeledDataset(images, np.arange(40) % 2, 2)
+    dev = DeviceNode(1, data, data)
+    dev.fit_autoencoder(4, TrainConfig(epochs=1, seed=0))
+    forward, calls = Network.forward, []
+
+    def recorded(net, x, rng=None, caches=None):
+        y = forward(net, x, rng=rng, caches=caches)
+        calls.append((net, x, y))
+        return y
+
+    monkeypatch.setattr(Network, "forward", recorded)
+    monkeypatch.setattr(ops, "LayerCache", CountedCache)
+    hub = Hub()
+    dev.export_latents("test", HubSink(hub, "test"))
+    records = [dev.encode(image, 0) for image in images[:3]]
+    latents = hub.assemble("test", num_classes=2)
+    for family in ("A", "B"):  # B has dropout layers
+        hub.classifier = Network(build_vanilla_classifier(latents.sample_shape, family, 2),
+                                 rng=np.random.default_rng(1))
+        hub.classifier.infer(latents.images)
+        for rec in records:
+            hub.predict(rec)
+    assert built == [] and len({id(net) for net, _, _ in calls}) == 3 and len(calls) == 15
+    for net, x, y in calls:
+        want = forward(net, x, caches=[None] * len(net.spec.layers))
+        assert want.tobytes() == y.tobytes()
+    assert len(built) == sum(len(net.spec.layers) for net, _, _ in calls)
 
 
 def test_assemble_rejects_mixed_latent_shapes():

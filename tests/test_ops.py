@@ -233,6 +233,30 @@ def test_conv_bitwise_equals_column_oracle(geometry, n, monkeypatch):
         assert a.shape == e.shape and a.tobytes() == e.tobytes(), name
 
 
+# The narrow forward adds the bias as its GEMM's last term, against a column
+# of ones, and the wide one starts its sum from the first offset's product.
+# Both must round as the correlation, a wide sum started from zeros, followed
+# by ``y += b``: at every conv the zoo builds for either image, at the batch
+# sizes a fit, an export and a request run.
+BIAS_CONVS = sorted(set(zoo_conv_geometries()) | set(zoo_conv_geometries((16, 16, 3))))
+
+
+@pytest.mark.parametrize("n", [1, 24, 32])
+@pytest.mark.parametrize("geometry", BIAS_CONVS, ids=str)
+def test_conv_bitwise_equals_correlate_then_bias(geometry, n):
+    h, wd, c, k, f, _, padding = geometry
+    r = rng(h * 1000 + c * 10 + f + n)
+    x = r.standard_normal((n, h, wd, c)).astype(np.float32)
+    w = (0.1 * r.standard_normal((k, k, c, f))).astype(np.float32)
+    b = r.standard_normal(f).astype(np.float32)
+    lead, after = ((k - 1) // 2, k - 1 - (k - 1) // 2) if padding == "same" else (0, 0)
+    xp = np.pad(x, ((0, 0), (lead, after), (lead, after), (0, 0)))
+    want = column_correlate(xp, w, b=b)
+    for cache in (True, False):
+        y, _ = ops.conv2d(x, w, b, padding, cache=cache)
+        assert y.dtype == np.float32 and y.tobytes() == want.tobytes()
+
+
 # Every window must end inside the array. The view takes C-contiguous
 # arrays only, so conv2d correlates a contiguous copy of a cropped input and
 # must read the same windows as from the contiguous original.

@@ -297,10 +297,10 @@ def test_a_fit_frees_each_conv_cache_before_the_conv_runs_again(monkeypatch):
     # arrays; each conv's cached input is owned by its cache alone
     conv2d, held, freed = ops.conv2d, {}, []
 
-    def checked_conv2d(x, w, b, padding="valid", upsample=False):
+    def checked_conv2d(x, w, b, padding="valid", upsample=False, cache=True):
         if id(w) in held:  # the optimizer updates w in place: one id per layer
             freed.append(held[id(w)]() is None)
-        y, cache = conv2d(x, w, b, padding=padding, upsample=upsample)
+        y, cache = conv2d(x, w, b, padding=padding, upsample=upsample, cache=cache)
         held[id(w)] = weakref.ref(cache.data["x"])
         return y, cache
 
