@@ -73,19 +73,6 @@ def _experiment_config(args):
     return merge_config(body)
 
 
-def cmd_run(args):
-    report = run_experiment(_experiment_config(args))
-    for row in report.rows:
-        if row.failed:
-            print(f"cr={row.cr:g} seed={row.seed}: FAILED ({row.error})")
-        else:
-            print(f"cr={row.cr:g} seed={row.seed}: acc={row.accuracy:.4f} "
-                  f"params={row.params} train={row.train_s:.3f}s test={row.test_s:.3f}s")
-    emit_report(report, args.out)
-    print(f"report written to {args.out}")
-    return 1 if any(row.failed for row in report.rows) else 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="latentwire",
@@ -109,7 +96,16 @@ def main(argv=None):
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("latentwire").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        return cmd_run(args)
+        report = run_experiment(_experiment_config(args))
+        for row in report.rows:
+            if row.failed:
+                print(f"cr={row.cr:g} seed={row.seed}: FAILED ({row.error})")
+            else:
+                print(f"cr={row.cr:g} seed={row.seed}: acc={row.accuracy:.4f} "
+                      f"params={row.params} train={row.train_s:.3f}s test={row.test_s:.3f}s")
+        emit_report(report, args.out)
+        print(f"report written to {args.out}")
+        return 1 if any(row.failed for row in report.rows) else 0
     except (LatentWireError, ValueError, OSError) as exc:
         print(f"latentwire: error: {exc}", file=sys.stderr)
         return 2

@@ -202,16 +202,12 @@ def _decode_batches(batches):
     return images, np.concatenate([records[:, 0] for records in batches]).astype(np.int64)
 
 
-def load_cifar10_batch(path):
-    """One binary batch file -> (images (N,32,32,3) in [0,1], labels)."""
-    return _decode_batches([_batch_records(path)])
-
-
 def load_cifar10(directory):
-    """Standard binary archive -> (train 50000, test 10000)."""
+    """Standard binary archive -> (train 50000, test 10000). Each split's
+    batch files are checked, then decoded into one array (_decode_batches)."""
     directory = Path(directory)
     train = _decode_batches([_batch_records(directory / name) for name in CIFAR_TRAIN_FILES])
-    test = load_cifar10_batch(directory / CIFAR_TEST_FILE)
+    test = _decode_batches([_batch_records(directory / CIFAR_TEST_FILE)])
     return LabeledDataset(*train, 10), LabeledDataset(*test, 10)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import ops
@@ -11,22 +13,11 @@ from .zoo import KERNEL, ModelSpec, infer_shapes
 INFER_BATCH = 32  # samples per forward in bulk inference: one training batch
 
 
-def _fans(shape):
-    if len(shape) == 4:  # conv (K, K, C_in, F)
-        k, _, c, f = shape
-        return k * k * c, k * k * f
-    return shape[0], shape[1]  # dense (N, M)
-
-
-def glorot_limit(shape):
-    """L = sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(tuple(shape))
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
 def glorot_uniform(shape, rng):
-    """float32 uniform on [-L, L] with L = glorot_limit(shape)."""
-    limit = glorot_limit(shape)
+    """float32 uniform on [-L, L], L = sqrt(6 / (fan_in + fan_out)). The last
+    two axes are the channels in and out, any before them the kernel, so
+    fan_in + fan_out = prod(shape[:-2]) * (shape[-2] + shape[-1])."""
+    limit = np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
@@ -44,21 +35,15 @@ class Network:
     def _init_params(self, rng):
         shapes = infer_shapes(self.spec)
         params = []
-        for layer, shape_in in zip(self.spec.layers, shapes):
-            if layer.kind == "conv2d":
-                w = glorot_uniform((KERNEL, KERNEL, shape_in[2], layer.filters), rng)
-                params.append({"w": w, "b": np.zeros(layer.filters, np.float32)})
-            elif layer.kind == "dense":
-                w = glorot_uniform((shape_in[0], layer.width), rng)
-                params.append({"w": w, "b": np.zeros(layer.width, np.float32)})
+        for layer, shape_in, shape_out in zip(self.spec.layers, shapes, shapes[1:]):
+            if layer.kind in ("conv2d", "dense"):
+                # a conv's weights are (K, K, C, F), a dense layer's (D, M)
+                kernel = (KERNEL, KERNEL) if layer.kind == "conv2d" else ()
+                w = glorot_uniform((*kernel, shape_in[-1], shape_out[-1]), rng)
+                params.append({"w": w, "b": np.zeros(shape_out[-1], np.float32)})
             else:
                 params.append({})
         return params
-
-    def _check_input(self, x):
-        if x.shape[1:] != self.spec.input_shape:
-            raise LatentWireError(
-                f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
 
     def forward(self, x, rng=None, caches=None):
         """Run the chain over a batch and return its output. Dropout layers
@@ -79,7 +64,9 @@ class Network:
         encode and the hub's predict, no layer builds a cache at all, and
         the output holds the same bytes as a caching forward's.
         """
-        self._check_input(x)
+        if x.shape[1:] != self.spec.input_shape:
+            raise LatentWireError(
+                f"input {x.shape} is not a batch of {self.spec.input_shape} samples")
         keep = caches is not None
         for i, (layer, p) in enumerate(zip(self.spec.layers, self.params)):
             if keep:

@@ -9,7 +9,9 @@ conv its input, not the padded or upsampled map it read. One rule holds for
 all six layer ops: given ``cache=False``, as in every forward outside a fit,
 an op builds no ``LayerCache``, nor the index or mask one would keep, and
 returns None for the cache; its output holds the same bytes either way.
-``upsample2d`` is the conv's writer, not a layer, and returns the map alone.
+``_operand`` writes every map a conv contracts, the backward's zero-padded
+output gradient included; ``upsample2d`` is its upsampling writer, not a
+layer, and returns the map alone.
 Ops take batches only: spatial tensors are channels-last ``(N, H, W, C)``
 and dense inputs ``(N, D)``. Every forward output and input gradient is
 C-contiguous, so the element-wise ops that follow run over contiguous
@@ -108,9 +110,9 @@ def conv2d(x, w, b, padding="valid", upsample=False, cache=True):
 
 
 def _operand(x, lead, pad, upsample):
-    """The C-contiguous map a conv correlates: x, 2x upsampled if
-    `upsample`, with `lead` zeros before and pad - lead after on each axis.
-    An unpadded forward output is already contiguous and is not copied."""
+    """The C-contiguous map a conv contracts, its input or output gradient:
+    x, 2x upsampled if `upsample`, with `lead` zeros before and pad - lead
+    after on each axis. A contiguous x without padding is not copied."""
     if not pad:
         return upsample2d(x) if upsample else np.ascontiguousarray(x)
     n, h, wd, c = x.shape
@@ -190,29 +192,27 @@ def _correlate(xp, w, g=None, cols=None, b=None):
 
 
 def _conv2d_backward(data, g, need_dx):
-    # gp is g written at row and column K-1-lead of zeros on the input's grid:
-    # the K x K window at each input pixel holds, flipped, every output that
-    # read it. So dx is gp correlated with the flipped kernel, its C and F
-    # axes swapped, and dW may contract the windows of gp in place of those
-    # of the input. The cache holds the conv's input x, not the map it read:
-    # the backward rebuilds what dW reads, lets it die before dx, and folds
-    # an upsampling conv's dx back onto x.
+    # gp is g on the input's grid: _operand writes K-1-lead zeros before it
+    # and K-1-(pad-lead) after on each axis, so the K x K window at each
+    # input pixel holds, flipped, every output that read it. So dx is gp
+    # correlated with the flipped kernel, its C and F axes swapped, and dW
+    # may contract the windows of gp in place of those of the input. The
+    # cache holds the conv's input x, not the map it read: the backward
+    # rebuilds what dW reads, lets it die before dx, and folds an upsampling
+    # conv's dx back onto x.
     x, w, lead, pad, upsample = (data[key] for key in ("x", "w", "lead", "pad", "upsample"))
-    n, h, wd, c = x.shape
-    s, k, f = 1 + upsample, w.shape[0], w.shape[3]
+    k, _, c, f = w.shape
     # wt stays a strided view: a contiguous copy runs the wide dx's matmuls
     # about twice as fast, but rounds differently (see ROADMAP)
     wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
     dw_from_gp = f * k * k <= _WINDOW_MAX < c * k * k  # e.g. a decoder's last conv
     cols = None
     if need_dx or dw_from_gp:
-        off = k - 1 - lead
-        gp = np.zeros((n, s * h + k - 1, s * wd + k - 1, f), dtype=g.dtype)
-        gp[:, off : off + g.shape[1], off : off + g.shape[2]] = g
+        gp = _operand(g, k - 1 - lead, 2 * (k - 1) - pad, False)
     if dw_from_gp:
         # one column matrix of gp serves dW here and the narrow dx below
         cols = _columns(gp, k)
-        dw = _correlate(gp, wt, upsample2d(x) if upsample else x,
+        dw = _correlate(gp, wt, _operand(x, 0, 0, upsample),
                         cols)[::-1, ::-1].transpose(0, 1, 3, 2)
     else:
         dw = _correlate(_operand(x, lead, pad, upsample), w, g)

@@ -41,11 +41,6 @@ class TrainHistory:
     train_seconds: float = 0.0
 
 
-def _check_finite(value, epoch):
-    if not np.isfinite(value):
-        raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
-
-
 def _fit(spec, images, labels, cfg, algorithm):
     """The epoch loop both trainers share; returns (Network, TrainHistory).
 
@@ -82,7 +77,8 @@ def _fit(spec, images, labels, cfg, algorithm):
                 yb = labels[idx]
                 value, gradient = cross_entropy_loss(out, yb)
                 correct += int((out.argmax(axis=-1) == yb).sum())
-            _check_finite(value, epoch)
+            if not np.isfinite(value):
+                raise DivergenceError(f"non-finite loss {value} at epoch {epoch}")
             optimizer_step(opt, net.backward(caches, gradient))
             epoch_loss += value * len(xb)
         hist.losses.append(epoch_loss / n)

@@ -104,6 +104,35 @@ def column_correlate(xp, w, g=None, cols=None, b=None):
     return dw
 
 
+def conv_backward_reference(x, w, g, padding, upsample, need_dx):
+    """``ops.backward`` of a conv as it ran with the zero-padded gradient
+    built by ``np.pad``: (dx or None, dW, db) for the input x (N,H,W,C),
+    weights w (K,K,C,F) and output gradient g. Every contraction goes through
+    ``ops._correlate``, on the same branch: dW from the windows of the padded
+    gradient when F*K*K is narrow and C*K*K wide, else from those of the
+    padded input; dx as the padded gradient correlated with the flipped
+    kernel, an upsampling conv's folded back onto x."""
+    k, _, c, f = w.shape
+    lead, pad = ((k - 1) // 2, k - 1) if padding == "same" else (0, 0)
+    if upsample:
+        x = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    wt = w[::-1, ::-1].transpose(0, 1, 3, 2)
+    # g sits K-1-lead pixels in, on the grid of the (upsampled) input
+    gpad = (k - 1 - lead, lead + k - 1 - pad)
+    gp = np.pad(g, ((0, 0), gpad, gpad, (0, 0)))
+    if f * k * k <= ops._WINDOW_MAX < c * k * k:
+        dw = ops._correlate(gp, wt, x)[::-1, ::-1].transpose(0, 1, 3, 2)
+    else:
+        xpad = (lead, pad - lead)
+        dw = ops._correlate(np.pad(x, ((0, 0), xpad, xpad, (0, 0))), w, g)
+    dx = None
+    if need_dx:
+        dx = ops._correlate(gp, wt)
+        if upsample:
+            dx = upsample_fold_oracle(dx)
+    return dx, dw, g.sum(axis=(0, 1, 2))
+
+
 def maxpool2d_oracle(x):
     """2x2 max pooling at stride 2 of one (h, w, c) sample."""
     pool = stride = 2

@@ -11,7 +11,6 @@ from latentwire.data import (
     cifar10_subset,
     gen_synthetic,
     load_cifar10,
-    load_cifar10_batch,
 )
 from latentwire.errors import LatentWireError
 
@@ -79,52 +78,61 @@ def test_labels_validated():
 
 # --- CIFAR-10 binary loader ------------------------------------------------------
 
+def _batch_bytes(records):
+    return b"".join(bytes([label]) + pixel_bytes for label, pixel_bytes in records)
+
+
 def _write_batch(path, records):
-    blob = bytearray()
-    for label, pixel_bytes in records:
-        blob.append(label)
-        blob += pixel_bytes
-    path.write_bytes(bytes(blob))
+    path.write_bytes(_batch_bytes(records))
+
+
+def _write_archive(directory, probe_name, probe):
+    """A miniature archive in `directory`: each batch file holds one zero
+    record, but the file `probe_name` holds the bytes `probe`, or is left
+    out when `probe` is None."""
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        if name != probe_name:
+            _write_batch(directory / name, [(0, bytes(3072))])
+        elif probe is not None:
+            (directory / name).write_bytes(probe)
 
 
 def test_single_record_batch(tmp_path):
-    path = tmp_path / "data_batch_1.bin"
-    _write_batch(path, [(7, bytes([255]) * 3072)])
-    images, labels = load_cifar10_batch(path)
-    assert labels.tolist() == [7]
-    assert images.shape == (1, 32, 32, 3)
-    assert np.all(images == 1.0)
+    _write_archive(tmp_path, "test_batch.bin", _batch_bytes([(7, bytes([255]) * 3072)]))
+    _, test = load_cifar10(tmp_path)
+    assert test.labels.tolist() == [7]
+    assert test.images.shape == (1, 32, 32, 3)
+    assert np.all(test.images == 1.0)
 
 
 def test_planar_to_interleaved_layout(tmp_path):
     # first channel plane red=255, others zero: pixel (0,0) must be (1,0,0)
-    path = tmp_path / "b.bin"
-    _write_batch(path, [(0, bytes([255]) * 1024 + bytes(2048))])
-    images, _ = load_cifar10_batch(path)
-    assert images[0, 0, 0].tolist() == [1.0, 0.0, 0.0]
-    assert images[0, 31, 31].tolist() == [1.0, 0.0, 0.0]
+    _write_archive(tmp_path, "data_batch_1.bin",
+                   _batch_bytes([(0, bytes([255]) * 1024 + bytes(2048))]))
+    train, _ = load_cifar10(tmp_path)
+    assert train.images[0, 0, 0].tolist() == [1.0, 0.0, 0.0]
+    assert train.images[0, 31, 31].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(LatentWireError, match="^missing batch file .*nope.bin$"):
-        load_cifar10_batch(tmp_path / "nope.bin")
     with pytest.raises(LatentWireError, match="^missing batch file .*data_batch_1.bin$"):
+        load_cifar10(tmp_path)
+    _write_archive(tmp_path, "test_batch.bin", None)
+    with pytest.raises(LatentWireError, match="^missing batch file .*test_batch.bin$"):
         load_cifar10(tmp_path)
 
 
 def test_short_read(tmp_path):
-    path = tmp_path / "data_batch_1.bin"
-    path.write_bytes(bytes(100))
+    _write_archive(tmp_path, "test_batch.bin", bytes(100))
     with pytest.raises(LatentWireError,
                        match="100 bytes is not a whole number of 3073-byte records$"):
-        load_cifar10_batch(path)
+        load_cifar10(tmp_path)
 
 
 def test_label_out_of_range(tmp_path):
-    path = tmp_path / "data_batch_1.bin"
-    _write_batch(path, [(11, bytes(3072))])
+    _write_archive(tmp_path, "data_batch_1.bin", _batch_bytes([(11, bytes(3072))]))
     with pytest.raises(LatentWireError, match=r"label 11 out of range 0\.\.9$"):
-        load_cifar10_batch(path)
+        load_cifar10(tmp_path)
 
 
 def test_full_directory_counts(tmp_path):

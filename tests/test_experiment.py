@@ -556,3 +556,46 @@ def test_op_replay_times_both_sides_and_refuses_unequal_bytes(monkeypatch):
 
     with pytest.raises(SystemExit, match=r"^refused: outputs differ at \(3, 3, 32\)"):
         list(tool.replay(tool.lw.ops, Off, convs[:1], [1], 1))
+
+
+def test_op_replay_backward_sets_need_dx_as_a_fit_and_refuses_unequal_bytes(monkeypatch):
+    tool = _tool(monkeypatch, "op_replay")
+    convs = tool.grid_backwards()
+    # an encoder's first conv computes no dx; every decoder conv, upsampling
+    # or not, runs inside the autoencoder's chain and does
+    assert ((32, 32, 3), 32, "same", False, False) in convs
+    assert ((32, 32, 3), 32, "same", False, True) not in convs
+    assert all(need_dx for *_, upsample, need_dx in convs if upsample)
+    assert tool.grid_convs() == sorted({conv[:4] for conv in convs})
+    picked = [next(c for c in convs if not c[4]), next(c for c in convs if c[3])]
+    lw_ops, calls = tool.lw.ops, []
+
+    class Spy:  # the library's ops, recording each backward's need_dx
+        conv2d = staticmethod(lw_ops.conv2d)
+
+        @staticmethod
+        def backward(cache, grad, need_dx=True):
+            calls.append(need_dx)
+            return lw_ops.backward(cache, grad, need_dx=need_dx)
+
+    root = Path(__file__).resolve().parents[1]
+    replayed = tool.load_ops(root, "replayed_latentwire")
+    try:
+        rows = list(tool.replay_backward(replayed, Spy, picked, [1, 3], 2))
+    finally:
+        for name in [m for m in sys.modules if m.startswith("replayed_latentwire")]:
+            del sys.modules[name]
+    assert [(conv, n) for conv, n, _, _ in rows] == [(conv, n) for conv in picked for n in (1, 3)]
+    assert all(t0 > 0 and t1 > 0 for *_, t0, t1 in rows)
+    assert calls == [conv[4] for conv in picked for _ in range(2 * 2)]
+
+    class Off:  # a dW one ulp away from the library's, dx and db untouched
+        conv2d = staticmethod(lw_ops.conv2d)
+
+        @staticmethod
+        def backward(cache, grad, need_dx=True):
+            dx, grads = lw_ops.backward(cache, grad, need_dx=need_dx)
+            return dx, dict(grads, w=np.nextafter(grads["w"], np.inf))
+
+    with pytest.raises(SystemExit, match=r"^refused: backward differs at .* need_dx=False n=1$"):
+        list(tool.replay_backward(lw_ops, Off, picked[:1], [1], 1))

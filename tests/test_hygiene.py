@@ -144,7 +144,7 @@ SHARED_NAMES = {
                    "SyntheticSpec.num_classes by gen_synthetic",
     "push": "HubSink.push and WireClientSink.push are both called through "
             "export_latents' sink",
-    "seed": "ReportRow.seed is read by normalize_metrics and cmd_run; "
+    "seed": "ReportRow.seed is read by normalize_metrics and cli.main; "
             "TrainConfig.seed by _fit and fit_autoencoder",
     "train_classifier": "Hub.train_classifier is called by run_cell; "
                         "train.train_classifier by Hub.train_classifier",

@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from latentwire import ops
 from latentwire.errors import InvalidGeometryError, LatentWireError
 from latentwire.losses import cross_entropy_loss, mse_loss
-from latentwire.network import glorot_limit, glorot_uniform
+from latentwire.network import glorot_uniform
 from latentwire.zoo import (
     FAMILIES,
     KERNEL,
@@ -19,6 +19,7 @@ from latentwire.zoo import (
 from oracles import (
     column_correlate,
     conv2d_backward_oracle,
+    conv_backward_reference,
     conv2d_oracle,
     dense_oracle,
     einsum_correlate,
@@ -166,12 +167,10 @@ def test_narrow_conv_bitwise_equals_einsum(c, size, padding, stride, n):
             assert np.array_equal(dx, einsum_correlate(gp, wt))
 
 
-def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
-    """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
-    `image`: the autoencoders at CR 4, 8 and 16 and both classifier families
-    on the image and on each latent. Each is KERNEL x KERNEL, and the next
-    layer reads all of its output: stride 1. (h, w) is the map the conv
-    correlates, twice its input's for a conv that upsamples."""
+def zoo_conv_layers(image=(32, 32, 3), num_classes=10):
+    """(input shape, filters, padding, upsample) of every conv the zoo builds
+    for `image`: the autoencoders at CR 4, 8 and 16 and both classifier
+    families on the image (CR 1) and on each latent."""
     specs, inputs = [], [image]
     for cr in (4, 8, 16):
         pair = build_autoencoder(image, cr)
@@ -179,11 +178,19 @@ def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
         inputs.append(pair.latent_shape)
     specs += [build_vanilla_classifier(shape, family, num_classes)
               for shape in inputs for family in FAMILIES]
-    return sorted({((1 + layer.upsample) * shape[0], (1 + layer.upsample) * shape[1],
-                    shape[2], KERNEL, layer.filters, 1, layer.padding)
+    return sorted({(tuple(shape), layer.filters, layer.padding, layer.upsample)
                    for spec in specs
                    for layer, shape in zip(spec.layers, infer_shapes(spec))
                    if layer.kind == "conv2d"})
+
+
+def zoo_conv_geometries(image=(32, 32, 3), num_classes=10):
+    """(h, w, c, k, f, stride, padding) of every conv the zoo builds for
+    `image` (see zoo_conv_layers). Each is KERNEL x KERNEL, and the next
+    layer reads all of its output: stride 1. (h, w) is the map the conv
+    correlates, twice its input's for a conv that upsamples."""
+    return sorted({((1 + up) * shape[0], (1 + up) * shape[1], shape[2], KERNEL, f, 1, padding)
+                   for shape, f, padding, up in zoo_conv_layers(image, num_classes)})
 
 
 ZOO_CONVS = zoo_conv_geometries()
@@ -255,6 +262,32 @@ def test_conv_bitwise_equals_correlate_then_bias(geometry, n):
     for cache in (True, False):
         y, _ = ops.conv2d(x, w, b, padding, cache=cache)
         assert y.dtype == np.float32 and y.tobytes() == want.tobytes()
+
+
+# The backward's twin of the test above: dx, dW and db of every conv the zoo
+# builds for either image, upsampling or not, with and without dx, must be
+# the bytes of the same contractions on a gradient zero-padded by np.pad.
+BACKWARD_CONVS = sorted(set(zoo_conv_layers()) | set(zoo_conv_layers((16, 16, 3))))
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("n", [1, 32])
+@pytest.mark.parametrize("layer", BACKWARD_CONVS, ids=str)
+def test_conv_backward_bitwise_equals_padded_gradient_reference(layer, n, need_dx):
+    shape, f, padding, upsample = layer
+    r = rng([n, *shape, f, upsample])
+    x = r.standard_normal((n, *shape)).astype(np.float32)
+    w = (0.1 * r.standard_normal((KERNEL, KERNEL, shape[2], f))).astype(np.float32)
+    b = r.standard_normal(f).astype(np.float32)
+    y, cache = ops.conv2d(x, w, b, padding, upsample=upsample)
+    g = r.standard_normal(y.shape).astype(np.float32)
+    dx, grads = ops.backward(cache, g, need_dx=need_dx)
+    want = conv_backward_reference(x, w, g, padding, upsample, need_dx)
+    assert (dx is None) == (not need_dx)
+    for name, got, expect in zip(("dx", "dw", "db"), (dx, grads["w"], grads["b"]), want):
+        if expect is not None:
+            assert got.dtype == expect.dtype == np.float32, name
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), name
 
 
 # Every window must end inside the array. The view takes C-contiguous
@@ -631,10 +664,13 @@ def test_dense_backward_zero_upstream():
 
 # --- glorot init -------------------------------------------------------------------
 
+# The limit is written out from L = sqrt(6 / (fan_in + fan_out)); the draws
+# must be the bytes of a uniform on [-L, L] from the same rng, cast to float32.
 def test_glorot_dense_bound():
-    limit = glorot_limit((128, 64))
-    assert abs(limit - np.sqrt(6 / 192)) < 1e-12
+    limit = np.sqrt(6 / (128 + 64))
     w = glorot_uniform((128, 64), rng(8))
+    want = rng(8).uniform(-limit, limit, size=(128, 64)).astype(np.float32)
+    assert w.tobytes() == want.tobytes()
     assert np.all(np.abs(w) <= limit)
 
 
@@ -647,12 +683,15 @@ def test_glorot_deterministic_for_seed():
 def test_glorot_sample_mean_near_zero():
     w = glorot_uniform((400, 250), rng(10))
     assert w.dtype == np.float32
-    limit = glorot_limit((400, 250))
+    limit = np.sqrt(6 / (400 + 250))
     stderr = limit / np.sqrt(3 * w.size)
     assert abs(w.mean(dtype=np.float64)) < 3 * stderr
 
 
 def test_glorot_conv_fans():
     # conv fan_in = K*K*C, fan_out = K*K*F
-    limit = glorot_limit((3, 3, 4, 8))
-    assert abs(limit - np.sqrt(6 / (36 + 72))) < 1e-12
+    limit = np.sqrt(6 / (36 + 72))
+    w = glorot_uniform((3, 3, 4, 8), rng(11))
+    want = rng(11).uniform(-limit, limit, size=(3, 3, 4, 8)).astype(np.float32)
+    assert w.tobytes() == want.tobytes()
+    assert np.all(np.abs(w) <= limit)

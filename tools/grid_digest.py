@@ -11,8 +11,9 @@ in this checkout's ``src``. Each ``cr=`` line holds the cell's accuracy and
 its report ``params``, the model-complexity column. ``data_sha256`` hashes
 the bytes of ``gen_synthetic(GridWorkload().spec, seed=0)``: train images,
 train labels, test images, test labels, in that order, as
-``tests/test_data.py`` pins them. Every ``train._fit`` result is hashed: each layer's parameter arrays
-by key, then the loss and metric histories as float64. The digest is the
+``tests/test_data.py`` pins them. Every ``train._fit`` result is hashed: its
+``Network.trainable()`` arrays, layer by layer and each layer's by key, then
+the loss and metric histories as float64. The digest is the
 sha256 of the per-network digests in training order. A kernel change that
 keeps every GEMM's operands, layout and summation order prints the same
 digest as its parent; a data-path change that keeps every byte prints the
@@ -57,9 +58,8 @@ from workloads import GridWorkload  # noqa: E402
 
 def network_digest(net, hist):
     h = hashlib.sha256()
-    for layer in net.params:
-        for key in sorted(layer):
-            h.update(layer[key].tobytes())
+    for array in net.trainable():
+        h.update(array.tobytes())
     h.update(np.asarray(hist.losses, np.float64).tobytes())
     h.update(np.asarray(hist.metrics, np.float64).tobytes())
     return h.digest()

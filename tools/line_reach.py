@@ -10,7 +10,8 @@ Runs the tier-1 suite (or the traffic) in this process under
 needed. The executable lines of each module under ``src/latentwire`` are
 the lines its code objects map instructions to (``co_lines``, nested code
 objects included). The report lists, by file, each executable line that
-never ran, then the total.
+never ran, then the total. Both modes end with a ``src lines (wc -l): N``
+line, the net ``src/`` line count that each change logs.
 
 In the default mode, ``NOT_RUN`` lists each such line by file and stripped
 source text, with the reason it stays; the exit status is non-zero when
@@ -181,6 +182,12 @@ def print_unrun(paths, ran):
     return not_run
 
 
+def print_src_lines(paths):
+    """Print the package's line count as ``wc -l`` counts it: newlines."""
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    print(f"src lines (wc -l): {lines}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--traffic", action="store_true",
@@ -198,6 +205,7 @@ def main(argv=None):
         print(f"not run: {inside} lines inside raise statements, {outside} outside")
         for line in failures:
             print(f"failed: {line}")
+        print_src_lines(paths)
         return int(bool(failures))
     code, ran = traced_run(files, tier1)
     not_run = print_unrun(paths, ran)
@@ -206,6 +214,7 @@ def main(argv=None):
         print(f"not run and not in NOT_RUN ({n}x): {name}: {text}")
     for (name, text), n in sorted((listed - not_run).items()):
         print(f"in NOT_RUN but run or gone ({n}x): {name}: {text}")
+    print_src_lines(paths)
     return code or int(not_run != listed)
 
 

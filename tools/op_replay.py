@@ -1,6 +1,6 @@
-"""Replay the conv forwards that the serve and pinned grid workloads run
-through a parent checkout's ``ops.py`` and this checkout's, in one process,
-and print the fastest time of each side.
+"""Replay the conv forwards and backwards that the serve and pinned grid
+workloads run through a parent checkout's ``ops.py`` and this checkout's, in
+one process, and print the fastest time of each side.
 
     python3 tools/op_replay.py PARENT [--repeats N] [--batches 1 25 32]
 
@@ -12,17 +12,21 @@ benchmark's pinned grid builds (family A at CR 1/4/8/16, autoencoders and
 classifiers, on its synthetic image shape), which include the serve
 workload's CR=4 encoder and classifier. Each runs at each batch size on the
 same seeded float32 operands, with the arguments ``Network.forward`` gives a
-training forward, which every checkout accepts.
+training forward, which every checkout accepts. The backward replay runs
+``ops.backward`` on each side's own fresh caching forward, with ``need_dx``
+as ``Network.backward`` sets it in the grid's fits: False at a network's
+first layer with weights. A geometry that runs both ways replays both.
 
 The two sides alternate, the parent first on even repeats and the change
 first on odd ones, so a drift of the machine's speed reaches both. Each
 time is the minimum over the repeats, in microseconds. The tool refuses,
-with exit code 1, unless the two sides' outputs are byte-equal: it compares
-kernels that must keep the bits.
+with exit code 1, unless the two sides' outputs (a backward's dx, dW and db)
+are byte-equal: it compares kernels that must keep the bits.
 
-One ``conv`` line per geometry and batch, then one ``total`` line per
-batch. BLAS is pinned to the benchmark's one thread and the process to one
-CPU, with ``pin_blas_threads`` and ``pin_cpu`` from ``perfbench/run.py``.
+One ``conv`` line per geometry and batch, then one ``total conv`` line per
+batch; then the same as ``conv_backward`` and ``total conv_backward`` lines.
+BLAS is pinned to the benchmark's one thread and the process to one CPU,
+with ``pin_blas_threads`` and ``pin_cpu`` from ``perfbench/run.py``.
 """
 
 import argparse
@@ -43,7 +47,7 @@ import numpy as np  # noqa: E402
 
 import latentwire as lw  # noqa: E402
 import latentwire.ops  # noqa: E402
-from latentwire.zoo import build_vanilla_classifier, infer_shapes  # noqa: E402
+from latentwire.zoo import KERNEL, ModelSpec, build_vanilla_classifier, infer_shapes  # noqa: E402
 from workloads import GridWorkload  # noqa: E402
 
 
@@ -58,21 +62,58 @@ def load_ops(root, name="parent_latentwire"):
     return importlib.import_module(f"{name}.ops")
 
 
-def grid_convs():
-    """(input shape, filters, padding, upsample) of every conv the pinned grid
-    builds, sorted."""
+def _grid_specs():
+    """The networks the pinned grid trains: each autoencoder as its fit's one
+    encoder-decoder chain, and each family-A classifier."""
     grid = GridWorkload()
     image, classes = grid.image_shape, grid.spec.num_classes
     specs, inputs = [], [image]
     for cr in grid.ratios[1:]:
         pair = lw.build_autoencoder(image, cr)
-        specs += [pair.encoder, pair.decoder]
+        specs.append(ModelSpec(pair.encoder.layers + pair.decoder.layers, image))
         inputs.append(pair.latent_shape)
-    specs += [build_vanilla_classifier(shape, "A", classes) for shape in inputs]
-    return sorted({(tuple(shape), layer.filters, layer.padding, layer.upsample)
-                   for spec in specs
-                   for layer, shape in zip(spec.layers, infer_shapes(spec))
-                   if layer.kind == "conv2d"})
+    return specs + [build_vanilla_classifier(shape, "A", classes) for shape in inputs]
+
+
+def grid_backwards():
+    """(input shape, filters, padding, upsample, need_dx) of every conv
+    backward the pinned grid runs, sorted. need_dx is False at a network's
+    first layer with weights, as ``Network.backward`` sets it."""
+    convs = set()
+    for spec in _grid_specs():
+        first = next(i for i, layer in enumerate(spec.layers)
+                     if layer.kind in ("conv2d", "dense"))
+        convs.update((tuple(shape), layer.filters, layer.padding, layer.upsample, i > first)
+                     for i, (layer, shape) in enumerate(zip(spec.layers, infer_shapes(spec)))
+                     if layer.kind == "conv2d")
+    return sorted(convs)
+
+
+def grid_convs():
+    """(input shape, filters, padding, upsample) of every conv the pinned grid
+    builds, sorted."""
+    return sorted({conv[:4] for conv in grid_backwards()})
+
+
+def _operands(shape, f, n):
+    """Seeded float32 x, w and b of one conv geometry at batch n."""
+    r = np.random.default_rng([n, *shape, f])
+    x = r.standard_normal((n, *shape)).astype(np.float32)
+    w = (0.1 * r.standard_normal((KERNEL, KERNEL, shape[2], f))).astype(np.float32)
+    b = (0.1 * r.standard_normal(f)).astype(np.float32)
+    return x, w, b
+
+
+def _race(sides, run, repeats):
+    """Call ``run(ops)`` for the two sides' ops alternately, the parent first
+    on even repeats and the change first on odd ones; `run` returns (seconds,
+    output bytes). Returns each side's fastest seconds and last bytes."""
+    best, outputs = [float("inf"), float("inf")], [None, None]
+    for i in range(repeats):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            seconds, outputs[side] = run(sides[side])
+            best[side] = min(best[side], seconds)
+    return best, outputs
 
 
 def replay(parent, change, geometries, batches, repeats):
@@ -81,23 +122,61 @@ def replay(parent, change, geometries, batches, repeats):
     geometry whose outputs differ in any byte."""
     for shape, f, padding, upsample in geometries:
         for n in batches:
-            r = np.random.default_rng([n, *shape, f])
-            x = r.standard_normal((n, *shape)).astype(np.float32)
-            w = (0.1 * r.standard_normal((3, 3, shape[2], f))).astype(np.float32)
-            b = (0.1 * r.standard_normal(f)).astype(np.float32)
-            best = [float("inf"), float("inf")]
-            outputs = [None, None]
-            for i in range(repeats):
-                for side in (0, 1) if i % 2 == 0 else (1, 0):
-                    ops = (parent, change)[side]
-                    start = perf_counter()
-                    y, _ = ops.conv2d(x, w, b, padding=padding, upsample=upsample)
-                    best[side] = min(best[side], perf_counter() - start)
-                    outputs[side] = y
-            if outputs[0].tobytes() != outputs[1].tobytes():
+            x, w, b = _operands(shape, f, n)
+
+            def forward(ops):
+                start = perf_counter()
+                y, _ = ops.conv2d(x, w, b, padding=padding, upsample=upsample)
+                return perf_counter() - start, y.tobytes()
+
+            best, outputs = _race((parent, change), forward, repeats)
+            if outputs[0] != outputs[1]:
                 raise SystemExit(f"refused: outputs differ at {shape} -> {f} {padding} "
                                  f"upsample={upsample} n={n}")
             yield (shape, f, padding, upsample), n, best[0], best[1]
+
+
+def replay_backward(parent, change, geometries, batches, repeats):
+    """As `replay`, for the conv backward of each (shape, f, padding,
+    upsample, need_dx) in `geometries`: each call runs a side's
+    ``ops.backward`` with that need_dx on the cache of a fresh forward of the
+    same side, and only the backward is timed. The tool refuses unless dx,
+    dW and db are byte-equal on both sides."""
+    for shape, f, padding, upsample, need_dx in geometries:
+        for n in batches:
+            x, w, b = _operands(shape, f, n)
+            y, _ = change.conv2d(x, w, b, padding=padding, upsample=upsample)
+            g = np.random.default_rng([n, *shape, f, 1]).standard_normal(y.shape).astype(
+                np.float32)
+
+            def backward(ops):
+                _, cache = ops.conv2d(x, w, b, padding=padding, upsample=upsample)
+                start = perf_counter()
+                dx, grads = ops.backward(cache, g, need_dx=need_dx)
+                seconds = perf_counter() - start
+                return seconds, (dx if dx is None else dx.tobytes(),
+                                 grads["w"].tobytes(), grads["b"].tobytes())
+
+            best, outputs = _race((parent, change), backward, repeats)
+            if outputs[0] != outputs[1]:
+                raise SystemExit(f"refused: backward differs at {shape} -> {f} {padding} "
+                                 f"upsample={upsample} need_dx={need_dx} n={n}")
+            yield (shape, f, padding, upsample, need_dx), n, best[0], best[1]
+
+
+def _print_rows(kind, rows, batches):
+    """Print one `kind` line per replayed row and one total line per batch."""
+    totals = {n: [0.0, 0.0] for n in batches}
+    for (shape, f, padding, upsample, *need_dx), n, t0, t1 in rows:
+        totals[n][0] += t0
+        totals[n][1] += t1
+        geometry = "x".join(map(str, shape)) + f"->{f} {padding}" + (" upsample" * upsample)
+        geometry += "".join(f" need_dx={flag}" for flag in need_dx)
+        print(f"{kind} {geometry} n={n} parent_us={t0 * 1e6:.1f} change_us={t1 * 1e6:.1f} "
+              f"change/parent={t1 / t0:.3f}")
+    for n, (t0, t1) in totals.items():
+        print(f"total {kind} n={n} parent_us={t0 * 1e6:.1f} change_us={t1 * 1e6:.1f} "
+              f"change/parent={t1 / t0:.3f}")
 
 
 def main(argv=None):
@@ -107,17 +186,11 @@ def main(argv=None):
     ap.add_argument("--batches", type=int, nargs="+", default=[1, 25, 32])
     args = ap.parse_args(argv)
     pin_cpu()
-    totals = {n: [0.0, 0.0] for n in args.batches}
-    for (shape, f, padding, upsample), n, t0, t1 in replay(
-            load_ops(args.parent), lw.ops, grid_convs(), args.batches, args.repeats):
-        totals[n][0] += t0
-        totals[n][1] += t1
-        geometry = "x".join(map(str, shape)) + f"->{f} {padding}" + (" upsample" * upsample)
-        print(f"conv {geometry} n={n} parent_us={t0 * 1e6:.1f} change_us={t1 * 1e6:.1f} "
-              f"change/parent={t1 / t0:.3f}")
-    for n, (t0, t1) in totals.items():
-        print(f"total n={n} parent_us={t0 * 1e6:.1f} change_us={t1 * 1e6:.1f} "
-              f"change/parent={t1 / t0:.3f}")
+    parent = load_ops(args.parent)
+    _print_rows("conv", replay(parent, lw.ops, grid_convs(), args.batches, args.repeats),
+                args.batches)
+    _print_rows("conv_backward", replay_backward(parent, lw.ops, grid_backwards(),
+                                                 args.batches, args.repeats), args.batches)
     return 0
 
 
