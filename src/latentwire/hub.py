@@ -53,10 +53,10 @@ class Hub:
             return [rec for rec, s in self.store.values() if s == split]
 
     def assemble(self, split, num_classes) -> LabeledDataset:
-        """Latent records of one split as a dataset, in ingestion order."""
+        """One split's latents as a dataset, in ingestion order; an empty split is refused."""
         records = self.records(split)
         if not records:
-            return LabeledDataset(np.zeros((0, 1), np.float32), [], num_classes)
+            raise LatentWireError(f"no {split}-split latents ingested")
         shape = records[0].shape
         for rec in records:
             if rec.shape != shape:
@@ -69,8 +69,6 @@ class Hub:
     def train_classifier(self, family, cfg, num_classes):
         """Fit a classifier of `family` ("A"/"B") on the assembled train split."""
         data = self.assemble("train", num_classes)
-        if len(data) == 0:
-            raise LatentWireError("no train-split latents ingested")
         spec = build_vanilla_classifier(data.sample_shape, family, num_classes)
         net, history = train_classifier(spec, data, cfg)
         self.classifier = net

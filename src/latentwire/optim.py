@@ -10,10 +10,11 @@ import numpy as np
 
 from .errors import LatentWireError
 
-# chosen defaults; the source material names the algorithms but no rates
+# chosen defaults; the source material names the algorithms but no rates. The
+# rate comes from TrainConfig.lr; rho, beta and eps are fixed here
 _DEFAULTS = {
-    "rmsprop": {"lr": 1e-3, "rho": 0.9, "eps": 1e-7},
-    "adam": {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+    "rmsprop": {"rho": 0.9, "eps": 1e-7},
+    "adam": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
 }
 
 
@@ -26,14 +27,12 @@ class OptimizerState:
     step: int = 0
 
 
-def make_optimizer(algorithm, params, lr=None):
-    """State that updates ``params``, a list of arrays, in place; each array
-    gets its zeroed moment buffers now: "v", and "m" for adam."""
+def make_optimizer(algorithm, params, lr):
+    """State that updates ``params``, a list of arrays, in place at rate ``lr``;
+    each array gets its zeroed moment buffers now: "v", and "m" for adam."""
     if algorithm not in _DEFAULTS:
         raise ValueError(f"unknown optimizer {algorithm!r}")
-    hyper = dict(_DEFAULTS[algorithm])
-    if lr is not None:
-        hyper["lr"] = float(lr)
+    hyper = dict(_DEFAULTS[algorithm], lr=float(lr))
     names = ("v",) if algorithm == "rmsprop" else ("m", "v")
     slots = [{name: np.zeros_like(p) for name in names} for p in params]
     return OptimizerState(algorithm, hyper, params, slots)

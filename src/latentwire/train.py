@@ -22,7 +22,7 @@ from .zoo import ModelSpec
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
-    lr: float | None = None  # None -> the optimizer's default rate
+    lr: float = 1e-3  # either optimizer's step size
     seed: int = 0
 
     def __post_init__(self):
@@ -30,7 +30,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.lr is not None and not self.lr > 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
 
 
@@ -57,7 +57,7 @@ def _fit(spec, images, labels, cfg, algorithm):
     rng = np.random.default_rng(cfg.seed)
     net = Network(spec, rng=rng)
     caches = [None] * len(spec.layers)
-    opt = make_optimizer(algorithm, net.trainable(), lr=cfg.lr)
+    opt = make_optimizer(algorithm, net.trainable(), cfg.lr)
     hist = TrainHistory()
     n = len(images)
     start = time.perf_counter()
@@ -111,10 +111,8 @@ def train_classifier(spec, data, cfg):
 
 
 def evaluate(net, data):
-    """(accuracy, wall seconds); inference mode, parameters untouched."""
+    """(accuracy, wall seconds) over a non-empty dataset; inference mode, weights untouched."""
     start = time.perf_counter()
-    acc = 0.0
-    if len(data):  # an empty split has no sample shape to run a forward on
-        acc = float((net.infer(data.images).argmax(axis=-1) == data.labels).mean())
+    acc = float((net.infer(data.images).argmax(axis=-1) == data.labels).mean())
     return acc, time.perf_counter() - start
 

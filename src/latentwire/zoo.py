@@ -17,9 +17,9 @@ A classifier ends in ``dense(num_classes)`` and emits logits; training takes
 softmax cross entropy on them and inference takes their argmax.
 
 Specs come only from the layer helpers and the builders below, so a
-LayerSpec checks nothing itself, and the shape walk refuses only a conv or
-pool that no longer fits its input: that refusal is how a classifier finds
-its feasible trunk.
+LayerSpec checks nothing itself, a ModelSpec holds the tuples its builder
+made, and the shape walk refuses only a conv or pool that no longer fits
+its input: that refusal is how a classifier finds its feasible trunk.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ def flatten():
 class ModelSpec:
     layers: tuple
     input_shape: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
 
 
 def _layer_out(shape, layer, index):

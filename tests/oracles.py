@@ -220,12 +220,13 @@ def count_parameters_oracle(spec):
 
 
 def swap_relu_pool(layers):
-    """`layers` with every relu that a maxpool follows moved after it."""
+    """`layers`, as a tuple, with every relu that a maxpool follows moved
+    after it."""
     out = list(layers)
     for i in range(len(out) - 1):
         if out[i] == act("relu") and out[i + 1] == maxpool():
             out[i], out[i + 1] = out[i + 1], out[i]
-    return out
+    return tuple(out)
 
 
 def autoencoder_spec_oracle(input_shape, cr):
@@ -248,7 +249,7 @@ def autoencoder_spec_oracle(input_shape, cr):
            + [conv(32, "same", upsample=True), act("relu")] * (s - 1)
            + [conv(c, "same", upsample=True), act("sigmoid")])
     latent = (h // 2 ** s, w // 2 ** s, c * 4 ** s // cr)
-    return ModelSpec(swap_relu_pool(enc), input_shape), ModelSpec(dec, latent)
+    return ModelSpec(swap_relu_pool(enc), input_shape), ModelSpec(tuple(dec), latent)
 
 
 def classifier_spec_oracle(input_shape, family, num_classes):
@@ -276,7 +277,7 @@ def classifier_spec_oracle(input_shape, family, num_classes):
                 break
             h, w = h - 2, w - 2
         kept.append(layer)
-    return ModelSpec(swap_relu_pool(kept) + head, input_shape)
+    return ModelSpec(swap_relu_pool(kept) + tuple(head), input_shape)
 
 
 def nearest_centroid_accuracy(train, test):

@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import logging
+import runpy
+import sys
 from dataclasses import replace
 
 import pytest
@@ -132,6 +134,20 @@ def test_cli_error_is_one_line_and_status_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("latentwire: error: ") and "ratio" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# runpy warns that the test session imported latentwire.cli already
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_as_main_exits_with_the_status_of_main(tmp_path, monkeypatch, capsys):
+    # a checkout with no install runs the CLI as `python -m latentwire.cli`
+    missing = tmp_path / "missing.json"
+    monkeypatch.setattr(sys, "argv", ["latentwire", "run", "--config", str(missing)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("latentwire.cli", run_name="__main__")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latentwire: error: ") and str(missing) in err
+    assert err.count("\n") == 1
 
 
 def test_config_document_that_is_not_an_object_is_one_error_line(tmp_path, capsys):

@@ -48,15 +48,15 @@ HEADER = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION}
 def test_config_roundtrip_with_nested_values(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        **HEADER, "cifar_dir": "/data/cifar", "cifar_subset": "2x100",
+        **HEADER, "cifar_dir": "/data/cifar", "cifar_subset": None,
         "synthetic": {"image_size": [16, 16, 3], "num_classes": 3,
                       "samples_per_class": 12, "noise": 0.1},
         "ratios": [1, 2.5, 8], "family": "B", "n_devices": 3, "partition": "iid",
         "ae": {"epochs": 2, "batch_size": 8, "lr": 0.01, "seed": 0},
-        "clf": {"epochs": 4, "batch_size": 32, "lr": None},
+        "clf": {"epochs": 4, "batch_size": 32},
         "seeds": [1, 2], "jobs": 2}))
     assert load_config(path) == ExperimentConfig(
-        cifar_dir="/data/cifar", cifar_subset="2x100",
+        cifar_dir="/data/cifar", cifar_subset=None,
         synthetic=SyntheticSpec(image_size=(16, 16, 3), num_classes=3,
                                 samples_per_class=12, noise=0.1),
         ratios=(1, 2.5, 8), family="B", n_devices=3,
@@ -122,6 +122,7 @@ def test_nested_config_must_be_object(doc):
     {"jobs": True},
     {"seeds": [1.5]},
     {"clf": {"lr": "0.1"}},
+    {"clf": {"lr": None}},  # a rate is a number; null has no default to stand for
     {"synthetic": {"image_size": "32x32x3"}},
     {"ratios": [1, math.inf]},  # what json.loads makes of Infinity and NaN
     {"ratios": [math.nan]},

@@ -325,14 +325,20 @@ def test_stop_of_a_started_server_returns_promptly():
     assert not server._thread.is_alive() and server.fileno() == -1
 
 
-def test_evaluate_empty_split_scores_zero():
+def test_an_empty_split_is_refused_where_it_is_assembled():
     hub = Hub()
+    with pytest.raises(LatentWireError, match="^no train-split latents ingested$"):
+        hub.assemble("train", num_classes=2)
+    with pytest.raises(LatentWireError, match="^no train-split latents ingested$"):
+        hub.train_classifier("A", TrainConfig(epochs=1), num_classes=2)
     r = np.random.default_rng(0)
     for i in range(8):
         payload = r.random(32).astype("<f4")
         hub.ingest(LatentRecord(1, i, i % 2, (4, 4, 2), payload), "train")
     hub.train_classifier("A", TrainConfig(epochs=1, batch_size=4), num_classes=2)
-    assert hub.evaluate("test", num_classes=2)[0] == 0.0
+    for refused in (hub.assemble, hub.evaluate):
+        with pytest.raises(LatentWireError, match="^no test-split latents ingested$"):
+            refused("test", num_classes=2)
 
 
 def test_predict_matches_the_bulk_forward_of_a_trained_classifier():

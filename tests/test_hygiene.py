@@ -2,7 +2,6 @@
 
 import ast
 import builtins
-import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -206,22 +205,6 @@ def test_every_exception_class_is_told_apart():
     package = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
     bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert sorted(exception_classes(package) - caught(package + bench)) == sorted(REPORTED)
-
-
-def test_every_not_run_entry_names_a_line_that_exists():
-    """tools/line_reach.py traces the suite to find unrun lines; this static
-    half fails as soon as a change deletes or rewrites a line that its
-    NOT_RUN allowlist still names, without tracing."""
-    spec = importlib.util.spec_from_file_location("line_reach", ROOT / "tools" / "line_reach.py")
-    line_reach = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(line_reach)
-    listed = Counter((name, text) for name, text, _ in line_reach.NOT_RUN)
-    stale = []
-    for (name, text), n in sorted(listed.items()):
-        lines = [line.strip() for line in (PACKAGE / name).read_text().splitlines()]
-        if lines.count(text) < n:
-            stale.append((name, text))
-    assert stale == []
 
 
 def bound_names(tree):

@@ -9,7 +9,7 @@ def test_zero_gradient_leaves_params_unchanged():
     for algo in ("rmsprop", "adam"):
         p = np.array([1.0, -2.0, 3.0])
         before = p.copy()
-        optimizer_step(make_optimizer(algo, [p]), [np.zeros(3)])
+        optimizer_step(make_optimizer(algo, [p], lr=1e-3), [np.zeros(3)])
         np.testing.assert_array_equal(p, before)
 
 
@@ -31,14 +31,14 @@ def test_adam_first_step_is_lr_sized():
 
 
 def test_step_counter_increments():
-    opt = make_optimizer("adam", [np.zeros(2)])
+    opt = make_optimizer("adam", [np.zeros(2)], lr=1e-3)
     for i in range(1, 4):
         optimizer_step(opt, [np.ones(2)])
         assert opt.step == i
 
 
 def test_shape_mismatch_rejected():
-    opt = make_optimizer("rmsprop", [np.zeros(3)])
+    opt = make_optimizer("rmsprop", [np.zeros(3)], lr=1e-3)
     with pytest.raises(LatentWireError, match=r"^param \(3,\) vs grad \(4,\)$"):
         optimizer_step(opt, [np.zeros(4)])
 
@@ -47,7 +47,7 @@ def test_accumulators_track_parameter_shapes():
     # the buffers exist before any step, each of its array's shape
     params = [np.zeros((2, 3)), np.zeros(5)]
     for algo, names in (("rmsprop", ["v"]), ("adam", ["m", "v"])):
-        opt = make_optimizer(algo, params)
+        opt = make_optimizer(algo, params, lr=1e-3)
         assert [[slot[k].shape for k in names] for slot in opt.slots] == [
             [(2, 3)] * len(names), [(5,)] * len(names)]
         assert all(not slot[k].any() for slot in opt.slots for k in names)
@@ -62,4 +62,4 @@ def test_accumulators_track_parameter_shapes():
 def test_unknown_algorithm_and_hyper():
     for algo in ("adagrad", "sgd-momentum"):
         with pytest.raises(ValueError, match="unknown optimizer"):
-            make_optimizer(algo, [])
+            make_optimizer(algo, [], lr=1e-3)

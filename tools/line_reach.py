@@ -1,6 +1,6 @@
-"""Print the ``src/`` lines that no tier-1 test executes and check them
-against ``NOT_RUN``; with ``--traffic``, print the lines that the
-benchmark's traffic and two ``latentwire run`` calls never execute.
+"""Print the ``src/`` lines that no tier-1 test executes; with
+``--traffic``, print the lines that the benchmark's traffic and two
+``latentwire run`` calls never execute.
 
     python3 tools/line_reach.py
     python3 tools/line_reach.py --traffic
@@ -13,12 +13,10 @@ objects included). The report lists, by file, each executable line that
 never ran, then the total. Both modes end with a ``src lines (wc -l): N``
 line, the net ``src/`` line count that each change logs.
 
-In the default mode, ``NOT_RUN`` lists each such line by file and stripped
-source text, with the reason it stays; the exit status is non-zero when
-pytest fails, when a line that did not run is missing from ``NOT_RUN``, or
-when an entry names a line that now runs or no longer exists. Tracing makes
-the suite take about 1.6 times as long, so this is a tool, not a tier-1
-test.
+In the default mode every executable line must run: the exit status is
+non-zero when pytest fails or when any line did not run, so a new line
+comes with a test. Tracing makes the suite take about 1.6 times as long, so
+this is a tool, not a tier-1 test.
 
 ``--traffic`` runs what the program does in use, not what the tests reach:
 one set-up, pass and check of each workload in ``perfbench/workloads.py`` at
@@ -32,8 +30,9 @@ names each cache kind in ``ops._BACKWARD`` that no ``ops.backward`` call of
 these runs dispatched: a backward that only tests reach, whose lines the
 tier-1 trace counts as run, and last splits the unrun lines in two: those
 within a ``raise`` statement's line span, continuation lines included, and
-all others. The exit status is non-zero only when a workload check or a
-``run`` fails.
+all others. The exit status is non-zero when a workload check or a
+``run`` fails, or when a cache kind goes undispatched, as an unrun line
+fails the default mode.
 """
 
 import argparse
@@ -42,7 +41,7 @@ import json
 import sys
 import tempfile
 import threading
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -52,13 +51,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "latentwire"
 TIER1_ARGS = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
-
-# (file, stripped source text, reason) for each src/ line that no test runs.
-# A text that stands on several unrun lines of a file is listed once per line.
-NOT_RUN = [
-    ("cli.py", "sys.exit(main())", "runs only when cli.py is run as a script; tests call main"),
-]
-
 
 def executable_lines(path):
     """Line numbers that the module's code objects map instructions to."""
@@ -160,26 +152,23 @@ def traffic():
 
 def print_unrun(paths, ran):
     """Print, by file, each executable line that never ran, then the total;
-    returns a Counter of (file name, stripped text) over those lines."""
-    not_run = Counter()
-    lines_total = 0
+    returns the number of those lines."""
+    lines_total = missed_total = 0
     print()
     for path in paths:
         lines = executable_lines(path)
         missed = sorted(lines - ran[str(path)])
         lines_total += len(lines)
+        missed_total += len(missed)
         if not missed:
             continue
         source = path.read_text().splitlines()
         print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} lines not run")
         for line in missed:
-            text = source[line - 1].strip()
-            not_run[path.name, text] += 1
-            print(f"  {line:4d}  {text}")
-    missed_total = sum(not_run.values())
+            print(f"  {line:4d}  {source[line - 1].strip()}")
     print(f"total: {lines_total - missed_total} of {lines_total} executable src/ lines run, "
           f"{missed_total} not run")
-    return not_run
+    return missed_total
 
 
 def print_src_lines(paths):
@@ -206,16 +195,11 @@ def main(argv=None):
         for line in failures:
             print(f"failed: {line}")
         print_src_lines(paths)
-        return int(bool(failures))
+        return int(bool(failures or undispatched))
     code, ran = traced_run(files, tier1)
-    not_run = print_unrun(paths, ran)
-    listed = Counter((name, text) for name, text, _ in NOT_RUN)
-    for (name, text), n in sorted((not_run - listed).items()):
-        print(f"not run and not in NOT_RUN ({n}x): {name}: {text}")
-    for (name, text), n in sorted((listed - not_run).items()):
-        print(f"in NOT_RUN but run or gone ({n}x): {name}: {text}")
+    missed = print_unrun(paths, ran)
     print_src_lines(paths)
-    return code or int(not_run != listed)
+    return code or int(bool(missed))
 
 
 if __name__ == "__main__":
